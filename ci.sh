@@ -10,7 +10,7 @@
 # With no argument every stage runs in order. With a stage name only that
 # stage runs (after whatever build it needs): build, test, fmt, clippy,
 # hot-path, sim-corun, faults, fault-recovery, serve, cluster-smoke,
-# cluster-scale, chaos-smoke, queue-ablation, perf-gate.
+# cluster-scale, chaos-smoke, perf-gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -182,34 +182,15 @@ stage_chaos_smoke() {
     echo "chaos smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
 }
 
-# Queue ablation (DESIGN.md §12): the tier-1 golden suites replayed with
-# each event-queue backend forced, proving the ladder queue and the
-# 4-ary heap produce byte-identical simulations — same pinned traces,
-# same figure JSON — so backend choice is purely a perf knob. Also
-# records the heap-vs-ladder periodic-churn micro pair as
-# BENCH_queue_ablation.json for the perf gate.
-stage_queue_ablation() {
-    echo "==> queue ablation: golden suites under FLEP_QUEUE=heap and ladder"
-    for backend in heap ladder; do
-        echo "==> FLEP_QUEUE=$backend: determinism + golden_serve suites"
-        FLEP_QUEUE=$backend cargo test --test determinism --offline -q
-        FLEP_QUEUE=$backend cargo test -p flep-serve --test golden_serve --offline -q
-    done
-    echo "==> queue ablation micro pair -> BENCH_queue_ablation.json"
-    FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_queue_ablation.json" \
-        cargo bench -p flep-bench --offline -q -- queue_ablation
-}
-
 # Perf-regression gate: fails if the medians recorded by the sim-corun,
-# serve, fault-recovery, cluster-smoke, cluster-scale, chaos-smoke, or
-# queue-ablation stages regressed more than FLEP_PERF_TOLERANCE percent (default 15) against
-# the checked-in baselines. One invocation checks every pair and
+# serve, fault-recovery, cluster-smoke, cluster-scale, or chaos-smoke
+# stages regressed more than FLEP_PERF_TOLERANCE percent (default 15)
+# against the checked-in baselines. One invocation checks every pair and
 # reports every regressing row before failing, so a regression in the
-# first artifact cannot mask one in the last. sim_corun and
-# queue_ablation medians are wall-clock (the tolerance absorbs runner
-# noise); serve_slo / fault_recovery / cluster medians are simulated
-# time, so any drift there is a real behavior change.
+# first artifact cannot mask one in the last. sim_corun medians are
+# wall-clock (the tolerance absorbs runner noise); serve_slo /
+# fault_recovery / cluster medians are simulated time, so any drift
+# there is a real behavior change.
 stage_perf_gate() {
     echo "==> perf gate: recorded artifacts vs baselines/"
     cargo run --release -p flep-bench --bin perf_gate --offline -q -- \
@@ -218,8 +199,7 @@ stage_perf_gate() {
         "$ROOT/BENCH_fault_recovery.json" "$ROOT/baselines/BENCH_fault_recovery.json" \
         "$ROOT/BENCH_cluster.json" "$ROOT/baselines/BENCH_cluster.json" \
         "$ROOT/BENCH_cluster_scale.json" "$ROOT/baselines/BENCH_cluster_scale.json" \
-        "$ROOT/BENCH_chaos.json" "$ROOT/baselines/BENCH_chaos.json" \
-        "$ROOT/BENCH_queue_ablation.json" "$ROOT/baselines/BENCH_queue_ablation.json"
+        "$ROOT/BENCH_chaos.json" "$ROOT/baselines/BENCH_chaos.json"
 }
 
 run_stage() {
@@ -236,13 +216,11 @@ run_stage() {
         cluster-smoke) stage_cluster_smoke ;;
         cluster-scale) stage_cluster_scale ;;
         chaos-smoke) stage_chaos_smoke ;;
-        queue-ablation) stage_queue_ablation ;;
         perf-gate) stage_perf_gate ;;
         *)
             echo "ci.sh: unknown stage '$1' (want build, test, fmt, clippy," >&2
             echo "       hot-path, sim-corun, faults, fault-recovery, serve," >&2
-            echo "       cluster-smoke, cluster-scale, chaos-smoke," >&2
-            echo "       queue-ablation, perf-gate)" >&2
+            echo "       cluster-smoke, cluster-scale, chaos-smoke, perf-gate)" >&2
             exit 2
             ;;
     esac
@@ -267,7 +245,6 @@ else
     stage_cluster_smoke
     stage_cluster_scale
     stage_chaos_smoke
-    stage_queue_ablation
     stage_perf_gate
     echo "ci.sh: all checks passed"
 fi

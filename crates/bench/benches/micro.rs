@@ -247,53 +247,37 @@ fn main() {
 
     // Steady-state *periodic* churn: the access pattern a discrete-event
     // simulation actually produces — pop the minimum, reschedule a fixed
-    // period (plus deterministic jitter) ahead. This is the regime the
-    // ladder backend targets: near-sorted inserts land in O(1) buckets
-    // where a heap pays log(depth) sifts on every operation. Run against
-    // both backends explicitly ("queue_ablation" targets) so one bench
-    // invocation quantifies the ladder-vs-heap gap; CI records the pair
-    // as BENCH_queue_ablation.json.
+    // period (plus deterministic jitter) ahead, so near-sorted inserts
+    // meet a deep pending set.
     const PERIODIC_DEPTH: usize = 4_096;
     const PERIODIC_STEPS: usize = 100_000;
     let periodic_jitter: Vec<u64> = (0..(PERIODIC_DEPTH + PERIODIC_STEPS) as u64)
         .map(|i| i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1) % 2_000)
         .collect();
-    let run_periodic = |mut q: EventQueue<u64>| {
-        let mut n = 0usize;
-        for _ in 0..PERIODIC_DEPTH {
-            q.push(SimTime::from_ns(9_000 + periodic_jitter[n]), n as u64);
-            n += 1;
-        }
-        let mut acc = 0u64;
-        for _ in 0..PERIODIC_STEPS {
-            let e = q.pop().expect("queue stays non-empty");
-            acc = acc.wrapping_add(e.payload);
-            q.push(
-                e.time + SimTime::from_ns(10_000 + periodic_jitter[n]),
-                e.payload,
-            );
-            n += 1;
-        }
-        q.clear();
-        acc
-    };
     bench(
         &mut results,
         filter,
         "sim_core/event_queue_churn_periodic",
-        || run_periodic(EventQueue::new()),
-    );
-    bench(
-        &mut results,
-        filter,
-        "sim_core/queue_ablation_heap_periodic",
-        || run_periodic(EventQueue::new_heap()),
-    );
-    bench(
-        &mut results,
-        filter,
-        "sim_core/queue_ablation_ladder_periodic",
-        || run_periodic(EventQueue::new_ladder()),
+        || {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut n = 0usize;
+            for _ in 0..PERIODIC_DEPTH {
+                q.push(SimTime::from_ns(9_000 + periodic_jitter[n]), n as u64);
+                n += 1;
+            }
+            let mut acc = 0u64;
+            for _ in 0..PERIODIC_STEPS {
+                let e = q.pop().expect("queue stays non-empty");
+                acc = acc.wrapping_add(e.payload);
+                q.push(
+                    e.time + SimTime::from_ns(10_000 + periodic_jitter[n]),
+                    e.payload,
+                );
+                n += 1;
+            }
+            q.clear();
+            acc
+        },
     );
 
     // Engine dispatch throughput with a self-rescheduling world.

@@ -76,19 +76,14 @@ pub fn configured_threads() -> usize {
     }
 }
 
-/// Parses a `FLEP_THREADS` value: the thread count for valid input, or
-/// the exact warning line [`configured_threads`] prints for invalid input
-/// (unparsable, or `0`).
-///
-/// The message is deliberately stable — it names the knob and the rule
-/// but no machine-dependent fallback value — so tests can pin it.
+/// Parses a `FLEP_THREADS` value with the runner's fallback: the thread
+/// count for valid input, or the exact warning line
+/// [`configured_threads`] prints for invalid input (unparsable, or `0`).
+/// The parsing itself is [`flep_runtime::parse_threads`], shared with the
+/// cluster epoch driver; the warning names no machine-dependent fallback
+/// value, so tests can pin it.
 pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "FLEP_THREADS: invalid value {raw:?} (want an integer >= 1); using available parallelism"
-        )),
-    }
+    flep_runtime::parse_threads(raw, "available parallelism")
 }
 
 /// Evaluates `f(0..n)` across the configured worker threads and returns

@@ -51,6 +51,7 @@
 //! deterministic state — `FLEP_THREADS` cannot change any byte of output.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use flep_gpu_sim::{
     CorrelatedFaultConfig, CorrelatedFaultKind, CorrelatedFaultPlan, DeviceFaultConfig,
@@ -62,9 +63,10 @@ use flep_sim_core::{
     EventQueue, PartitionedSimulation, RunOutcome, Scheduler, SimTime, Simulation, World,
 };
 
-use crate::driver::DEFAULT_EVENT_BUDGET;
+use crate::driver::{settle_budget, DEFAULT_EVENT_BUDGET};
 use crate::health::{BreakerState, DeviceHealth, HealthConfig};
 use crate::job::{JobRecord, JobSpec, KernelProfile};
+use crate::threads::parse_threads;
 use crate::world::{
     Policy, RecoveryAction, RecoveryEvent, RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
@@ -1335,8 +1337,7 @@ fn route_cluster_event(ev: &ClusterEvent) -> u32 {
 pub enum StepMode {
     /// Choose automatically: [`StepMode::Epoch`] when the run has no
     /// device-level faults (seeded or scripted), [`StepMode::Merged`]
-    /// otherwise. The `FLEP_CLUSTER_MODE` environment variable
-    /// (`epoch` / `merged` / `flat`) overrides the automatic choice.
+    /// otherwise.
     #[default]
     Auto,
     /// Per-device event streams stepped independently (in parallel across
@@ -1354,48 +1355,27 @@ pub enum StepMode {
     Flat,
 }
 
-/// `FLEP_THREADS` as the epoch driver's worker count. Unlike the bench
-/// runner (which defaults to all cores), stepping inside one run defaults
-/// to 1: the bench harness already parallelizes across cells, and nesting
-/// both would oversubscribe. Output is byte-identical either way.
+/// The epoch driver's worker count for a `FLEP_THREADS` value (`None`
+/// when unset), or the warning to print for an invalid one. Unlike the
+/// bench runner (which defaults to all cores), stepping inside one run
+/// defaults to 1: the bench harness already parallelizes across cells,
+/// and nesting both would oversubscribe. Output is byte-identical either
+/// way.
+fn epoch_threads_for(raw: Option<&str>) -> Result<usize, String> {
+    raw.map_or(Ok(1), |v| parse_threads(v, "1 epoch worker"))
+}
+
+/// `FLEP_THREADS` as the epoch driver's worker count, read once per
+/// process; an invalid value warns once on stderr and falls back to 1.
 fn epoch_threads() -> usize {
-    std::env::var("FLEP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Parses a `FLEP_CLUSTER_MODE` value: the step mode for valid input, or
-/// the exact warning line [`env_step_mode`] prints for invalid input.
-///
-/// The message is deliberately stable — it names the knob, the accepted
-/// values, and the fallback rule — so tests can pin it (the same
-/// discipline as `flep-core`'s `parse_threads`).
-pub fn parse_cluster_mode(raw: &str) -> Result<StepMode, String> {
-    match raw.trim() {
-        "epoch" => Ok(StepMode::Epoch),
-        "merged" => Ok(StepMode::Merged),
-        "flat" => Ok(StepMode::Flat),
-        _ => Err(format!(
-            "FLEP_CLUSTER_MODE: invalid value {raw:?} (want epoch, merged, or flat); using automatic selection"
-        )),
-    }
-}
-
-/// `FLEP_CLUSTER_MODE` as a [`StepMode`] override, if set and valid;
-/// invalid values warn once on stderr instead of silently defaulting.
-fn env_step_mode() -> Option<StepMode> {
-    match std::env::var("FLEP_CLUSTER_MODE") {
-        Ok(v) => match parse_cluster_mode(&v) {
-            Ok(mode) => Some(mode),
-            Err(warning) => {
-                eprintln!("{warning}");
-                None
-            }
-        },
-        Err(_) => None,
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        let raw = std::env::var("FLEP_THREADS").ok();
+        epoch_threads_for(raw.as_deref()).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            1
+        })
+    })
 }
 
 /// Drains one device stream: every event strictly before `bound` (all of
@@ -1516,9 +1496,9 @@ impl ClusterRun {
         self
     }
 
-    /// Pins the stepping mode (builder style), overriding both the
-    /// automatic choice and `FLEP_CLUSTER_MODE`. The equivalence tests
-    /// use this to drive the same run through every mode.
+    /// Pins the stepping mode (builder style), overriding the automatic
+    /// choice. The equivalence tests use this to drive the same run
+    /// through every mode.
     #[must_use]
     pub fn with_step_mode(mut self, mode: StepMode) -> Self {
         self.mode = mode;
@@ -1550,11 +1530,7 @@ impl ClusterRun {
     /// argument, and the `partition` test suite enforces it).
     #[must_use]
     pub fn run(self) -> ClusterResult {
-        let mode = match self.mode {
-            StepMode::Auto => env_step_mode().unwrap_or(StepMode::Auto),
-            pinned => pinned,
-        };
-        match mode {
+        match self.mode {
             StepMode::Flat => self.run_flat(),
             StepMode::Merged => self.run_merged(),
             StepMode::Epoch | StepMode::Auto => {
@@ -1568,49 +1544,33 @@ impl ClusterRun {
     }
 
     /// Builds the cluster, registers the jobs, and returns it together
-    /// with the job arrival times (registration order).
-    fn build(&mut self) -> (GpuCluster, Vec<(SimTime, ClusterEvent)>, Vec<SimTime>) {
+    /// with the events that seed the run: job arrivals (registration
+    /// order) first, then the cluster's own initial events — the same
+    /// seq-order discipline as `CoRun::run`.
+    fn build(&mut self) -> (GpuCluster, Vec<(SimTime, ClusterEvent)>) {
         let (mut cluster, initial) = GpuCluster::new(&self.cfg);
-        let arrivals: Vec<SimTime> = self.jobs.iter().map(|j| j.arrival).collect();
+        let mut seeds: Vec<(SimTime, ClusterEvent)> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(idx, j)| (j.arrival, ClusterEvent::Arrival(idx)))
+            .collect();
+        seeds.extend(initial);
         for spec in self.jobs.drain(..) {
             cluster.register(spec);
         }
-        (cluster, initial, arrivals)
+        (cluster, seeds)
     }
 
     /// The reference driver: one flat global queue.
     fn run_flat(mut self) -> ClusterResult {
-        let (cluster, initial, arrivals) = self.build();
+        let (cluster, seeds) = self.build();
         let mut sim = Simulation::new(cluster);
-        // Arrivals first, then the cluster's own initial events — the
-        // same seq-order discipline as `CoRun::run`.
-        for (idx, at) in arrivals.into_iter().enumerate() {
-            sim.schedule_at(at, ClusterEvent::Arrival(idx));
-        }
-        for (at, ev) in initial {
+        for (at, ev) in seeds {
             sim.schedule_at(at, ev);
         }
-        let mut budget_error = None;
-        let end_time = match sim.run_with_budget(self.budget) {
-            RunOutcome::Completed(t) => t,
-            RunOutcome::BudgetExhausted {
-                now,
-                dispatched,
-                pending,
-            } => {
-                budget_error = Some(RuntimeError::EventBudgetExhausted {
-                    at: now,
-                    dispatched,
-                    pending,
-                });
-                now
-            }
-        };
-        let mut result = sim.into_world().into_result(end_time);
-        if let Some(e) = budget_error {
-            result.errors.push(e);
-        }
-        result
+        let outcome = sim.run_with_budget(self.budget);
+        finish(sim.into_world(), outcome)
     }
 
     /// Per-device queues merged through the sim-core cursor: the same
@@ -1620,35 +1580,13 @@ impl ClusterRun {
     /// cache-resident queue instead of one cluster-wide heap.
     fn run_merged(mut self) -> ClusterResult {
         let partitions = self.cfg.devices.max(1) as usize + 1;
-        let (cluster, initial, arrivals) = self.build();
+        let (cluster, seeds) = self.build();
         let mut sim = PartitionedSimulation::new(cluster, partitions, route_cluster_event);
-        for (idx, at) in arrivals.into_iter().enumerate() {
-            sim.schedule_at(at, ClusterEvent::Arrival(idx));
-        }
-        for (at, ev) in initial {
+        for (at, ev) in seeds {
             sim.schedule_at(at, ev);
         }
-        let mut budget_error = None;
-        let end_time = match sim.run_with_budget(self.budget) {
-            RunOutcome::Completed(t) => t,
-            RunOutcome::BudgetExhausted {
-                now,
-                dispatched,
-                pending,
-            } => {
-                budget_error = Some(RuntimeError::EventBudgetExhausted {
-                    at: now,
-                    dispatched,
-                    pending,
-                });
-                now
-            }
-        };
-        let mut result = sim.into_world().into_result(end_time);
-        if let Some(e) = budget_error {
-            result.errors.push(e);
-        }
-        result
+        let outcome = sim.run_with_budget(self.budget);
+        finish(sim.into_world(), outcome)
     }
 
     /// Epoch stepping: device streams run independently — and in parallel
@@ -1670,7 +1608,7 @@ impl ClusterRun {
     /// per-device in device order at the barrier, which no result field
     /// observes differently.
     fn run_epoch(mut self) -> ClusterResult {
-        let (mut cluster, initial, arrivals) = self.build();
+        let (mut cluster, seeds) = self.build();
         let n = cluster.shards.len();
         let threads = epoch_threads();
         // The control stream holds cluster-level events; one per-device
@@ -1688,16 +1626,12 @@ impl ClusterRun {
                 other => control.push(at, other),
             }
         }
-        for (idx, at) in arrivals.into_iter().enumerate() {
-            control.push(at, ClusterEvent::Arrival(idx));
-        }
-        for (at, ev) in initial {
+        for (at, ev) in seeds {
             route(&mut control, &mut streams, at, ev);
         }
         let mut spent: u64 = 0;
         let mut end = SimTime::ZERO;
-        let mut budget_error = None;
-        loop {
+        let outcome = loop {
             // Epoch: drain every stream strictly below the next
             // cluster-level timestamp (fully, when none is left). Each
             // stream is capped at the remaining budget, so the abort
@@ -1718,16 +1652,17 @@ impl ClusterRun {
             debug_assert!(cluster.pending.is_empty(), "epoch workers route directly");
             let pending = control.len() + streams.iter().map(EventQueue::len).sum::<usize>();
             if spent >= self.budget && pending > 0 {
-                budget_error = Some(RuntimeError::EventBudgetExhausted {
-                    at: end,
+                break RunOutcome::BudgetExhausted {
+                    now: end,
                     dispatched: spent,
                     pending,
-                });
-                break;
+                };
             }
             // Cluster-level interaction point: dispatch everything at the
             // bound timestamp, routing follow-ups to their streams.
-            let Some(t) = bound else { break };
+            let Some(t) = bound else {
+                break RunOutcome::Completed(end);
+            };
             end = end.max(t);
             while control.peek_time() == Some(t) {
                 let entry = control.pop().expect("peeked control event");
@@ -1739,13 +1674,18 @@ impl ClusterRun {
                 }
                 cluster.pending = pending;
             }
-        }
-        let mut result = cluster.into_result(end);
-        if let Some(e) = budget_error {
-            result.errors.push(e);
-        }
-        result
+        };
+        finish(cluster, outcome)
     }
+}
+
+/// Folds a finished cluster and its run outcome into the result, with a
+/// budget abort reported as the last structured error.
+fn finish(cluster: GpuCluster, outcome: RunOutcome) -> ClusterResult {
+    let (end_time, budget_error) = settle_budget(outcome);
+    let mut result = cluster.into_result(end_time);
+    result.errors.extend(budget_error);
+    result
 }
 
 /// Results of a cluster run.
@@ -1805,23 +1745,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cluster_mode_parses_valid_values() {
-        assert_eq!(parse_cluster_mode("epoch"), Ok(StepMode::Epoch));
-        assert_eq!(parse_cluster_mode("merged"), Ok(StepMode::Merged));
-        assert_eq!(parse_cluster_mode(" flat "), Ok(StepMode::Flat));
+    fn epoch_threads_default_to_one() {
+        assert_eq!(epoch_threads_for(None), Ok(1));
+        assert_eq!(epoch_threads_for(Some("8")), Ok(8));
+        assert_eq!(epoch_threads_for(Some(" 3 ")), Ok(3));
     }
 
     #[test]
-    fn cluster_mode_warning_text_is_pinned() {
+    fn epoch_threads_warning_text_is_pinned() {
         assert_eq!(
-            parse_cluster_mode("turbo"),
+            epoch_threads_for(Some("all")),
             Err(
-                "FLEP_CLUSTER_MODE: invalid value \"turbo\" (want epoch, merged, or flat); \
-                 using automatic selection"
+                "FLEP_THREADS: invalid value \"all\" (want an integer >= 1); using 1 epoch worker"
                     .to_string()
             )
         );
-        assert!(parse_cluster_mode("").is_err());
-        assert!(parse_cluster_mode("EPOCH").is_err());
+        assert!(epoch_threads_for(Some("0")).is_err());
+        assert!(epoch_threads_for(Some("")).is_err());
     }
 }

@@ -14,6 +14,28 @@ pub const DEFAULT_EVENT_BUDGET: u64 = 1_000_000_000;
 use crate::job::{JobRecord, JobSpec};
 use crate::world::{Policy, RecoveryEvent, RuntimeError, SystemEvent, SystemWorld, WatchdogConfig};
 
+/// Splits a budgeted run's outcome into its end time and, when the budget
+/// ran out first, the [`RuntimeError::EventBudgetExhausted`] the result
+/// reports — the one budget path every driver ([`CoRun`] and each
+/// [`ClusterRun`](crate::ClusterRun) step mode) shares.
+pub(crate) fn settle_budget(outcome: RunOutcome) -> (SimTime, Option<RuntimeError>) {
+    match outcome {
+        RunOutcome::Completed(t) => (t, None),
+        RunOutcome::BudgetExhausted {
+            now,
+            dispatched,
+            pending,
+        } => (
+            now,
+            Some(RuntimeError::EventBudgetExhausted {
+                at: now,
+                dispatched,
+                pending,
+            }),
+        ),
+    }
+}
+
 /// A complete co-run description.
 ///
 /// # Example
@@ -162,27 +184,10 @@ impl CoRun {
         if let Some(wd) = watchdog {
             sim.schedule_at(wd.poll_interval, SystemEvent::Watchdog);
         }
-        let mut budget_error = None;
-        let end_time = match sim.run_with_budget(self.budget) {
-            RunOutcome::Completed(t) => t,
-            RunOutcome::BudgetExhausted {
-                now,
-                dispatched,
-                pending,
-            } => {
-                budget_error = Some(RuntimeError::EventBudgetExhausted {
-                    at: now,
-                    dispatched,
-                    pending,
-                });
-                now
-            }
-        };
+        let (end_time, budget_error) = settle_budget(sim.run_with_budget(self.budget));
         let swap_stats = sim.world().swap_stats();
         let (jobs, busy_spans, busy_totals, mut report) = sim.into_world().into_records();
-        if let Some(e) = budget_error {
-            report.errors.push(e);
-        }
+        report.errors.extend(budget_error);
         CoRunResult {
             jobs,
             busy_spans,

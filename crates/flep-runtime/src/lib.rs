@@ -29,15 +29,17 @@ mod driver;
 mod health;
 mod job;
 mod poll;
+mod threads;
 mod world;
 
 pub use cluster::{
-    parse_cluster_mode, ClusterConfig, ClusterEvent, ClusterResult, ClusterRun, DeviceEvent,
-    DeviceEventKind, DeviceState, GpuCluster, PlacementConfig, StepMode,
+    ClusterConfig, ClusterEvent, ClusterResult, ClusterRun, DeviceEvent, DeviceEventKind,
+    DeviceState, GpuCluster, PlacementConfig, StepMode,
 };
 pub use driver::{CoRun, CoRunResult, DEFAULT_EVENT_BUDGET};
 pub use health::{BreakerState, DeviceHealth, HealthConfig};
 pub use job::{JobRecord, JobSpec, KernelProfile, RepeatMode};
+pub use threads::parse_threads;
 pub use world::{
     EvictedJob, Policy, RecoveryAction, RecoveryEvent, RunRecords, RunReport, RuntimeError,
     SystemEvent, SystemWorld, WatchdogConfig,

@@ -11,8 +11,8 @@
 
 use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, FaultConfig, GpuConfig};
 use flep_runtime::{
-    ClusterConfig, ClusterResult, ClusterRun, CoRun, JobSpec, KernelProfile, Policy, StepMode,
-    WatchdogConfig,
+    ClusterConfig, ClusterResult, ClusterRun, CoRun, JobSpec, KernelProfile, Policy, RuntimeError,
+    StepMode, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
 use flep_sim_core::{require, require_eq, SimRng, SimTime};
@@ -160,6 +160,59 @@ fn scripted_death_migration_matches_flat_in_every_mode() {
     for mode in [StepMode::Merged, StepMode::Epoch, StepMode::Auto] {
         assert_eq!(flat, render(&run_in(mode, cfg(), &specs)), "{mode:?}");
     }
+}
+
+/// A budget far too small to finish the run aborts every driver the same
+/// structured way: `CoRun` and all four cluster step modes return (no hang,
+/// no panic) with `EventBudgetExhausted` as their last error, and the flat
+/// and merged drivers agree byte for byte at the abort point.
+#[test]
+fn tiny_budget_aborts_every_driver_with_a_structured_error() {
+    const BUDGET: u64 = 40;
+    let specs: Vec<JobSpec> = (0..4)
+        .map(|i| {
+            JobSpec::new(
+                profile(bench_of(i), InputClass::Small),
+                SimTime::from_us(i * 100),
+            )
+            .with_priority(1 + (i as u32 % 2))
+        })
+        .collect();
+    let exhausted = |errors: &[RuntimeError]| {
+        matches!(
+            errors.last(),
+            Some(RuntimeError::EventBudgetExhausted { pending, .. }) if *pending > 0
+        )
+    };
+
+    let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf()).with_event_budget(BUDGET);
+    for s in &specs {
+        corun = corun.job(s.clone());
+    }
+    let solo = corun.run();
+    assert!(exhausted(&solo.errors), "CoRun: {:?}", solo.errors);
+
+    let run = |mode| {
+        let mut run = ClusterRun::new(ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf()))
+            .with_step_mode(mode)
+            .with_event_budget(BUDGET);
+        for s in &specs {
+            run = run.job(s.clone());
+        }
+        run.run()
+    };
+    for mode in [StepMode::Auto, StepMode::Epoch] {
+        let r = run(mode);
+        assert!(exhausted(&r.errors), "{mode:?}: {:?}", r.errors);
+        assert!(r.reconciles(), "{mode:?} lost a job at the abort");
+    }
+    let flat = run(StepMode::Flat);
+    assert!(exhausted(&flat.errors), "Flat: {:?}", flat.errors);
+    assert_eq!(
+        render(&flat),
+        render(&run(StepMode::Merged)),
+        "merged diverged"
+    );
 }
 
 /// One generated job: (bench index, arrival_us, priority, seed).

@@ -1,35 +1,21 @@
 //! The deterministic event queue.
 //!
-//! Two interchangeable backends implement the same exact `(time, seq)`
-//! FIFO contract behind the sealed [`EventQueueImpl`] trait:
+//! [`EventQueue`] orders small packed `(time, seq, slot)` keys in an
+//! *indexed 4-ary heap* ([`HeapCore`]): the heap array holds only 16-byte
+//! keys, and pops use Floyd's bottom-up sift-down with a branchless
+//! min-of-4 tournament. Dispatch order is exact `(time, seq)` FIFO — a
+//! pure function of the push sequence — which is what keeps every golden
+//! trace bit-identical. The same heap doubles as the merge cursor of
+//! [`PartitionedQueue`](crate::PartitionedQueue).
 //!
-//! * an *indexed 4-ary heap* ([`HeapCore`]): the heap array holds only
-//!   16-byte packed keys, Floyd bottom-up sift-down with a branchless
-//!   min-of-4 tournament — the general-purpose comparison-based baseline;
-//! * a *ladder queue* ([`crate::ladder::LadderCore`]): a calendar-style
-//!   bucketed structure that exploits the near-periodic event-interval
-//!   distributions of polling-dominated simulations for amortized O(1)
-//!   push/pop.
-//!
-//! The backend is chosen per queue: `FLEP_QUEUE=heap` or
-//! `FLEP_QUEUE=ladder` forces one, and when the variable is unset a
-//! one-shot self-calibration observes the first
-//! [`CALIBRATION_WINDOW`] pushes and migrates to the ladder only when the
-//! pending set is deep enough to amortize bucket management. Both
-//! backends order events *identically* — dispatch order is a pure
-//! function of the push sequence — which is what keeps every golden
-//! trace bit-identical whichever backend runs.
-//!
-//! Payloads never enter a backend: they are parked in a [`SoaSlab`]
-//! arena (hot slot metadata packed in a parallel array, cold payloads
+//! Payloads never enter the heap: they are parked in a [`SoaSlab`] arena
+//! (hot slot metadata packed in a parallel array, cold payloads
 //! out-of-line) and addressed by the slot bits of the packed key, so the
-//! sift/bucket hot paths move small `Copy` keys instead of full
+//! sift hot paths move small `Copy` keys instead of full
 //! `GpuEvent`/`SystemEvent` payloads.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
-use crate::ladder::LadderCore;
 use crate::slab::SoaSlab;
 use crate::SimTime;
 
@@ -80,11 +66,11 @@ pub(crate) const SLOT_BITS: u32 = 24;
 /// Mask extracting the slot from the packed word.
 pub(crate) const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// The key circulating through a queue backend: everything ordering needs,
-/// plus the payload's arena slot, packed into one `u128` — the timestamp
-/// in the high 64 bits, `seq << SLOT_BITS | slot` in the low 64. 16 bytes
-/// and `Copy`, so a 4-child heap group (or a ladder bucket run) spans
-/// contiguous cache lines; and because the `(time, seq)` lexicographic
+/// The key circulating through the heap: everything ordering needs, plus
+/// the payload's arena slot, packed into one `u128` — the timestamp in
+/// the high 64 bits, `seq << SLOT_BITS | slot` in the low 64. 16 bytes
+/// and `Copy`, so a 4-child heap group spans one 64-byte cache line; and
+/// because the `(time, seq)` lexicographic
 /// order coincides with plain integer order on the packed word,
 /// [`PackedKey::before`] is a single flat `u128` compare — no
 /// short-circuit branch for the hot loops to mispredict.
@@ -118,8 +104,7 @@ impl PackedKey {
         SimTime::from_ns((self.0 >> 64) as u64)
     }
 
-    /// The raw nanosecond timestamp (the ladder's bucket math works on
-    /// integers).
+    /// The raw nanosecond timestamp.
     #[inline]
     #[must_use]
     pub fn time_ns(self) -> u64 {
@@ -141,48 +126,14 @@ impl PackedKey {
     }
 }
 
-pub(crate) mod sealed {
-    /// Seals [`super::EventQueueImpl`]: the set of queue backends is a
-    /// closed implementation detail of this crate, so the exact-ordering
-    /// contract can be enforced by the in-tree property suites rather
-    /// than asked of downstream implementors.
-    pub trait Sealed {}
-}
-
-/// The contract every event-queue backend implements: a priority queue of
-/// [`PackedKey`]s with *exact* `(time, seq)` min ordering — `pop_min`
-/// returns keys in strictly increasing `u128` order among those pending.
-///
-/// This trait is sealed; the two implementations ([`HeapCore`] and the
-/// ladder queue) live in this crate and are proven equivalent by a
-/// flep-check property suite. It exists so the backends stay honest about
-/// sharing one interface (and one test battery) rather than growing
-/// divergent semantics.
-pub trait EventQueueImpl: sealed::Sealed {
-    /// Inserts a key.
-    fn push_key(&mut self, key: PackedKey);
-    /// Removes and returns the minimum key, if any.
-    fn pop_min(&mut self) -> Option<PackedKey>;
-    /// The minimum key without removing it. O(1) on both backends.
-    fn min_key(&self) -> Option<PackedKey>;
-    /// Number of pending keys.
-    fn len(&self) -> usize;
-    /// True when no keys are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Drops all pending keys, keeping allocations for reuse.
-    fn clear(&mut self);
-}
-
 /// The branching factor. Quaternary is the sweet spot for small keys:
 /// half the depth of a binary heap (fewer cache-missing levels on the
 /// sift path) while the 4-child comparison still fits in one cache line.
 const ARITY: usize = 4;
 
-/// The indexed 4-ary heap backend: the ablation baseline, and the right
-/// choice for shallow or irregular queues where bucket management cannot
-/// amortize.
+/// An indexed 4-ary min-heap of [`PackedKey`]s with *exact* `(time, seq)`
+/// ordering: [`HeapCore::pop_min`] returns keys in strictly increasing
+/// `u128` order among those pending.
 #[derive(Debug, Clone, Default)]
 pub struct HeapCore {
     /// The 4-ary min-heap of keys.
@@ -194,6 +145,45 @@ impl HeapCore {
     #[must_use]
     pub fn new() -> Self {
         HeapCore { heap: Vec::new() }
+    }
+
+    /// Inserts a key.
+    pub fn push_key(&mut self, key: PackedKey) {
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the minimum key, if any.
+    pub fn pop_min(&mut self) -> Option<PackedKey> {
+        let head = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap is non-empty");
+        if !self.heap.is_empty() {
+            self.sift_down_from_root(last);
+        }
+        Some(head)
+    }
+
+    /// The minimum key without removing it.
+    #[must_use]
+    pub fn min_key(&self) -> Option<PackedKey> {
+        self.heap.first().copied()
+    }
+
+    /// Number of pending keys.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when no keys are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Drops all pending keys, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
     /// Restores the heap property upward from `idx` after a push.
@@ -268,97 +258,6 @@ impl HeapCore {
     }
 }
 
-impl sealed::Sealed for HeapCore {}
-
-impl EventQueueImpl for HeapCore {
-    fn push_key(&mut self, key: PackedKey) {
-        self.heap.push(key);
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn pop_min(&mut self) -> Option<PackedKey> {
-        let head = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down_from_root(last);
-        }
-        Some(head)
-    }
-
-    fn min_key(&self) -> Option<PackedKey> {
-        self.heap.first().copied()
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// Pushes observed before the one-shot self-calibration decides on a
-/// backend (see [`EventQueue::new`]).
-pub const CALIBRATION_WINDOW: u32 = 64;
-
-/// Pending-set depth at the calibration point above which the ladder's
-/// bucket management amortizes and the queue migrates to it. Below this
-/// the heap's ~log4 sift of a handful of keys is already cheaper than
-/// maintaining rungs.
-const LADDER_DEPTH_THRESHOLD: usize = 48;
-
-/// Default ladder bucket-width exponent (2^9 ns = 512 ns) used when a
-/// queue is forced to `ladder` before any intervals have been observed.
-/// The ladder recalibrates its width from the live key span at every rung
-/// rebuild, so this seed only shapes the very first rung.
-const DEFAULT_LADDER_SHIFT: u32 = 9;
-
-/// A forced backend choice from the `FLEP_QUEUE` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ForcedBackend {
-    Heap,
-    Ladder,
-}
-
-/// Parses `FLEP_QUEUE` once per process: `heap`/`ladder` force a backend,
-/// unset (or empty) selects self-calibration, anything else warns on
-/// stderr and falls back to self-calibration.
-fn forced_backend() -> Option<ForcedBackend> {
-    static CHOICE: OnceLock<Option<ForcedBackend>> = OnceLock::new();
-    *CHOICE.get_or_init(|| match std::env::var("FLEP_QUEUE") {
-        Ok(v) if v == "heap" => Some(ForcedBackend::Heap),
-        Ok(v) if v == "ladder" => Some(ForcedBackend::Ladder),
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => {
-            eprintln!("warning: FLEP_QUEUE={v:?} is not \"heap\" or \"ladder\"; self-calibrating");
-            None
-        }
-        Err(_) => None,
-    })
-}
-
-/// The active backend, including the pre-decision calibration state.
-#[derive(Debug, Clone)]
-enum Backend {
-    /// The 4-ary heap (forced, or chosen by calibration).
-    Heap(HeapCore),
-    /// The ladder queue (forced, or chosen by calibration).
-    Ladder(LadderCore),
-    /// Still observing: runs on the heap, tracking the pushed-time span.
-    /// After [`CALIBRATION_WINDOW`] pushes it becomes `Heap` or `Ladder`.
-    Calibrating {
-        /// The provisional heap holding the observed pushes.
-        heap: HeapCore,
-        /// Pushes observed so far.
-        pushes: u32,
-        /// Earliest pushed timestamp (ns) in the window.
-        min_t: u64,
-        /// Latest pushed timestamp (ns) in the window.
-        max_t: u64,
-    },
-}
-
 /// A priority queue of timestamped events with deterministic FIFO
 /// tie-breaking.
 ///
@@ -377,69 +276,21 @@ enum Backend {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend,
+    /// Pending keys in `(time, seq)` order.
+    keys: HeapCore,
     /// Parked payloads, addressed by [`PackedKey::slot`].
     payloads: SoaSlab<E>,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the backend `FLEP_QUEUE` selects; with
-    /// the variable unset, a one-shot self-calibration observes the first
-    /// [`CALIBRATION_WINDOW`] pushes on the heap and migrates to the
-    /// ladder only when the pending set is deep enough to amortize bucket
-    /// management. The migration replays the pending keys in sorted
-    /// order, so the `(time, seq)` dispatch contract is unaffected by
-    /// when — or whether — it happens.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        let backend = match forced_backend() {
-            Some(ForcedBackend::Heap) => Backend::Heap(HeapCore::new()),
-            Some(ForcedBackend::Ladder) => Backend::Ladder(LadderCore::new(DEFAULT_LADDER_SHIFT)),
-            None => Backend::Calibrating {
-                heap: HeapCore::new(),
-                pushes: 0,
-                min_t: u64::MAX,
-                max_t: 0,
-            },
-        };
         EventQueue {
-            backend,
+            keys: HeapCore::new(),
             payloads: SoaSlab::new(),
             next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue pinned to the 4-ary heap backend,
-    /// regardless of `FLEP_QUEUE` — the ablation baseline.
-    #[must_use]
-    pub fn new_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(HeapCore::new()),
-            payloads: SoaSlab::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue pinned to the ladder backend, regardless of
-    /// `FLEP_QUEUE`.
-    #[must_use]
-    pub fn new_ladder() -> Self {
-        EventQueue {
-            backend: Backend::Ladder(LadderCore::new(DEFAULT_LADDER_SHIFT)),
-            payloads: SoaSlab::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// The backend currently running this queue: `"heap"`, `"ladder"`, or
-    /// `"calibrating"` before the one-shot decision.
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Heap(_) => "heap",
-            Backend::Ladder(_) => "ladder",
-            Backend::Calibrating { .. } => "calibrating",
         }
     }
 
@@ -463,61 +314,12 @@ impl<E> EventQueue<E> {
         let slot = self.payloads.insert(payload);
         debug_assert!(seq < 1 << (64 - SLOT_BITS), "event queue seq overflow");
         debug_assert!(u64::from(slot) <= SLOT_MASK, "event queue slot overflow");
-        let key = PackedKey::new(time, seq, slot);
-        match &mut self.backend {
-            Backend::Heap(h) => h.push_key(key),
-            Backend::Ladder(l) => l.push_key(key),
-            Backend::Calibrating {
-                heap,
-                pushes,
-                min_t,
-                max_t,
-            } => {
-                heap.push_key(key);
-                let t = time.as_ns();
-                *min_t = (*min_t).min(t);
-                *max_t = (*max_t).max(t);
-                *pushes += 1;
-                if *pushes >= CALIBRATION_WINDOW {
-                    self.calibrate();
-                }
-            }
-        }
-    }
-
-    /// The one-shot backend decision: deep pending set → migrate the keys
-    /// (in sorted order, preserving `(time, seq)` exactly) into a ladder
-    /// whose initial bucket width is seeded from the observed time span;
-    /// shallow → stay on the heap. Deterministic: depends only on the
-    /// pushed `(time, pop)` sequence, never on wall-clock state.
-    fn calibrate(&mut self) {
-        let Backend::Calibrating {
-            heap, min_t, max_t, ..
-        } = &mut self.backend
-        else {
-            unreachable!("calibrate is only invoked from the calibrating state");
-        };
-        if heap.len() < LADDER_DEPTH_THRESHOLD {
-            let heap = std::mem::take(heap);
-            self.backend = Backend::Heap(heap);
-            return;
-        }
-        let span = max_t.saturating_sub(*min_t);
-        let shift = LadderCore::shift_for_span(span);
-        let mut sorted = Vec::with_capacity(heap.len());
-        while let Some(k) = heap.pop_min() {
-            sorted.push(k);
-        }
-        self.backend = Backend::Ladder(LadderCore::from_sorted(sorted, shift));
+        self.keys.push_key(PackedKey::new(time, seq, slot));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        let key = match &mut self.backend {
-            Backend::Heap(h) => h.pop_min(),
-            Backend::Ladder(l) => l.pop_min(),
-            Backend::Calibrating { heap, .. } => heap.pop_min(),
-        }?;
+        let key = self.keys.pop_min()?;
         Some(EventEntry {
             time: key.time(),
             seq: key.seq(),
@@ -542,11 +344,7 @@ impl<E> EventQueue<E> {
     /// The full packed `(time, seq, slot)` key of the earliest pending
     /// event — the merge cursor compares these to validate its entries.
     pub(crate) fn min_packed(&self) -> Option<PackedKey> {
-        match &self.backend {
-            Backend::Heap(h) => h.min_key(),
-            Backend::Ladder(l) => l.min_key(),
-            Backend::Calibrating { heap, .. } => heap.min_key(),
-        }
+        self.keys.min_key()
     }
 
     /// The timestamp of the earliest pending event.
@@ -570,11 +368,7 @@ impl<E> EventQueue<E> {
     /// Drops all pending events, keeping the sequence counter (so ordering
     /// guarantees still hold across a clear).
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Ladder(l) => l.clear(),
-            Backend::Calibrating { heap, .. } => heap.clear(),
-        }
+        self.keys.clear();
         self.payloads.clear();
     }
 }
@@ -632,7 +426,7 @@ mod tests {
 
     #[test]
     fn keys_stay_small() {
-        // The whole point of the key/payload split: the backends must move
+        // The whole point of the key/payload split: the heap must move
         // 16-byte keys however large the payload type grows, so a 4-child
         // heap group spans exactly one 64-byte cache line.
         assert_eq!(std::mem::size_of::<PackedKey>(), 16);
@@ -682,85 +476,5 @@ mod tests {
                 assert!(w[0].seq != w[1].seq);
             }
         }
-    }
-
-    /// The same churn, pinned to each backend explicitly: both must
-    /// produce the identical pop sequence.
-    #[test]
-    fn backends_agree_on_interleaved_churn() {
-        let mut heap = EventQueue::new_heap();
-        let mut ladder = EventQueue::new_ladder();
-        let mut outs: Vec<Vec<(SimTime, u64)>> = Vec::new();
-        for q in [&mut heap, &mut ladder] {
-            let mut popped = Vec::new();
-            for round in 0u64..80 {
-                for i in 0..7 {
-                    q.push(
-                        SimTime::from_ns((round * 1_037 + i * 113) % 10_007),
-                        (round, i),
-                    );
-                }
-                for _ in 0..5 {
-                    let e = q.pop().unwrap();
-                    popped.push((e.time, e.seq));
-                }
-            }
-            while let Some(e) = q.pop() {
-                popped.push((e.time, e.seq));
-            }
-            outs.push(popped);
-        }
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(heap.backend_name(), "heap");
-        assert_eq!(ladder.backend_name(), "ladder");
-    }
-
-    /// Self-calibration: a deep queue migrates to the ladder with the
-    /// pending set intact and in order; a shallow one stays on the heap.
-    #[test]
-    fn calibration_picks_backend_by_depth() {
-        // Deep: push the whole window without popping.
-        let mut deep = EventQueue {
-            backend: Backend::Calibrating {
-                heap: HeapCore::new(),
-                pushes: 0,
-                min_t: u64::MAX,
-                max_t: 0,
-            },
-            payloads: SoaSlab::new(),
-            next_seq: 0,
-        };
-        for i in 0..CALIBRATION_WINDOW as u64 {
-            deep.push(SimTime::from_ns(i * 977 % 4_001), i);
-        }
-        assert_eq!(deep.backend_name(), "ladder");
-        let mut last = None;
-        let mut n = 0;
-        while let Some(e) = deep.pop() {
-            let k = (e.time, e.seq);
-            assert!(last.is_none_or(|p| p < k), "order broke across migration");
-            last = Some(k);
-            n += 1;
-        }
-        assert_eq!(n, CALIBRATION_WINDOW);
-
-        // Shallow: pop right behind the pushes.
-        let mut shallow = EventQueue {
-            backend: Backend::Calibrating {
-                heap: HeapCore::new(),
-                pushes: 0,
-                min_t: u64::MAX,
-                max_t: 0,
-            },
-            payloads: SoaSlab::new(),
-            next_seq: 0,
-        };
-        for i in 0..CALIBRATION_WINDOW as u64 + 8 {
-            shallow.push(SimTime::from_ns(i), i);
-            if i % 2 == 0 {
-                shallow.pop();
-            }
-        }
-        assert_eq!(shallow.backend_name(), "heap");
     }
 }

@@ -12,13 +12,11 @@
 //! * [`SimTime`] is a nanosecond-resolution virtual clock value. All paper
 //!   numbers are reported in microseconds; the [`SimTime::as_us`] accessor
 //!   converts for reporting.
-//! * [`EventQueue`] keeps small packed `(time, seq, slot)` keys in one of
-//!   two exact-FIFO backends — an indexed 4-ary heap or a calendar-style
-//!   ladder queue, selected by `FLEP_QUEUE` or one-shot self-calibration
-//!   — with payloads parked in a [`SoaSlab`] arena and a monotonically
-//!   increasing sequence number as the tie-breaker, which makes
-//!   simulations fully deterministic even when many events share a
-//!   timestamp (and bit-identical across backends).
+//! * [`EventQueue`] keeps small packed `(time, seq, slot)` keys in an
+//!   indexed 4-ary heap ([`HeapCore`]), with payloads parked in a
+//!   [`SoaSlab`] arena and a monotonically increasing sequence number as
+//!   the tie-breaker, which makes simulations fully deterministic even
+//!   when many events share a timestamp.
 //! * [`Simulation`] drives a user-supplied [`World`]: each popped event is
 //!   handed to the world together with a [`Scheduler`] handle with which the
 //!   world may schedule follow-up events.
@@ -66,7 +64,6 @@ pub mod check;
 mod engine;
 mod event;
 pub mod json;
-mod ladder;
 mod partition;
 mod rng;
 mod slab;
@@ -74,10 +71,9 @@ mod time;
 mod trace;
 
 pub use engine::{RunOutcome, Scheduler, Simulation, StepOutcome, World};
-pub use event::{EventEntry, EventQueue, EventQueueImpl, HeapCore, PackedKey, CALIBRATION_WINDOW};
-pub use ladder::LadderCore;
+pub use event::{EventEntry, EventQueue, HeapCore, PackedKey};
 pub use partition::{PartitionedQueue, PartitionedSimulation};
 pub use rng::SimRng;
-pub use slab::{GenSlab, Slab, SoaSlab};
+pub use slab::{GenSlab, SoaSlab};
 pub use time::SimTime;
-pub use trace::{Span, SpanSet, TraceEvent, TraceLog};
+pub use trace::{Span, TraceEvent, TraceLog};

@@ -2,17 +2,18 @@
 //! tiny cursor heap into the exact global `(time, seq)` total order
 //! (DESIGN.md §13).
 //!
-//! A [`PartitionedQueue`] holds one full ladder/heap `EventQueue` per
-//! partition (in the cluster: one per device plus one control partition)
-//! and stamps every push from a single global sequence counter. A
-//! [`HeapCore`] *merge cursor* tracks, for each non-empty partition, the
-//! packed key of that partition's head event — repacked with the partition
-//! index in the slot bits — so popping the cursor's minimum yields exactly
-//! the event a flat single queue would pop next. Because pushes receive
-//! the same sequence numbers in the same order as a flat queue would
-//! assign, the merged pop sequence is *identical* to the flat queue's,
-//! payload for payload — which is what keeps every golden trace
-//! byte-identical when a driver switches to partitioned stepping.
+//! A [`PartitionedQueue`] holds one full `EventQueue` per partition (in
+//! the cluster: one per device plus one control partition) and stamps
+//! every push from a single global sequence counter. A [`HeapCore`]
+//! *merge cursor* — the same 4-ary heap every `EventQueue` orders its
+//! keys with — tracks, for each non-empty partition, the packed key of
+//! that partition's head event, repacked with the partition index in the
+//! slot bits, so popping the cursor's minimum yields exactly the event a
+//! flat single queue would pop next. Because pushes receive the same
+//! sequence numbers in the same order as a flat queue would assign, the
+//! merged pop sequence is *identical* to the flat queue's, payload for
+//! payload — which is what keeps every golden trace byte-identical when a
+//! driver switches to partitioned stepping.
 //!
 //! # Cursor invariant
 //!
@@ -31,7 +32,7 @@
 //! silently skip.
 
 use crate::engine::{RunOutcome, SchedSink, Scheduler, StepOutcome, World};
-use crate::event::{EventQueueImpl, SLOT_BITS, SLOT_MASK};
+use crate::event::{SLOT_BITS, SLOT_MASK};
 use crate::{EventQueue, HeapCore, PackedKey, SimTime};
 
 /// Per-partition event queues merged in exact global `(time, seq)` order.
@@ -63,8 +64,7 @@ pub struct PartitionedQueue<E> {
 }
 
 impl<E> PartitionedQueue<E> {
-    /// Creates `partitions` empty queues (each on the `FLEP_QUEUE`-selected
-    /// backend, self-calibrating independently).
+    /// Creates `partitions` empty queues.
     ///
     /// # Panics
     ///

@@ -1,10 +1,15 @@
-//! A slab allocator for event payloads.
+//! Slot-addressed arenas with an intrusive free list.
 //!
-//! The indexed event queue (see [`crate::EventQueue`]) keeps only small
-//! `(time, seq, slot)` keys in its heap array; the payloads themselves are
-//! parked here and addressed by slot. A free-list threaded through the
-//! vacant entries makes insert/remove O(1) with no per-event allocation
-//! once the slab has grown to the queue's high-water mark.
+//! * [`SoaSlab`] is the event queue's payload arena: the indexed queue
+//!   (see [`crate::EventQueue`]) keeps only small `(time, seq, slot)` keys
+//!   in its heap array, and the payloads are parked here, addressed by
+//!   slot.
+//! * [`GenSlab`] is the generational state table for long-lived entities
+//!   (the GPU simulator's grids).
+//!
+//! In both, a free list threaded through the vacant entries makes
+//! insert/remove O(1) with no per-event allocation once the slab has
+//! grown to its high-water mark.
 
 /// A slot entry: either a parked payload or a link in the free list.
 #[derive(Debug, Clone)]
@@ -19,129 +24,6 @@ enum Entry<T> {
 /// Sentinel terminating the free list.
 const NIL: u32 = u32::MAX;
 
-/// A fixed-key slab: `insert` returns a `u32` slot that stays valid until
-/// `remove`. Slots are recycled in LIFO order, so a steady-state
-/// push/pop workload touches the same few cache lines over and over.
-///
-/// # Example
-///
-/// ```
-/// use flep_sim_core::Slab;
-/// let mut slab = Slab::new();
-/// let a = slab.insert("first");
-/// let b = slab.insert("second");
-/// assert_eq!(slab.remove(a), "first");
-/// // Slot `a` is recycled by the next insert.
-/// assert_eq!(slab.insert("third"), a);
-/// assert_eq!(slab.remove(b), "second");
-/// ```
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    entries: Vec<Entry<T>>,
-    /// Head of the free list, or [`NIL`].
-    free_head: u32,
-    /// Number of occupied slots.
-    len: usize,
-}
-
-impl<T> Slab<T> {
-    /// Creates an empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Slab {
-            entries: Vec::new(),
-            free_head: NIL,
-            len: 0,
-        }
-    }
-
-    /// Creates an empty slab with room for `capacity` payloads before
-    /// reallocating.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Slab {
-            entries: Vec::with_capacity(capacity),
-            free_head: NIL,
-            len: 0,
-        }
-    }
-
-    /// Parks `value` and returns its slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab would exceed `u32::MAX - 1` slots (the event
-    /// queue never holds that many pending events).
-    pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
-        if self.free_head != NIL {
-            let slot = self.free_head;
-            match self.entries[slot as usize] {
-                Entry::Vacant(next) => self.free_head = next,
-                Entry::Occupied(_) => unreachable!("free list points at an occupied slot"),
-            }
-            self.entries[slot as usize] = Entry::Occupied(value);
-            slot
-        } else {
-            let slot = u32::try_from(self.entries.len()).expect("slab overflow");
-            assert!(slot != NIL, "slab overflow");
-            self.entries.push(Entry::Occupied(value));
-            slot
-        }
-    }
-
-    /// Removes and returns the payload parked at `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is vacant or out of bounds — slots come only from
-    /// [`Slab::insert`], so this indicates queue corruption.
-    pub fn remove(&mut self, slot: u32) -> T {
-        let entry = std::mem::replace(
-            &mut self.entries[slot as usize],
-            Entry::Vacant(self.free_head),
-        );
-        match entry {
-            Entry::Occupied(value) => {
-                self.free_head = slot;
-                self.len -= 1;
-                value
-            }
-            Entry::Vacant(next) => {
-                // Undo the replacement so the free list stays intact, then
-                // report the misuse.
-                self.entries[slot as usize] = Entry::Vacant(next);
-                panic!("slab: remove of vacant slot {slot}");
-            }
-        }
-    }
-
-    /// Number of occupied slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no slots are occupied.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops every payload and resets the free list; capacity is kept.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.free_head = NIL;
-        self.len = 0;
-    }
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab::new()
-    }
-}
-
 /// A slot entry of a [`GenSlab`]: payload-or-free-link plus the slot's
 /// current generation.
 #[derive(Debug, Clone)]
@@ -151,7 +33,7 @@ struct GenEntry<T> {
     state: Entry<T>,
 }
 
-/// A generational slab: like [`Slab`], but keys carry the slot's
+/// A generational slab: `insert` returns a key that carries the slot's
 /// generation, so a key kept across a remove-and-reuse cycle reads as
 /// *absent* instead of aliasing the slot's new occupant.
 ///
@@ -159,7 +41,7 @@ struct GenEntry<T> {
 /// GPU simulator's grids) hand out their keys to an embedding world that
 /// may legitimately hold on to them past retirement — exactly the lookup
 /// pattern `HashMap<Id, T>` gives, at array-index cost. Slots are recycled
-/// in LIFO order like [`Slab`], so id assignment is deterministic.
+/// in LIFO order, so id assignment is deterministic.
 ///
 /// # Example
 ///
@@ -325,17 +207,16 @@ const OCCUPIED: u32 = u32::MAX - 1;
 
 /// A structure-of-arrays slab: the event queue's payload arena.
 ///
-/// [`Slab`] stores an array of `payload-or-free-link` enums, so walking
-/// the free list strides over payload-sized entries — for a fat event
-/// enum that is a cache line (or more) per hop. `SoaSlab` splits the two
-/// planes: the *hot* per-slot metadata (free-list link or the
+/// An array of `payload-or-free-link` enums would make every free-list
+/// hop stride over a payload-sized entry — for a fat event enum, a cache
+/// line (or more) per hop. `SoaSlab` splits the two planes instead: the
+/// *hot* per-slot metadata (free-list link or the
 /// [`OCCUPIED`] marker) lives in a packed parallel `u32` array that
 /// allocation traffic touches exclusively, and the *cold* payloads sit
 /// out-of-line in their own array, touched exactly twice per event (the
 /// write at push, the move-out at pop).
 ///
-/// Same contract as [`Slab`]: `insert` returns a `u32` slot valid until
-/// `remove`, slots recycle in LIFO order (steady-state churn touches the
+/// `insert` returns a `u32` slot valid until `remove`, slots recycle in LIFO order (steady-state churn touches the
 /// same few metadata words over and over), and removing a vacant slot
 /// panics — the queue's corruption tripwire.
 ///
@@ -447,52 +328,6 @@ impl<T> Default for SoaSlab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_remove_roundtrip() {
-        let mut slab = Slab::new();
-        let a = slab.insert(10);
-        let b = slab.insert(20);
-        let c = slab.insert(30);
-        assert_eq!(slab.len(), 3);
-        assert_eq!(slab.remove(b), 20);
-        assert_eq!(slab.remove(a), 10);
-        assert_eq!(slab.remove(c), 30);
-        assert!(slab.is_empty());
-    }
-
-    #[test]
-    fn slots_are_recycled_lifo() {
-        let mut slab = Slab::new();
-        let a = slab.insert('a');
-        let b = slab.insert('b');
-        slab.remove(a);
-        slab.remove(b);
-        // LIFO: the most recently freed slot is reused first.
-        assert_eq!(slab.insert('c'), b);
-        assert_eq!(slab.insert('d'), a);
-        // No growth beyond the high-water mark.
-        assert_eq!(slab.entries.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "remove of vacant slot")]
-    fn double_remove_panics() {
-        let mut slab = Slab::new();
-        let a = slab.insert(1);
-        slab.remove(a);
-        slab.remove(a);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut slab = Slab::with_capacity(4);
-        slab.insert(1);
-        slab.insert(2);
-        slab.clear();
-        assert!(slab.is_empty());
-        assert_eq!(slab.insert(3), 0);
-    }
 
     #[test]
     fn gen_slab_roundtrip_and_iteration() {

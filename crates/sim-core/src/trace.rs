@@ -4,7 +4,7 @@
 //!
 //! * a timestamped log of interesting moments ([`TraceLog`] of
 //!   [`TraceEvent`]s) used by tests to assert ordering properties, and
-//! * closed intervals of "who held the resource when" ([`SpanSet`]) used to
+//! * closed intervals of "who held the resource when" ([`Span`]s) used to
 //!   compute GPU-share curves (Fig. 13) and busy-time utilization.
 
 use crate::SimTime;
@@ -126,86 +126,6 @@ impl Span {
     }
 }
 
-/// A collection of ownership spans with helpers for share computation.
-#[derive(Debug, Default, Clone)]
-pub struct SpanSet {
-    spans: Vec<Span>,
-    open: Vec<(u64, SimTime)>,
-}
-
-impl SpanSet {
-    /// Creates an empty span set.
-    #[must_use]
-    pub fn new() -> Self {
-        SpanSet::default()
-    }
-
-    /// Marks `owner` as acquiring the resource at `at`. Re-opening an
-    /// already-open owner is ignored (idempotent).
-    pub fn open(&mut self, owner: u64, at: SimTime) {
-        if self.open.iter().any(|&(o, _)| o == owner) {
-            return;
-        }
-        self.open.push((owner, at));
-    }
-
-    /// Marks `owner` as releasing the resource at `at`, closing its span.
-    /// Closing a never-opened owner is ignored.
-    pub fn close(&mut self, owner: u64, at: SimTime) {
-        if let Some(pos) = self.open.iter().position(|&(o, _)| o == owner) {
-            let (_, start) = self.open.swap_remove(pos);
-            if at > start {
-                self.spans.push(Span {
-                    start,
-                    end: at,
-                    owner,
-                });
-            }
-        }
-    }
-
-    /// Closes every still-open span at `at` (end of experiment).
-    pub fn close_all(&mut self, at: SimTime) {
-        let owners: Vec<u64> = self.open.iter().map(|&(o, _)| o).collect();
-        for owner in owners {
-            self.close(owner, at);
-        }
-    }
-
-    /// All closed spans.
-    #[must_use]
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Total closed time attributed to `owner`.
-    #[must_use]
-    pub fn total_for(&self, owner: u64) -> SimTime {
-        self.spans
-            .iter()
-            .filter(|s| s.owner == owner)
-            .map(Span::duration)
-            .sum()
-    }
-
-    /// Time attributed to `owner` within the window `[from, to)`.
-    #[must_use]
-    pub fn total_for_in(&self, owner: u64, from: SimTime, to: SimTime) -> SimTime {
-        self.spans
-            .iter()
-            .filter(|s| s.owner == owner)
-            .map(|s| s.clipped(from, to))
-            .sum()
-    }
-
-    /// `owner`'s share of all closed time in `[from, to)`, in `[0, 1]`.
-    #[must_use]
-    pub fn share_in(&self, owner: u64, from: SimTime, to: SimTime) -> f64 {
-        let total: SimTime = self.spans.iter().map(|s| s.clipped(from, to)).sum();
-        self.total_for_in(owner, from, to).ratio(total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,45 +164,5 @@ mod tests {
             s.clipped(SimTime::from_us(30), SimTime::from_us(40)),
             SimTime::ZERO
         );
-    }
-
-    #[test]
-    fn spanset_shares() {
-        let mut set = SpanSet::new();
-        set.open(1, SimTime::ZERO);
-        set.close(1, SimTime::from_us(60));
-        set.open(2, SimTime::from_us(60));
-        set.close(2, SimTime::from_us(90));
-        let share1 = set.share_in(1, SimTime::ZERO, SimTime::from_us(90));
-        assert!((share1 - 2.0 / 3.0).abs() < 1e-9, "{share1}");
-    }
-
-    #[test]
-    fn spanset_idempotent_open_ignored_close() {
-        let mut set = SpanSet::new();
-        set.open(1, SimTime::ZERO);
-        set.open(1, SimTime::from_us(5)); // ignored
-        set.close(1, SimTime::from_us(10));
-        assert_eq!(set.total_for(1), SimTime::from_us(10));
-        set.close(99, SimTime::from_us(10)); // never opened: ignored
-        assert_eq!(set.spans().len(), 1);
-    }
-
-    #[test]
-    fn close_all_flushes_open_spans() {
-        let mut set = SpanSet::new();
-        set.open(1, SimTime::ZERO);
-        set.open(2, SimTime::from_us(3));
-        set.close_all(SimTime::from_us(10));
-        assert_eq!(set.total_for(1), SimTime::from_us(10));
-        assert_eq!(set.total_for(2), SimTime::from_us(7));
-    }
-
-    #[test]
-    fn zero_length_span_dropped() {
-        let mut set = SpanSet::new();
-        set.open(1, SimTime::from_us(4));
-        set.close(1, SimTime::from_us(4));
-        assert!(set.spans().is_empty());
     }
 }

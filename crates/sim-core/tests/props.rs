@@ -2,7 +2,7 @@
 //! running on the in-tree `flep-check` harness.
 
 use flep_sim_core::check::{check, CheckConfig};
-use flep_sim_core::{require, require_eq, EventQueue, SimRng, SimTime, SpanSet};
+use flep_sim_core::{require, require_eq, EventQueue, SimRng, SimTime};
 
 /// Events always pop in nondecreasing time order, regardless of the
 /// insertion pattern.
@@ -72,7 +72,15 @@ fn event_queue_is_fifo_within_a_timestamp() {
 
 /// The indexed 4-ary queue is observationally identical to a reference
 /// `BinaryHeap` model under arbitrary push/pop/clear interleavings: same
-/// lengths after every operation, same `(time, payload)` stream out.
+/// lengths and peeks after every operation, same `(time, payload)` stream
+/// out.
+///
+/// Each case draws one timestamp regime, steering the heap through its
+/// adversarial paths: a wide span, same-instant pileups (FIFO
+/// tie-breaking carries all ordering), narrow bursts (dense collisions
+/// across multi-level sifts), and timestamps hugging `u64::MAX` (the top
+/// of the packed key's time field). `clear` ops land mid-stream in every
+/// regime.
 #[test]
 fn event_queue_matches_binary_heap_model() {
     use std::cmp::Reverse;
@@ -80,77 +88,6 @@ fn event_queue_matches_binary_heap_model() {
 
     check(
         "event_queue_matches_binary_heap_model",
-        CheckConfig::default(),
-        |rng: &mut SimRng| {
-            let n = rng.uniform_u64(1, 79) as usize;
-            (0..n)
-                .map(|_| (rng.uniform_u64(0, 99), rng.uniform_u64(0, 499)))
-                .collect::<Vec<(u64, u64)>>()
-        },
-        |ops| {
-            let mut q = EventQueue::new();
-            // Model: a plain max-heap of `Reverse<(time, seq)>` with its
-            // own monotonic sequence counter — exactly the seed
-            // implementation this queue replaced.
-            let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-            let mut next_seq = 0u64;
-            let mut next_payload = 0u64;
-            let pop_both = |q: &mut EventQueue<u64>,
-                            model: &mut BinaryHeap<Reverse<(u64, u64, u64)>>|
-             -> Result<(), flep_sim_core::check::Falsified> {
-                let got = q.pop().map(|e| (e.time.as_ns(), e.payload));
-                let want = model.pop().map(|Reverse((t, _, p))| (t, p));
-                require_eq!(got, want, "pop mismatch");
-                Ok(())
-            };
-            for &(op, arg) in ops {
-                match op % 10 {
-                    // Weighted: pushes dominate so the structures grow
-                    // deep enough to exercise multi-level sifts.
-                    0..=5 => {
-                        let t = arg;
-                        q.push(SimTime::from_ns(t), next_payload);
-                        model.push(Reverse((t, next_seq, next_payload)));
-                        next_seq += 1;
-                        next_payload += 1;
-                    }
-                    6..=8 => pop_both(&mut q, &mut model)?,
-                    _ => {
-                        q.clear();
-                        model.clear();
-                    }
-                }
-                require_eq!(q.len(), model.len(), "length diverged");
-                require_eq!(
-                    q.peek_time().map(|t| t.as_ns()),
-                    model.peek().map(|Reverse((t, _, _))| *t),
-                    "peek diverged"
-                );
-            }
-            while !model.is_empty() || !q.is_empty() {
-                pop_both(&mut q, &mut model)?;
-            }
-            Ok(())
-        },
-    );
-}
-
-/// The ladder backend, the 4-ary heap backend, and the self-calibrating
-/// auto queue (which migrates heap → ladder mid-stream) are
-/// observationally identical under adversarial interleavings: same
-/// `(time, payload)` pop stream, same lengths, same peeks after every
-/// operation.
-///
-/// Four generation regimes steer the ladder through its hard paths:
-/// same-timestamp pileups (FIFO tie-breaking carries all ordering),
-/// narrow burst windows (buckets overflow `SPAWN_THRESHOLD` and spill
-/// into finer rungs; pushes below the promoted bottom hit the
-/// bottom-overflow rule), and timestamps hugging `u64::MAX` (rung edges
-/// cross the epoch boundary and must not saturate).
-#[test]
-fn ladder_and_heap_backends_are_observationally_identical() {
-    check(
-        "ladder_and_heap_backends_are_observationally_identical",
         CheckConfig {
             cases: 128,
             ..CheckConfig::default()
@@ -166,64 +103,53 @@ fn ladder_and_heap_backends_are_observationally_identical() {
         |&(regime, ref ops)| {
             let time_of = |raw: u64| -> u64 {
                 match regime {
-                    // Wide span: rebuilt rungs calibrate a coarse width.
                     0 => raw % 1_000_000,
-                    // Same-instant pileups: pure FIFO tie-breaking.
                     1 => raw % 4,
-                    // Narrow bursts: bucket spills + bottom overflow.
                     2 => raw % 600,
-                    // Epoch edge: rung windows reach past u64::MAX.
                     _ => u64::MAX - raw % 96,
                 }
             };
-            let mut queues = [
-                EventQueue::new(),
-                EventQueue::new_heap(),
-                EventQueue::new_ladder(),
-            ];
-            let mut payload = 0u64;
+            let mut q = EventQueue::new();
+            // Model: a plain max-heap of `Reverse<(time, seq)>` with its
+            // own monotonic sequence counter — exactly the seed
+            // implementation this queue replaced.
+            let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+            let mut next_seq = 0u64;
+            let mut next_payload = 0u64;
+            let pop_both = |q: &mut EventQueue<u64>,
+                            model: &mut BinaryHeap<Reverse<(u64, u64, u64)>>|
+             -> Result<(), flep_sim_core::check::Falsified> {
+                let got = q.pop().map(|e| (e.time.as_ns(), e.payload));
+                let want = model.pop().map(|Reverse((t, _, p))| (t, p));
+                require_eq!(got, want, "pop mismatch");
+                Ok(())
+            };
             for &(op, raw) in ops {
                 match op {
-                    // Weighted toward pushes so queues get deep enough to
-                    // trigger auto-migration (64-push window) and spills.
+                    // Weighted: pushes dominate so the structures grow
+                    // deep enough to exercise multi-level sifts.
                     0..=6 => {
-                        let t = SimTime::from_ns(time_of(raw));
-                        for q in &mut queues {
-                            q.push(t, payload);
-                        }
-                        payload += 1;
+                        let t = time_of(raw);
+                        q.push(SimTime::from_ns(t), next_payload);
+                        model.push(Reverse((t, next_seq, next_payload)));
+                        next_seq += 1;
+                        next_payload += 1;
                     }
-                    7..=8 => {
-                        let [a, h, l] = &mut queues;
-                        let pops = [a.pop(), h.pop(), l.pop()]
-                            .map(|e| e.map(|e| (e.time.as_ns(), e.payload)));
-                        require_eq!(pops[0], pops[1], "auto vs heap pop diverged");
-                        require_eq!(pops[1], pops[2], "heap vs ladder pop diverged");
-                    }
+                    7..=8 => pop_both(&mut q, &mut model)?,
                     _ => {
-                        for q in &mut queues {
-                            q.clear();
-                        }
+                        q.clear();
+                        model.clear();
                     }
                 }
-                let lens = [queues[0].len(), queues[1].len(), queues[2].len()];
-                require_eq!(lens[0], lens[1], "auto vs heap length diverged");
-                require_eq!(lens[1], lens[2], "heap vs ladder length diverged");
-                let peeks = [
-                    queues[0].peek_time(),
-                    queues[1].peek_time(),
-                    queues[2].peek_time(),
-                ];
-                require_eq!(peeks[0], peeks[1], "auto vs heap peek diverged");
-                require_eq!(peeks[1], peeks[2], "heap vs ladder peek diverged");
+                require_eq!(q.len(), model.len(), "length diverged");
+                require_eq!(
+                    q.peek_time().map(|t| t.as_ns()),
+                    model.peek().map(|Reverse((t, _, _))| *t),
+                    "peek diverged"
+                );
             }
-            while !queues.iter().all(EventQueue::is_empty) {
-                let [a, h, l] = &mut queues;
-                let pops =
-                    [a.pop(), h.pop(), l.pop()].map(|e| e.map(|e| (e.time.as_ns(), e.payload)));
-                require_eq!(pops[0], pops[1], "auto vs heap drain diverged");
-                require_eq!(pops[1], pops[2], "heap vs ladder drain diverged");
-                require!(pops[0].is_some(), "drain loop with all queues empty");
+            while !model.is_empty() || !q.is_empty() {
+                pop_both(&mut q, &mut model)?;
             }
             Ok(())
         },
@@ -274,45 +200,6 @@ fn simtime_scale_bounds() {
                 (scaled.as_ns() as f64 - expected).abs() <= 1.0,
                 "scaled {} vs expected {expected}",
                 scaled.as_ns()
-            );
-            Ok(())
-        },
-    );
-}
-
-/// Span shares over any window always sum to ~1 (or 0 for empty sets).
-#[test]
-fn span_shares_sum_to_one() {
-    check(
-        "span_shares_sum_to_one",
-        CheckConfig::default(),
-        |rng: &mut SimRng| {
-            let n = rng.uniform_u64(1, 39) as usize;
-            (0..n)
-                .map(|_| {
-                    (
-                        rng.uniform_u64(0, 999),
-                        rng.uniform_u64(1, 499),
-                        rng.uniform_u64(0, 3),
-                    )
-                })
-                .collect::<Vec<(u64, u64, u64)>>()
-        },
-        |spans| {
-            let mut set = SpanSet::new();
-            for &(start, len, owner) in spans {
-                // Shrinking can drive `len` to 0; zero-length spans are
-                // outside the generator's contract.
-                let len = len.max(1);
-                set.open(owner, SimTime::from_ns(start));
-                set.close(owner, SimTime::from_ns(start + len));
-            }
-            let from = SimTime::ZERO;
-            let to = SimTime::from_ns(2000);
-            let total: f64 = (0..4).map(|o| set.share_in(o, from, to)).sum();
-            require!(
-                total == 0.0 || (total - 1.0).abs() < 1e-9,
-                "shares sum {total}"
             );
             Ok(())
         },
