@@ -45,13 +45,6 @@ stage_hot_path() {
     FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_sim_hot_path.json" \
         cargo bench -p flep-bench --offline -q -- event_queue
-    # The frozen Box-Muller noise stream in isolation (~half of every
-    # sim_corun median), so perf work on the machinery has a number to
-    # subtract. Wall-clock context only — no baseline, never gated.
-    echo "==> perf smoke: noise_stream -> BENCH_noise_stream.json"
-    FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_noise_stream.json" \
-        cargo bench -p flep-bench --offline -q -- noise_stream
 }
 
 # Perf smoke for the simulator world hot path: end-to-end co-runs that

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use flep_core::prelude::*;
 use flep_sim_core::json::JsonValue;
-use flep_sim_core::{EventQueue, Scheduler, SimRng, Simulation, World};
+use flep_sim_core::{EventQueue, Scheduler, Simulation, World};
 
 /// Number of timed samples per target.
 fn samples() -> u32 {
@@ -223,28 +223,6 @@ fn main() {
         },
     );
 
-    // The bit-identity-frozen noise stream in isolation: co-run worlds
-    // draw a Box-Muller `noise_factor` per simulated kernel segment, and
-    // that draw sequence is pinned by every golden, so it can never be
-    // swapped for a cheaper generator. Profiling the sim_corun macros
-    // showed these draws account for roughly half their median (~5.4ms of
-    // the 10.9ms hpf run); this target times 1M draws of the exact frozen
-    // sequence so future perf claims can cite machinery-only time by
-    // subtracting it out.
-    bench(
-        &mut results,
-        filter,
-        "sim_core/noise_stream_boxmuller_1m",
-        || {
-            let mut rng = SimRng::seed_from(11);
-            let mut acc = 0.0f64;
-            for _ in 0..1_000_000u32 {
-                acc += rng.noise_factor(0.3);
-            }
-            acc
-        },
-    );
-
     // Steady-state *periodic* churn: the access pattern a discrete-event
     // simulation actually produces — pop the minimum, reschedule a fixed
     // period (plus deterministic jitter) ahead, so near-sorted inserts
@@ -400,6 +378,34 @@ fn main() {
                     JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
                         .with_priority(2)
                         .with_seed(100 + k),
+                );
+            }
+            corun.run()
+        },
+    );
+    // The same bursts against an NN victim: L = 100, so every batch event
+    // carries up to 100 tasks and the per-batch noise draw (one draw, not
+    // one per task) is what this target protects. SPMV and MM above run
+    // L = 2.
+    let wide_victim = KernelProfile::of(&Benchmark::get(BenchmarkId::Nn), InputClass::Large);
+    bench(
+        &mut results,
+        filter,
+        "runtime/sim_corun_hpf_wide_batches",
+        || {
+            let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf())
+                .job(
+                    JobSpec::new(wide_victim.clone(), SimTime::ZERO)
+                        .with_priority(1)
+                        .with_seed(12)
+                        .looping(),
+                )
+                .horizon(SimTime::from_ms(25));
+            for k in 0..6u64 {
+                corun = corun.job(
+                    JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
+                        .with_priority(2)
+                        .with_seed(200 + k),
                 );
             }
             corun.run()

@@ -1127,14 +1127,7 @@ impl GpuDevice {
         let first_task = grid.next_task;
         grid.next_task += n;
 
-        let mut work = SimTime::ZERO;
-        if grid.task_cost.rel_noise <= 0.0 {
-            work = grid.task_cost.base * n;
-        } else {
-            for _ in 0..n {
-                work += grid.task_cost.sample(&mut grid.rng);
-            }
-        }
+        let work = grid.task_cost.sample_sum(n, &mut grid.rng);
         let dur = work.scale(factor) + self.cfg.poll_cost + self.cfg.pull_cost * n;
         harness.schedule_gpu(
             now + dur,

@@ -313,3 +313,63 @@ fn placement_index_matches_naive_scan() {
         },
     );
 }
+
+/// One draw per batch keeps the batch's distribution: over a fixed number
+/// of samples, `sample_sum(n)` has mean `n·base` (within 4 standard
+/// errors), variance `n·σ²·base²` (within a tolerance well above its
+/// sampling error), and never falls below the `0.05·n` floor.
+#[test]
+fn batch_sample_matches_sum_of_task_samples() {
+    const SAMPLES: u32 = 4_000;
+    check(
+        "batch_sample_matches_sum_of_task_samples",
+        CheckConfig::default(),
+        |rng: &mut SimRng| {
+            (
+                rng.uniform_u64(1, 200),          // n
+                rng.uniform_u64(10, 300),         // σ in thousandths
+                rng.uniform_u64(1_000, 100_000),  // base_ns
+                rng.uniform_u64(0, u64::MAX - 1), // seed
+            )
+        },
+        |&(n, sigma_milli, base_ns, seed)| {
+            assume!((1..=200).contains(&n));
+            assume!((10..=300).contains(&sigma_milli));
+            assume!(base_ns >= 1_000);
+            let sigma = sigma_milli as f64 / 1_000.0;
+            let cost = TaskCost {
+                base: SimTime::from_ns(base_ns),
+                rel_noise: sigma,
+            };
+            let floor = cost.base.scale(0.05 * n as f64);
+            let mut rng = SimRng::seed_from(seed);
+            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+            for _ in 0..SAMPLES {
+                let s = cost.sample_sum(n, &mut rng);
+                require!(s >= floor, "sample {s:?} below floor {floor:?}");
+                let x = s.as_ns() as f64;
+                sum += x;
+                sum_sq += x * x;
+            }
+            let k = f64::from(SAMPLES);
+            let mean = sum / k;
+            let var = (sum_sq - sum * mean) / (k - 1.0);
+            let want_mean = (n * base_ns) as f64;
+            let want_var = n as f64 * (sigma * base_ns as f64).powi(2);
+            // Rounding to whole nanoseconds shifts each sample by at most
+            // half a nanosecond.
+            let se = (want_var / k).sqrt();
+            require!(
+                (mean - want_mean).abs() <= 4.0 * se + 0.5,
+                "mean {mean} vs {want_mean} (se {se})"
+            );
+            // The sample variance of a normal has relative standard error
+            // sqrt(2/(k-1)) ≈ 2.2% at k = 4000; 12% is over 5 of them.
+            require!(
+                (var - want_var).abs() <= 0.12 * want_var + 0.25,
+                "variance {var} vs {want_var}"
+            );
+            Ok(())
+        },
+    );
+}

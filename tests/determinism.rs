@@ -253,16 +253,17 @@ fn preempt_restore_trace() -> String {
     out
 }
 
-/// The pre-PR-4 rendering of [`preempt_restore_trace`], pinned so the
-/// world-state-layout work (dense grid table, incremental contention
-/// accounting, indexed placement) provably changes no observable behavior.
+/// The rendering of [`preempt_restore_trace`], pinned so layout and
+/// hot-path work on the device provably changes no observable behavior.
+/// Last regenerated when a persistent batch's work became one
+/// `TaskCost::sample_sum` draw instead of one draw per task.
 const PREEMPT_RESTORE_GOLDEN: &str = "0ns launch tag=1\n\
      8.000us dispatch_start tag=1\n\
      300.000us signal tag=1\n\
      900.000us restore tag=1\n\
      1.500ms signal tag=1\n\
-     1.589ms preempt tag=1\n\
-     end=1.589ms tasks=15360 spans=168 span_time=157.804ms\n";
+     1.600ms preempt tag=1\n\
+     end=1.600ms tasks=15272 spans=168 span_time=157.174ms\n";
 
 #[test]
 fn preempt_restore_trace_matches_pinned_golden() {
@@ -277,7 +278,7 @@ const FAULTED_SCENARIO_GOLDEN: &str = "0ns launch tag=1\n\
      8.000us dispatch_start tag=1\n\
      8.000us note_delayed tag=1\n\
      400.000us signal tag=1\n\
-     402.032us cta_wedged tag=1\n\
+     404.245us cta_wedged tag=1\n\
      500.000us launch tag=2\n\
      508.000us dispatch_start tag=2\n\
      508.000us note_delayed tag=2\n\
@@ -287,7 +288,7 @@ const FAULTED_SCENARIO_GOLDEN: &str = "0ns launch tag=1\n\
      4.000ms kill tag=1\n\
      fault 0ns wedged_exit tag=1\n\
      fault 8.000us note_delayed+40.000us tag=1\n\
-     fault 402.032us cta_wedged tag=1\n\
+     fault 404.245us cta_wedged tag=1\n\
      fault 508.000us note_delayed+40.000us tag=2\n\
      fault 517.908us note_delayed+40.000us tag=2\n\
      end=4.000ms\n";
@@ -299,10 +300,11 @@ fn faulted_scenario_trace_matches_pinned_golden() {
 
 // With faults disabled, the fault layer must be invisible: the figure
 // documents `FLEP_JSON` writes are pinned byte-for-byte against
-// `tests/golden/`, generated before the fault-injection layer landed
-// (`FLEP_SEED=3 FLEP_REPEATS=1 FLEP_THREADS=1`). If one of these fails,
-// something perturbed the fault-free event order or RNG draw sequence —
-// regenerate the goldens only if that perturbation is intentional.
+// `tests/golden/` (`FLEP_SEED=3 FLEP_REPEATS=1 FLEP_THREADS=1`), last
+// regenerated when a persistent batch's work became one noise draw. If
+// one of these fails, something perturbed the fault-free event order or
+// RNG draw sequence — regenerate the goldens only if that perturbation is
+// intentional.
 
 #[test]
 fn fig08_json_is_byte_identical_to_pre_fault_golden() {
