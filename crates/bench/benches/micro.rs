@@ -8,8 +8,9 @@
 //! to scheduler noise, which is all a simulation codebase needs to spot
 //! order-of-magnitude regressions.
 //!
-//! Environment knobs: `FLEP_BENCH_SAMPLES` (default 15) and
-//! `FLEP_BENCH_WARMUP` (default 3) control sample counts; a single
+//! Environment knobs: `FLEP_BENCH_SAMPLES` (default 15, at least 1) and
+//! `FLEP_BENCH_WARMUP` (default 3) control sample counts, and an invalid
+//! value warns on stderr and uses the default; a single
 //! command-line argument filters targets by substring, matching the
 //! `cargo bench <filter>` convention. Set `FLEP_BENCH_JSON=<path>` to
 //! also write the timings of every target that ran as a JSON artifact
@@ -18,28 +19,13 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use flep_bench::gate::{write_artifact, ArtifactRow};
+use flep_bench::{env_knob, parse_uint};
 use flep_core::prelude::*;
-use flep_sim_core::json::JsonValue;
 use flep_sim_core::{EventQueue, Scheduler, Simulation, World};
 
-/// Number of timed samples per target.
-fn samples() -> u32 {
-    std::env::var("FLEP_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15)
-}
-
-/// Number of untimed warmup iterations per target.
-fn warmup() -> u32 {
-    std::env::var("FLEP_BENCH_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-}
-
-fn format_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
+fn format_ns(ns: u64) -> String {
+    let d = Duration::from_nanos(ns);
     if ns >= 1_000_000_000 {
         format!("{:.3} s", d.as_secs_f64())
     } else if ns >= 1_000_000 {
@@ -51,114 +37,72 @@ fn format_duration(d: Duration) -> String {
     }
 }
 
-/// One target's timings, kept for the `FLEP_BENCH_JSON` artifact.
-struct BenchRecord {
-    name: String,
-    median: Duration,
-    min: Duration,
-    max: Duration,
+/// The harness: knobs read once, one artifact row per target that ran.
+struct Harness {
+    samples: u32,
+    warmup: u32,
+    filter: Option<String>,
+    rows: Vec<ArtifactRow>,
 }
 
-/// Warms up, then times `f` for the configured number of samples, prints
-/// `name  median (min … max)`, and records the timings in `results`.
-fn bench<R>(
-    results: &mut Vec<BenchRecord>,
-    filter: Option<&str>,
-    name: &str,
-    mut f: impl FnMut() -> R,
-) {
-    if let Some(pat) = filter {
-        if !name.contains(pat) {
+impl Harness {
+    /// Warms up, then times `f` for the configured number of samples,
+    /// prints `name  median (min … max)`, and records the row.
+    fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+        if self
+            .filter
+            .as_deref()
+            .is_some_and(|pat| !name.contains(pat))
+        {
             return;
         }
-    }
-    for _ in 0..warmup() {
-        black_box(f());
-    }
-    let mut times: Vec<Duration> = (0..samples())
-        .map(|_| {
-            let start = Instant::now();
+        for _ in 0..self.warmup {
             black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    let median = times[times.len() / 2];
-    println!(
-        "{name:<44} {:>12}  ({} … {})",
-        format_duration(median),
-        format_duration(times[0]),
-        format_duration(times[times.len() - 1]),
-    );
-    results.push(BenchRecord {
-        name: name.to_string(),
-        median,
-        min: times[0],
-        max: times[times.len() - 1],
-    });
-}
-
-/// Writes the collected timings to `FLEP_BENCH_JSON` (if set) as a
-/// self-describing document: target name plus median/min/max in
-/// nanoseconds.
-fn write_json_artifact(results: &[BenchRecord]) {
-    let Ok(path) = std::env::var("FLEP_BENCH_JSON") else {
-        return;
-    };
-    let doc = JsonValue::object([
-        ("suite", JsonValue::Str("flep-bench micro".into())),
-        ("samples", JsonValue::UInt(u64::from(samples()))),
-        (
-            "results",
-            JsonValue::array(results.iter().map(|r| {
-                JsonValue::object([
-                    ("name", JsonValue::Str(r.name.clone())),
-                    ("median_ns", JsonValue::UInt(r.median.as_nanos() as u64)),
-                    ("min_ns", JsonValue::UInt(r.min.as_nanos() as u64)),
-                    ("max_ns", JsonValue::UInt(r.max.as_nanos() as u64)),
-                ])
-            })),
-        ),
-    ]);
-    match std::fs::write(&path, doc.render() + "\n") {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("FLEP_BENCH_JSON: cannot write {path}: {e}"),
+        }
+        let mut times: Vec<u64> = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(f());
+                start.elapsed().as_nanos() as u64
+            })
+            .collect();
+        times.sort_unstable();
+        let (median, min, max) = (times[times.len() / 2], times[0], times[times.len() - 1]);
+        println!(
+            "{name:<44} {:>12}  ({} … {})",
+            format_ns(median),
+            format_ns(min),
+            format_ns(max),
+        );
+        self.rows.push(ArtifactRow::new(name, median, min, max));
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // `cargo bench -- <filter>`; ignore harness flags like `--bench`.
-    let filter = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .map(String::as_str);
+    let mut h = Harness {
+        samples: env_knob("FLEP_BENCH_SAMPLES", "15", |s| parse_uint(s, 1u32)),
+        warmup: env_knob("FLEP_BENCH_WARMUP", "3", |s| parse_uint(s, 0u32)),
+        // `cargo bench -- <filter>`; ignore harness flags like `--bench`.
+        filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        rows: Vec::new(),
+    };
     println!(
         "{:<44} {:>12}  (min … max over {} samples)",
-        "target",
-        "median",
-        samples()
+        "target", "median", h.samples
     );
-    let mut results: Vec<BenchRecord> = Vec::new();
 
     // Raw event-queue throughput: push/pop of timestamped events.
-    bench(
-        &mut results,
-        filter,
-        "sim_core/event_queue_push_pop_10k",
-        || {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_ns(i * 37 % 5000), i);
-            }
-            let mut acc = 0u64;
-            while let Some(e) = q.pop() {
-                acc = acc.wrapping_add(e.payload);
-            }
-            acc
-        },
-    );
+    h.bench("sim_core/event_queue_push_pop_10k", || {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.push(SimTime::from_ns(i * 37 % 5000), i);
+        }
+        let mut acc = 0u64;
+        while let Some(e) = q.pop() {
+            acc = acc.wrapping_add(e.payload);
+        }
+        acc
+    });
 
     // Steady-state churn with fat (64-byte) payloads: keep ~32k events
     // pending while popping one and pushing two/zero in alternation, the
@@ -177,7 +121,7 @@ fn main() {
             SimTime::from_ns(i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1) % 100_000)
         })
         .collect();
-    bench(&mut results, filter, "sim_core/event_queue_churn", || {
+    h.bench("sim_core/event_queue_churn", || {
         let mut q: EventQueue<FatPayload> = EventQueue::new();
         let mut n = 0usize;
         for _ in 0..CHURN_PREFILL {
@@ -196,32 +140,27 @@ fn main() {
         q.clear();
         acc
     });
-    bench(
-        &mut results,
-        filter,
-        "sim_core/event_queue_churn_binheap_ref",
-        || {
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-            let mut q: BinaryHeap<Reverse<(SimTime, u64, FatPayload)>> = BinaryHeap::new();
-            let mut n = 0usize;
-            for _ in 0..CHURN_PREFILL {
+    h.bench("sim_core/event_queue_churn_binheap_ref", || {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q: BinaryHeap<Reverse<(SimTime, u64, FatPayload)>> = BinaryHeap::new();
+        let mut n = 0usize;
+        for _ in 0..CHURN_PREFILL {
+            q.push(Reverse((churn_times[n], n as u64, [n as u64; 8])));
+            n += 1;
+        }
+        let mut acc = 0u64;
+        for step in 0..CHURN_STEPS {
+            let Reverse((_, _, payload)) = q.pop().expect("queue stays non-empty");
+            acc = acc.wrapping_add(payload[0]);
+            for _ in 0..(step % 2) * 2 {
                 q.push(Reverse((churn_times[n], n as u64, [n as u64; 8])));
                 n += 1;
             }
-            let mut acc = 0u64;
-            for step in 0..CHURN_STEPS {
-                let Reverse((_, _, payload)) = q.pop().expect("queue stays non-empty");
-                acc = acc.wrapping_add(payload[0]);
-                for _ in 0..(step % 2) * 2 {
-                    q.push(Reverse((churn_times[n], n as u64, [n as u64; 8])));
-                    n += 1;
-                }
-            }
-            q.clear();
-            acc
-        },
-    );
+        }
+        q.clear();
+        acc
+    });
 
     // Steady-state *periodic* churn: the access pattern a discrete-event
     // simulation actually produces — pop the minimum, reschedule a fixed
@@ -232,31 +171,26 @@ fn main() {
     let periodic_jitter: Vec<u64> = (0..(PERIODIC_DEPTH + PERIODIC_STEPS) as u64)
         .map(|i| i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1) % 2_000)
         .collect();
-    bench(
-        &mut results,
-        filter,
-        "sim_core/event_queue_churn_periodic",
-        || {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut n = 0usize;
-            for _ in 0..PERIODIC_DEPTH {
-                q.push(SimTime::from_ns(9_000 + periodic_jitter[n]), n as u64);
-                n += 1;
-            }
-            let mut acc = 0u64;
-            for _ in 0..PERIODIC_STEPS {
-                let e = q.pop().expect("queue stays non-empty");
-                acc = acc.wrapping_add(e.payload);
-                q.push(
-                    e.time + SimTime::from_ns(10_000 + periodic_jitter[n]),
-                    e.payload,
-                );
-                n += 1;
-            }
-            q.clear();
-            acc
-        },
-    );
+    h.bench("sim_core/event_queue_churn_periodic", || {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut n = 0usize;
+        for _ in 0..PERIODIC_DEPTH {
+            q.push(SimTime::from_ns(9_000 + periodic_jitter[n]), n as u64);
+            n += 1;
+        }
+        let mut acc = 0u64;
+        for _ in 0..PERIODIC_STEPS {
+            let e = q.pop().expect("queue stays non-empty");
+            acc = acc.wrapping_add(e.payload);
+            q.push(
+                e.time + SimTime::from_ns(10_000 + periodic_jitter[n]),
+                e.payload,
+            );
+            n += 1;
+        }
+        q.clear();
+        acc
+    });
 
     // Engine dispatch throughput with a self-rescheduling world.
     struct Ticker {
@@ -271,56 +205,38 @@ fn main() {
             }
         }
     }
-    bench(
-        &mut results,
-        filter,
-        "sim_core/engine_100k_chained_events",
-        || {
-            let mut sim = Simulation::new(Ticker { remaining: 100_000 });
-            sim.schedule_at(SimTime::ZERO, ());
-            sim.run();
-            sim.dispatched()
-        },
-    );
+    h.bench("sim_core/engine_100k_chained_events", || {
+        let mut sim = Simulation::new(Ticker { remaining: 100_000 });
+        sim.schedule_at(SimTime::ZERO, ());
+        sim.run();
+        sim.dispatched()
+    });
 
     // A standalone original-kernel run through the full device model.
     let spmv = Benchmark::get(BenchmarkId::Spmv);
-    bench(
-        &mut results,
-        filter,
-        "gpu_sim/spmv_large_standalone_original",
-        || flep_gpu_sim::run_single(GpuConfig::k40(), spmv.original_desc(InputClass::Large)),
-    );
+    h.bench("gpu_sim/spmv_large_standalone_original", || {
+        flep_gpu_sim::run_single(GpuConfig::k40(), spmv.original_desc(InputClass::Large))
+    });
 
     // A standalone persistent-kernel run (the FLEP form).
-    bench(
-        &mut results,
-        filter,
-        "gpu_sim/spmv_large_standalone_persistent",
-        || {
-            flep_gpu_sim::run_single(
-                GpuConfig::k40(),
-                spmv.persistent_desc(InputClass::Large, spmv.table1_amortize),
-            )
-        },
-    );
+    h.bench("gpu_sim/spmv_large_standalone_persistent", || {
+        flep_gpu_sim::run_single(
+            GpuConfig::k40(),
+            spmv.persistent_desc(InputClass::Large, spmv.table1_amortize),
+        )
+    });
 
     // The compilation engine end to end on the largest kernel.
     let src = flep_workloads::source(BenchmarkId::Cfd);
-    bench(
-        &mut results,
-        filter,
-        "compile/cfd_parse_analyze_transform",
-        || {
-            let program = parse(src).unwrap();
-            analyze(&program).unwrap();
-            transform(&program, TransformMode::Spatial).unwrap()
-        },
-    );
+    h.bench("compile/cfd_parse_analyze_transform", || {
+        let program = parse(src).unwrap();
+        analyze(&program).unwrap();
+        transform(&program, TransformMode::Spatial).unwrap()
+    });
 
     // Ridge model training (8 kernels x 100 samples).
     let mut seed = 0u64;
-    bench(&mut results, filter, "perfmodel/train_all_models", || {
+    h.bench("perfmodel/train_all_models", || {
         seed += 1;
         ModelStore::train(seed)
     });
@@ -328,26 +244,18 @@ fn main() {
     // A full HPF priority co-run (the Fig. 8 unit of work).
     let lo = KernelProfile::of(&Benchmark::get(BenchmarkId::Pf), InputClass::Large);
     let hi = KernelProfile::of(&Benchmark::get(BenchmarkId::Mm), InputClass::Small);
-    bench(
-        &mut results,
-        filter,
-        "runtime/hpf_priority_corun_pf_mm",
-        || {
-            CoRun::new(GpuConfig::k40(), Policy::hpf())
-                .job(JobSpec::new(lo.clone(), SimTime::ZERO).with_priority(1))
-                .job(JobSpec::new(hi.clone(), SimTime::from_us(10)).with_priority(2))
-                .run()
-        },
-    );
+    h.bench("runtime/hpf_priority_corun_pf_mm", || {
+        CoRun::new(GpuConfig::k40(), Policy::hpf())
+            .job(JobSpec::new(lo.clone(), SimTime::ZERO).with_priority(1))
+            .job(JobSpec::new(hi.clone(), SimTime::from_us(10)).with_priority(2))
+            .run()
+    });
 
     // The offline tuner for one benchmark (several profiling runs).
     let mm = Benchmark::get(BenchmarkId::Mm);
-    bench(
-        &mut results,
-        filter,
-        "compile/tune_amortizing_factor_mm",
-        || tune(&GpuConfig::k40(), &mm),
-    );
+    h.bench("compile/tune_amortizing_factor_mm", || {
+        tune(&GpuConfig::k40(), &mm)
+    });
 
     // Full co-run macro-benchmarks ("sim_corun"): once the event queue is
     // cheap, the world-side hot path — grid-table lookups, contention
@@ -356,86 +264,71 @@ fn main() {
     // datapoint alongside event_queue_churn.
     let victim = KernelProfile::of(&Benchmark::get(BenchmarkId::Spmv), InputClass::Large);
     let burst = KernelProfile::of(&Benchmark::get(BenchmarkId::Mm), InputClass::Small);
-    bench(
-        &mut results,
-        filter,
-        "runtime/sim_corun_hpf_spatial_bursts",
-        || {
-            // A noisy looping victim under periodic high-priority bursts:
-            // every burst triggers a spatial preemption and a later
-            // restore, exercising signal flips, batch claims, and CTA
-            // placement at full device occupancy.
-            let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf_spatial())
-                .job(
-                    JobSpec::new(victim.clone(), SimTime::ZERO)
-                        .with_priority(1)
-                        .with_seed(11)
-                        .looping(),
-                )
-                .horizon(SimTime::from_ms(25));
-            for k in 0..6u64 {
-                corun = corun.job(
-                    JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
-                        .with_priority(2)
-                        .with_seed(100 + k),
-                );
-            }
-            corun.run()
-        },
-    );
+    h.bench("runtime/sim_corun_hpf_spatial_bursts", || {
+        // A noisy looping victim under periodic high-priority bursts:
+        // every burst triggers a spatial preemption and a later
+        // restore, exercising signal flips, batch claims, and CTA
+        // placement at full device occupancy.
+        let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf_spatial())
+            .job(
+                JobSpec::new(victim.clone(), SimTime::ZERO)
+                    .with_priority(1)
+                    .with_seed(11)
+                    .looping(),
+            )
+            .horizon(SimTime::from_ms(25));
+        for k in 0..6u64 {
+            corun = corun.job(
+                JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
+                    .with_priority(2)
+                    .with_seed(100 + k),
+            );
+        }
+        corun.run()
+    });
     // The same bursts against an NN victim: L = 100, so every batch event
     // carries up to 100 tasks and the per-batch noise draw (one draw, not
     // one per task) is what this target protects. SPMV and MM above run
     // L = 2.
     let wide_victim = KernelProfile::of(&Benchmark::get(BenchmarkId::Nn), InputClass::Large);
-    bench(
-        &mut results,
-        filter,
-        "runtime/sim_corun_hpf_wide_batches",
-        || {
-            let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf())
-                .job(
-                    JobSpec::new(wide_victim.clone(), SimTime::ZERO)
-                        .with_priority(1)
-                        .with_seed(12)
-                        .looping(),
-                )
-                .horizon(SimTime::from_ms(25));
-            for k in 0..6u64 {
-                corun = corun.job(
-                    JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
-                        .with_priority(2)
-                        .with_seed(200 + k),
-                );
-            }
-            corun.run()
-        },
-    );
-    bench(
-        &mut results,
-        filter,
-        "runtime/sim_corun_ffs_2to1_share",
-        || {
-            // One Fig. 13 cell at a reduced horizon: two looping persistent
-            // kernels time-sliced 2:1 by FFS — the epoch churn maximizes
-            // preempt/drain/relaunch traffic through the device model.
-            CoRun::new(GpuConfig::k40(), Policy::Ffs { max_overhead: 0.10 })
-                .job(
-                    JobSpec::new(burst.clone(), SimTime::ZERO)
-                        .with_priority(2)
-                        .with_seed(5)
-                        .looping(),
-                )
-                .job(
-                    JobSpec::new(victim.clone(), SimTime::from_us(5))
-                        .with_priority(1)
-                        .with_seed(6)
-                        .looping(),
-                )
-                .horizon(SimTime::from_ms(30))
-                .run()
-        },
-    );
+    h.bench("runtime/sim_corun_hpf_wide_batches", || {
+        let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf())
+            .job(
+                JobSpec::new(wide_victim.clone(), SimTime::ZERO)
+                    .with_priority(1)
+                    .with_seed(12)
+                    .looping(),
+            )
+            .horizon(SimTime::from_ms(25));
+        for k in 0..6u64 {
+            corun = corun.job(
+                JobSpec::new(burst.clone(), SimTime::from_ms(3) + SimTime::from_ms(4) * k)
+                    .with_priority(2)
+                    .with_seed(200 + k),
+            );
+        }
+        corun.run()
+    });
+    h.bench("runtime/sim_corun_ffs_2to1_share", || {
+        // One Fig. 13 cell at a reduced horizon: two looping persistent
+        // kernels time-sliced 2:1 by FFS — the epoch churn maximizes
+        // preempt/drain/relaunch traffic through the device model.
+        CoRun::new(GpuConfig::k40(), Policy::Ffs { max_overhead: 0.10 })
+            .job(
+                JobSpec::new(burst.clone(), SimTime::ZERO)
+                    .with_priority(2)
+                    .with_seed(5)
+                    .looping(),
+            )
+            .job(
+                JobSpec::new(victim.clone(), SimTime::from_us(5))
+                    .with_priority(1)
+                    .with_seed(6)
+                    .looping(),
+            )
+            .horizon(SimTime::from_ms(30))
+            .run()
+    });
 
-    write_json_artifact(&results);
+    write_artifact("flep-bench micro", h.samples, &h.rows, None);
 }

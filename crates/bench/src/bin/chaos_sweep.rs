@@ -18,13 +18,14 @@
 //! two thirds rack power-cycles); `FLEP_SEED`; `FLEP_REPEATS` (wall-clock
 //! samples); `FLEP_JSON` / `FLEP_BENCH_JSON` (artifacts).
 
+use flep_bench::gate::{write_artifact, ArtifactRow};
 use flep_bench::{
-    emit_json, env_chaos, exp_config, header, parse_chaos_rates, parse_chaos_topos,
+    emit_json, env_knob, exp_config, header, parse_chaos_topos, parse_finite, parse_list, timed,
     CHAOS_RATES_DEFAULT, CHAOS_TOPOS_DEFAULT,
 };
 use flep_core::runner::{cell_seed, run_cells};
 use flep_gpu_sim::{CorrelatedFaultConfig, FailureTopology, GpuConfig};
-use flep_metrics::{percentile_ns, RecoverySummary};
+use flep_metrics::RecoverySummary;
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, DeviceEventKind, HealthConfig, JobSpec,
     KernelProfile, PlacementConfig, Policy,
@@ -32,7 +33,6 @@ use flep_runtime::{
 use flep_sim_core::json::{JsonValue, ToJson};
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
-use std::time::Instant;
 
 /// The eight-job mix every cell runs: one of each benchmark class,
 /// arrivals staggered 250µs apart, priorities cycling over three levels,
@@ -149,20 +149,11 @@ fn main() {
         "chaos-off rows complete everything with no breaker activity; under chaos every job is still accounted exactly once, finer-grained topologies shrink the blast radius, and flapping domains trip the breaker",
     );
     let exp = exp_config();
-    let topos = env_chaos("FLEP_CHAOS_TOPOS", CHAOS_TOPOS_DEFAULT, parse_chaos_topos);
-    let rates = env_chaos("FLEP_CHAOS_RATES", CHAOS_RATES_DEFAULT, parse_chaos_rates);
-
-    // Deterministic results: repeats only sample wall-clock. One warmup
-    // sweep, then `repeats` timed ones; the artifact records the median.
-    let mut rows = sweep(exp.seed, &topos, &rates);
-    let mut wall_ns: Vec<u64> = Vec::new();
-    for _ in 0..exp.repeats {
-        let t0 = Instant::now();
-        rows = sweep(exp.seed, &topos, &rates);
-        wall_ns.push(t0.elapsed().as_nanos() as u64);
-    }
-    wall_ns.sort_unstable();
-    let median_wall = percentile_ns(&wall_ns, 50, 100);
+    let topos = env_knob("FLEP_CHAOS_TOPOS", CHAOS_TOPOS_DEFAULT, parse_chaos_topos);
+    let rates = env_knob("FLEP_CHAOS_RATES", CHAOS_RATES_DEFAULT, |s| {
+        parse_list(s, parse_finite)
+    });
+    let (rows, median_wall) = timed(exp.repeats, || sweep(exp.seed, &topos, &rates));
 
     emit_json("chaos_sweep", &rows);
 
@@ -203,34 +194,18 @@ fn main() {
         median_wall as f64 / 1e9,
     );
 
-    // Perf-smoke artifact: same shape as the micro-bench recorder, with
-    // the deterministic simulated makespan in the `*_ns` fields.
-    if let Ok(path) = std::env::var("FLEP_BENCH_JSON") {
-        let doc = JsonValue::object([
-            ("suite", JsonValue::Str("flep chaos".into())),
-            ("samples", exp.repeats.to_json()),
-            (
-                "results",
-                JsonValue::array(rows.iter().map(|r| {
-                    JsonValue::object([
-                        (
-                            "name",
-                            format!("chaos/t{}_r{:.1}", r.topo, r.rate).to_json(),
-                        ),
-                        ("median_ns", r.makespan.as_ns().to_json()),
-                        ("min_ns", r.makespan.as_ns().to_json()),
-                        ("max_ns", r.makespan.as_ns().to_json()),
-                        ("migrations", r.summary.migrations.to_json()),
-                        ("quarantines", r.summary.quarantines.to_json()),
-                        ("completed", r.completed.to_json()),
-                    ])
-                })),
-            ),
-            ("sweep_wall_ns", median_wall.to_json()),
-        ]);
-        match std::fs::write(&path, doc.render() + "\n") {
-            Ok(()) => eprintln!("chaos artifact written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    // The deterministic simulated makespan in the timing fields.
+    let artifact: Vec<ArtifactRow> = rows
+        .iter()
+        .map(|r| {
+            ArtifactRow::exact(
+                format!("chaos/t{}_r{:.1}", r.topo, r.rate),
+                r.makespan.as_ns(),
+            )
+            .with("migrations", r.summary.migrations)
+            .with("quarantines", r.summary.quarantines)
+            .with("completed", r.completed)
+        })
+        .collect();
+    write_artifact("flep chaos", exp.repeats, &artifact, Some(median_wall));
 }

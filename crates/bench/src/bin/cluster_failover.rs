@@ -14,17 +14,18 @@
 //! at 4× and 2× the death rate); `FLEP_SEED`; `FLEP_REPEATS` (wall-clock
 //! samples); `FLEP_JSON` / `FLEP_BENCH_JSON` (artifacts).
 
-use flep_bench::{emit_json, exp_config, header};
+use flep_bench::gate::{write_artifact, ArtifactRow};
+use flep_bench::{
+    emit_json, env_knob, exp_config, header, parse_finite, parse_list, parse_uint, timed,
+};
 use flep_core::runner::{cell_seed, run_cells};
 use flep_gpu_sim::{DeviceFaultConfig, GpuConfig};
-use flep_metrics::percentile_ns;
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, DeviceEventKind, JobSpec, KernelProfile, Policy,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
-use std::time::Instant;
 
 /// The eight-job mix every cell runs: one of each benchmark class,
 /// arrivals staggered 250µs apart, priorities cycling over three levels.
@@ -38,35 +39,6 @@ const MIX: [BenchmarkId; 8] = [
     BenchmarkId::Md,
     BenchmarkId::Cfd,
 ];
-
-fn env_list(name: &str, default: &str) -> Vec<f64> {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.into());
-    let parsed: Vec<f64> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&v| v >= 0.0)
-        .collect();
-    if parsed.is_empty() {
-        eprintln!("{name}: no valid values in {raw:?}; using {default}");
-        default
-            .split(',')
-            .map(|s| s.parse().expect("default list"))
-            .collect()
-    } else {
-        parsed
-    }
-}
-
-fn devices() -> Vec<u32> {
-    env_list("FLEP_CLUSTER_DEVICES", "1,2,4,8")
-        .into_iter()
-        .map(|v| (v as u32).max(1))
-        .collect()
-}
-
-fn fault_rates() -> Vec<f64> {
-    env_list("FLEP_CLUSTER_FAULTS", "0,20,100")
-}
 
 /// One sweep cell: `devices` GPUs, seeded device faults at `rate`
 /// deaths/s (hangs at 4×, transient losses at 2×).
@@ -160,20 +132,13 @@ fn main() {
         "faults-off rows complete everything with zero migrations; under faults every job is still accounted exactly once and makespan grows with the fault rate, shrinks with devices",
     );
     let exp = exp_config();
-    let devices = devices();
-    let rates = fault_rates();
-
-    // Deterministic results: repeats only sample wall-clock. One warmup
-    // sweep, then `repeats` timed ones; the artifact records the median.
-    let mut rows = sweep(exp.seed, &devices, &rates);
-    let mut wall_ns: Vec<u64> = Vec::new();
-    for _ in 0..exp.repeats {
-        let t0 = Instant::now();
-        rows = sweep(exp.seed, &devices, &rates);
-        wall_ns.push(t0.elapsed().as_nanos() as u64);
-    }
-    wall_ns.sort_unstable();
-    let median_wall = percentile_ns(&wall_ns, 50, 100);
+    let devices = env_knob("FLEP_CLUSTER_DEVICES", "1,2,4,8", |s| {
+        parse_list(s, |d| parse_uint(d, 1u32))
+    });
+    let rates = env_knob("FLEP_CLUSTER_FAULTS", "0,20,100", |s| {
+        parse_list(s, parse_finite)
+    });
+    let (rows, median_wall) = timed(exp.repeats, || sweep(exp.seed, &devices, &rates));
 
     emit_json("cluster_failover", &rows);
 
@@ -212,33 +177,20 @@ fn main() {
         median_wall as f64 / 1e9,
     );
 
-    // Perf-smoke artifact: same shape as the micro-bench recorder, with
-    // the deterministic simulated makespan in the `*_ns` fields.
-    if let Ok(path) = std::env::var("FLEP_BENCH_JSON") {
-        let doc = JsonValue::object([
-            ("suite", JsonValue::Str("flep cluster failover".into())),
-            ("samples", exp.repeats.to_json()),
-            (
-                "results",
-                JsonValue::array(rows.iter().map(|r| {
-                    JsonValue::object([
-                        (
-                            "name",
-                            format!("cluster_failover/d{}_f{:.1}", r.devices, r.rate).to_json(),
-                        ),
-                        ("median_ns", r.makespan.as_ns().to_json()),
-                        ("min_ns", r.makespan.as_ns().to_json()),
-                        ("max_ns", r.makespan.as_ns().to_json()),
-                        ("migrations", r.migrations.to_json()),
-                        ("completed", r.completed.to_json()),
-                    ])
-                })),
-            ),
-            ("sweep_wall_ns", median_wall.to_json()),
-        ]);
-        match std::fs::write(&path, doc.render() + "\n") {
-            Ok(()) => eprintln!("cluster-failover artifact written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    // The deterministic simulated makespan in the timing fields.
+    let artifact: Vec<ArtifactRow> = rows
+        .iter()
+        .map(|r| {
+            let name = format!("cluster_failover/d{}_f{:.1}", r.devices, r.rate);
+            ArtifactRow::exact(name, r.makespan.as_ns())
+                .with("migrations", r.migrations)
+                .with("completed", r.completed)
+        })
+        .collect();
+    write_artifact(
+        "flep cluster failover",
+        exp.repeats,
+        &artifact,
+        Some(median_wall),
+    );
 }

@@ -19,17 +19,16 @@
 //! `FLEP_SEED`; `FLEP_REPEATS`; `FLEP_JSON` / `FLEP_BENCH_JSON`
 //! (artifacts).
 
-use flep_bench::{emit_json, exp_config, header};
+use flep_bench::gate::{write_artifact, ArtifactRow};
+use flep_bench::{emit_json, env_knob, exp_config, header, parse_list, parse_uint, timed};
 use flep_core::runner::cell_seed;
 use flep_gpu_sim::GpuConfig;
-use flep_metrics::percentile_ns;
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, JobSpec, KernelProfile, Policy, WatchdogConfig,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
-use std::time::Instant;
 
 /// The benchmark mix cycled across the cluster (same classes as the
 /// failover sweep).
@@ -43,36 +42,6 @@ const MIX: [BenchmarkId; 8] = [
     BenchmarkId::Md,
     BenchmarkId::Cfd,
 ];
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("{name}: invalid value {v:?}; using {default}");
-                default
-            }),
-        Err(_) => default,
-    }
-}
-
-fn device_counts() -> Vec<u32> {
-    let raw = std::env::var("FLEP_SCALE_DEVICES").unwrap_or_else(|_| "8,64,256,1024".into());
-    let parsed: Vec<u32> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&v| v >= 1)
-        .collect();
-    if parsed.is_empty() {
-        eprintln!("FLEP_SCALE_DEVICES: no valid values in {raw:?}; using 8,64,256,1024");
-        vec![8, 64, 256, 1024]
-    } else {
-        parsed
-    }
-}
 
 /// One scale point: `devices` GPUs, `jobs_per_device` waves of one job
 /// per device, watchdog armed, faults off (so the epoch driver engages).
@@ -136,29 +105,28 @@ fn main() {
         "per-device wall-clock at the largest device count stays within ~1.3x of the smallest; simulated makespan per point is deterministic",
     );
     let exp = exp_config();
-    let devices = device_counts();
-    let jobs_per_device = env_u64("FLEP_SCALE_JOBS", 4);
+    let devices = env_knob("FLEP_SCALE_DEVICES", "8,64,256,1024", |s| {
+        parse_list(s, |d| parse_uint(d, 1u32))
+    });
+    let jobs_per_device = env_knob("FLEP_SCALE_JOBS", "4", |s| parse_uint(s, 1u64));
 
     let mut rows: Vec<Row> = Vec::new();
     for &d in &devices {
-        // Warmup, then timed repeats; the simulated result must be
-        // bit-identical on every run.
-        let reference = run_point(d, jobs_per_device, exp.seed);
-        let mut wall: Vec<u64> = Vec::new();
-        for _ in 0..exp.repeats {
-            let t0 = Instant::now();
+        // The simulated result must be bit-identical on every run.
+        let mut makespan = None;
+        let (reference, wall_ns) = timed(exp.repeats, || {
             let result = run_point(d, jobs_per_device, exp.seed);
-            wall.push(t0.elapsed().as_nanos() as u64);
+            let first = *makespan.get_or_insert(result.end_time);
             assert_eq!(
-                result.end_time, reference.end_time,
+                result.end_time, first,
                 "devices {d}: nondeterministic makespan"
             );
-        }
+            result
+        });
         assert!(
             reference.reconciles(),
             "devices {d}: lost or double-ran a job"
         );
-        wall.sort_unstable();
         rows.push(Row {
             devices: d,
             jobs: jobs_per_device * u64::from(d),
@@ -166,7 +134,7 @@ fn main() {
             failed: reference.failed,
             stranded: reference.stranded,
             makespan: reference.end_time,
-            wall_ns: percentile_ns(&wall, 50, 100),
+            wall_ns,
         });
     }
 
@@ -194,52 +162,28 @@ fn main() {
     // time (any drift is a correctness bug, not noise); the permille
     // ratio row is the scale-out headline (per-device wall at the
     // largest point over the smallest); `wall_*` rows are wall-clock
-    // context with no baseline entry, so the gate skips them.
-    if let Ok(path) = std::env::var("FLEP_BENCH_JSON") {
-        let mut results: Vec<JsonValue> = rows
-            .iter()
-            .map(|r| {
-                JsonValue::object([
-                    (
-                        "name",
-                        format!("cluster_scale/makespan_d{}", r.devices).to_json(),
-                    ),
-                    ("median_ns", r.makespan.as_ns().to_json()),
-                    ("min_ns", r.makespan.as_ns().to_json()),
-                    ("max_ns", r.makespan.as_ns().to_json()),
-                    ("completed", r.completed.to_json()),
-                ])
-            })
-            .collect();
-        results.extend(rows.iter().map(|r| {
-            JsonValue::object([
-                (
-                    "name",
-                    format!("cluster_scale/wall_d{}", r.devices).to_json(),
-                ),
-                ("median_ns", r.wall_ns.to_json()),
-                ("min_ns", r.wall_ns.to_json()),
-                ("max_ns", r.wall_ns.to_json()),
-            ])
-        }));
-        if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
-            let ratio_permille =
-                (last.per_device_wall_ns() / first.per_device_wall_ns() * 1000.0).round() as u64;
-            results.push(JsonValue::object([
-                ("name", "cluster_scale/per_device_ratio_permille".to_json()),
-                ("median_ns", ratio_permille.to_json()),
-                ("min_ns", ratio_permille.to_json()),
-                ("max_ns", ratio_permille.to_json()),
-            ]));
-        }
-        let doc = JsonValue::object([
-            ("suite", JsonValue::Str("flep cluster scale-out".into())),
-            ("samples", exp.repeats.to_json()),
-            ("results", JsonValue::array(results)),
-        ]);
-        match std::fs::write(&path, doc.render() + "\n") {
-            Ok(()) => eprintln!("cluster-scale artifact written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+    // context with no baseline entry, so the gate only notes them.
+    let mut artifact: Vec<ArtifactRow> = rows
+        .iter()
+        .map(|r| {
+            ArtifactRow::exact(
+                format!("cluster_scale/makespan_d{}", r.devices),
+                r.makespan.as_ns(),
+            )
+            .with("completed", r.completed)
+        })
+        .collect();
+    artifact.extend(
+        rows.iter()
+            .map(|r| ArtifactRow::exact(format!("cluster_scale/wall_d{}", r.devices), r.wall_ns)),
+    );
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        let ratio_permille =
+            (last.per_device_wall_ns() / first.per_device_wall_ns() * 1000.0).round() as u64;
+        artifact.push(ArtifactRow::exact(
+            "cluster_scale/per_device_ratio_permille",
+            ratio_permille,
+        ));
     }
+    write_artifact("flep cluster scale-out", exp.repeats, &artifact, None);
 }

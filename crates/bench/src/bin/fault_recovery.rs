@@ -8,16 +8,9 @@
 //! 42); `FLEP_BENCH_JSON` additionally records the per-preset latencies in
 //! the perf-smoke artifact format (`BENCH_fault_recovery.json` in CI).
 
-use flep_bench::{emit_json, exp_config, header};
+use flep_bench::gate::{write_artifact, ArtifactRow};
+use flep_bench::{emit_json, env_knob, exp_config, header, parse_uint};
 use flep_core::prelude::*;
-use flep_sim_core::json::{JsonValue, ToJson};
-
-fn fault_seed() -> u64 {
-    std::env::var("FLEP_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
 
 fn main() {
     header(
@@ -26,7 +19,7 @@ fn main() {
         "every preset recovers; forced drains beat kills; latency within a few drain deadlines of baseline",
     );
     let exp = exp_config();
-    let seed = fault_seed();
+    let seed = env_knob("FLEP_FAULT_SEED", "42", |s| parse_uint(s, 0u64));
     let rows = experiments::fault_recovery(&GpuConfig::k40(), exp, seed);
     emit_json("fault_recovery", &rows);
     println!(
@@ -49,27 +42,13 @@ fn main() {
         );
     }
 
-    // Perf-smoke artifact: same shape as the micro-bench recorder, with
-    // simulated recovery latencies in the `*_ns` fields.
-    if let Ok(path) = std::env::var("FLEP_BENCH_JSON") {
-        let doc = JsonValue::object([
-            ("suite", JsonValue::Str("flep fault recovery".into())),
-            ("samples", exp.repeats.to_json()),
-            (
-                "results",
-                JsonValue::array(rows.iter().map(|r| {
-                    JsonValue::object([
-                        ("name", format!("fault_recovery/{}", r.preset).to_json()),
-                        ("median_ns", r.median.as_ns().to_json()),
-                        ("min_ns", r.min.as_ns().to_json()),
-                        ("max_ns", r.max.as_ns().to_json()),
-                    ])
-                })),
-            ),
-        ]);
-        match std::fs::write(&path, doc.render() + "\n") {
-            Ok(()) => eprintln!("fault-recovery artifact written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    // Simulated recovery latencies in the timing fields.
+    let artifact: Vec<ArtifactRow> = rows
+        .iter()
+        .map(|r| {
+            let name = format!("fault_recovery/{}", r.preset);
+            ArtifactRow::new(name, r.median.as_ns(), r.min.as_ns(), r.max.as_ns())
+        })
+        .collect();
+    write_artifact("flep fault recovery", exp.repeats, &artifact, None);
 }

@@ -1,45 +1,33 @@
 //! The perf-regression gate: compares freshly produced perf artifacts
-//! against their checked-in baselines and exits nonzero when any shared
-//! benchmark's `median_ns` regressed more than the tolerance.
+//! against their checked-in baselines and exits nonzero when any baseline
+//! row's `median_ns` regressed more than the tolerance, or is missing
+//! from the current artifact.
 //!
 //! Usage: `perf_gate <current.json> <baseline.json> [<current2> <baseline2> ...]`
 //!
-//! Every pair is compared and every regressing row is printed before the
+//! Every pair is compared and every failing row is printed before the
 //! process exits — one bad artifact never hides another. A missing
-//! baseline skips that pair with a warning (first run on a new benchmark
-//! suite); a missing or unparsable *current* artifact is an error — the
-//! producing stage was supposed to have just written it.
+//! baseline file skips that pair with a warning (first run on a new
+//! benchmark suite); a missing or unparsable *current* artifact is an
+//! error — the producing stage was supposed to have just written it. A
+//! current row with no baseline entry (a new benchmark, or the
+//! `cluster_scale/wall_*` context rows) is only noted.
 //!
 //! Knob: `FLEP_PERF_TOLERANCE` — allowed regression in percent
-//! (default 15). The applied value and where it came from are printed in
-//! the header so a CI log is self-explanatory.
+//! (default 15). The applied value is printed in the header so a CI log
+//! is self-explanatory.
 
-use flep_bench::gate::{compare, parse_artifact, GateEntry};
+use flep_bench::gate::{compare, parse_artifact, ArtifactRow};
+use flep_bench::{env_knob, parse_finite};
 use std::process::ExitCode;
 
-/// The tolerance to apply plus a human-readable provenance tag.
-fn tolerance() -> (f64, &'static str) {
-    match std::env::var("FLEP_PERF_TOLERANCE") {
-        Ok(v) => match v.parse::<f64>() {
-            Ok(t) if t >= 0.0 => (t, "from FLEP_PERF_TOLERANCE"),
-            _ => {
-                eprintln!(
-                    "FLEP_PERF_TOLERANCE: invalid value {v:?} (want a percentage >= 0); using 15"
-                );
-                (15.0, "default; FLEP_PERF_TOLERANCE was invalid")
-            }
-        },
-        Err(_) => (15.0, "default; set FLEP_PERF_TOLERANCE to override"),
-    }
-}
-
-fn load(path: &str, what: &str) -> Result<Vec<GateEntry>, String> {
+fn load(path: &str, what: &str) -> Result<Vec<ArtifactRow>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{what} {path}: {e}"))?;
     parse_artifact(&text).map_err(|e| format!("{what} {path}: {e}"))
 }
 
 /// Compares one `(current, baseline)` pair, printing every row. Returns
-/// `Ok(regressed_row_count)` or an error string for a broken artifact.
+/// `Ok(failed_row_count)` or an error string for a broken artifact.
 fn gate_pair(current_path: &str, baseline_path: &str, tol: f64) -> Result<usize, String> {
     if !std::path::Path::new(baseline_path).exists() {
         eprintln!(
@@ -57,28 +45,40 @@ fn gate_pair(current_path: &str, baseline_path: &str, tol: f64) -> Result<usize,
         "benchmark", "baseline_ns", "current_ns", "ratio"
     );
     for r in &rows {
+        let (current, verdict) = match r.current_ns {
+            None => ("-".to_string(), format!("{:>7} MISSING", "-")),
+            Some(ns) => {
+                let flag = if r.failed { " REGRESSED" } else { "" };
+                (ns.to_string(), format!("{:>7.3}{flag}", r.ratio))
+            }
+        };
         println!(
-            "{:<40} {:>14} {:>14} {:>7.3}{}",
-            r.name,
-            r.baseline_ns,
-            r.current_ns,
-            r.ratio,
-            if r.regressed { " REGRESSED" } else { "" },
+            "{:<40} {:>14} {:>14} {verdict}",
+            r.name, r.baseline_ns, current
         );
     }
-    let unmatched = current.len() - rows.len();
+    let unmatched = current
+        .iter()
+        .filter(|c| baseline.iter().all(|b| b.name != c.name))
+        .count();
     if unmatched > 0 {
-        eprintln!("perf_gate: {unmatched} benchmark(s) have no baseline entry (skipped)");
+        eprintln!("perf_gate: {unmatched} benchmark(s) have no baseline entry (not gated)");
     }
-    let regressed = rows.iter().filter(|r| r.regressed).count();
-    if regressed > 0 {
+    let missing = rows.iter().filter(|r| r.current_ns.is_none()).count();
+    let failed = rows.iter().filter(|r| r.failed).count();
+    if missing > 0 {
+        eprintln!("perf_gate: {missing} baseline row(s) missing from {current_path}");
+    }
+    if failed > missing {
         eprintln!(
-            "perf_gate: {regressed} benchmark(s) regressed more than {tol}% vs {baseline_path}"
+            "perf_gate: {} benchmark(s) regressed more than {tol}% vs {baseline_path}",
+            failed - missing
         );
-    } else {
+    }
+    if failed == 0 {
         println!("perf_gate: ok ({} compared)", rows.len());
     }
-    Ok(regressed)
+    Ok(failed)
 }
 
 fn main() -> ExitCode {
@@ -88,19 +88,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let (tol, tol_source) = tolerance();
+    let tol = env_knob("FLEP_PERF_TOLERANCE", "15", parse_finite);
     println!(
-        "perf_gate: tolerance {tol}% ({tol_source}); {} artifact pair(s)",
+        "perf_gate: tolerance {tol}% (FLEP_PERF_TOLERANCE, default 15); {} artifact pair(s)",
         args.len() / 2
     );
 
-    // Walk every pair before deciding the exit code so a regression in
-    // the first artifact cannot mask one in the last.
-    let mut total_regressed = 0usize;
+    // Walk every pair before deciding the exit code so a failure in the
+    // first artifact cannot mask one in the last.
+    let mut total_failed = 0usize;
     let mut broken = 0usize;
     for pair in args.chunks_exact(2) {
         match gate_pair(&pair[0], &pair[1], tol) {
-            Ok(n) => total_regressed += n,
+            Ok(n) => total_failed += n,
             Err(e) => {
                 eprintln!("perf_gate: {e}");
                 broken += 1;
@@ -108,9 +108,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if total_regressed > 0 || broken > 0 {
+    if total_failed > 0 || broken > 0 {
         eprintln!(
-            "perf_gate: FAIL — {total_regressed} regressed row(s), {broken} unreadable artifact(s) across {} pair(s)",
+            "perf_gate: FAIL — {total_failed} failed row(s), {broken} unreadable artifact(s) across {} pair(s)",
             args.len() / 2
         );
         ExitCode::FAILURE

@@ -13,35 +13,13 @@
 //! `0.25,0.5,1,1.5,2,3`); `FLEP_REPEATS` (wall-clock samples for the
 //! perf artifact); `FLEP_JSON` / `FLEP_BENCH_JSON` (artifacts).
 
-use flep_bench::{emit_json, exp_config, header};
-use flep_metrics::{percentile_ns, tail_triple_ns};
-use flep_serve::{reference_tenants, sweep_offered_load, LoadPoint, ServeConfig};
-use flep_sim_core::json::{JsonValue, ToJson};
+use flep_bench::gate::{write_artifact, ArtifactRow};
+use flep_bench::{
+    emit_json, env_knob, exp_config, header, parse_finite, parse_list, parse_uint, timed,
+};
+use flep_metrics::tail_triple_ns;
+use flep_serve::{reference_tenants, sweep_offered_load, ServeConfig};
 use flep_sim_core::SimTime;
-use std::time::Instant;
-
-fn horizon() -> SimTime {
-    let ms = std::env::var("FLEP_SERVE_HORIZON_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_500u64);
-    SimTime::from_ms(ms)
-}
-
-fn loads() -> Vec<f64> {
-    let raw = std::env::var("FLEP_SERVE_LOADS").unwrap_or_else(|_| "0.25,0.5,1,1.5,2,3".into());
-    let parsed: Vec<f64> = raw
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&l| l > 0.0)
-        .collect();
-    if parsed.is_empty() {
-        eprintln!("FLEP_SERVE_LOADS: no valid loads in {raw:?}; using defaults");
-        vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-    } else {
-        parsed
-    }
-}
 
 fn main() {
     header(
@@ -50,21 +28,14 @@ fn main() {
         "goodput tracks offered load until saturation then plateaus; tails grow; high-priority tenants keep their SLOs under overload",
     );
     let exp = exp_config();
-    let horizon = horizon();
-    let loads = loads();
+    let horizon = SimTime::from_ms(env_knob("FLEP_SERVE_HORIZON_MS", "2500", |s| {
+        parse_uint(s, 0u64)
+    }));
+    let loads = env_knob("FLEP_SERVE_LOADS", "0.25,0.5,1,1.5,2,3", |s| {
+        parse_list(s, parse_finite)
+    });
     let base = ServeConfig::new(exp.seed, horizon, reference_tenants());
-
-    // Deterministic results: repeats only sample wall-clock. One warmup
-    // sweep, then `repeats` timed ones; the artifact records the median.
-    let mut points: Vec<LoadPoint> = sweep_offered_load(&base, &loads);
-    let mut wall_ns: Vec<u64> = Vec::new();
-    for _ in 0..exp.repeats {
-        let t0 = Instant::now();
-        points = sweep_offered_load(&base, &loads);
-        wall_ns.push(t0.elapsed().as_nanos() as u64);
-    }
-    wall_ns.sort_unstable();
-    let median_wall = percentile_ns(&wall_ns, 50, 100);
+    let (points, median_wall) = timed(exp.repeats, || sweep_offered_load(&base, &loads));
 
     emit_json("serve_slo", &points);
 
@@ -99,33 +70,17 @@ fn main() {
         median_wall as f64 / 1e9,
     );
 
-    if let Ok(path) = std::env::var("FLEP_BENCH_JSON") {
-        let doc = JsonValue::object([
-            ("suite", JsonValue::Str("flep serve slo".into())),
-            ("samples", exp.repeats.to_json()),
-            (
-                "results",
-                JsonValue::array(points.iter().map(|p| {
-                    let (p50, p99, p999) = tail_triple_ns(p.report.latency);
-                    // Perf-smoke artifact shape: simulated request
-                    // latency stands in for the timing fields (median =
-                    // p50, max = p999), as fault_recovery does.
-                    JsonValue::object([
-                        ("name", format!("serve_slo/load_{:.2}", p.load).to_json()),
-                        ("median_ns", p50.to_json()),
-                        ("min_ns", p50.to_json()),
-                        ("max_ns", p999.to_json()),
-                        ("p99_ns", p99.to_json()),
-                        ("goodput", p.report.goodput().to_json()),
-                        ("offered", p.report.offered().to_json()),
-                    ])
-                })),
-            ),
-            ("sweep_wall_ns", median_wall.to_json()),
-        ]);
-        match std::fs::write(&path, doc.render() + "\n") {
-            Ok(()) => eprintln!("serve-slo artifact written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+    // Simulated request latency stands in for the timing fields
+    // (median = min = p50, max = p999).
+    let rows: Vec<ArtifactRow> = points
+        .iter()
+        .map(|p| {
+            let (p50, p99, p999) = tail_triple_ns(p.report.latency);
+            ArtifactRow::new(format!("serve_slo/load_{:.2}", p.load), p50, p50, p999)
+                .with("p99_ns", p99)
+                .with("goodput", p.report.goodput())
+                .with("offered", p.report.offered())
+        })
+        .collect();
+    write_artifact("flep serve slo", exp.repeats, &rows, Some(median_wall));
 }

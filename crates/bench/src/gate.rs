@@ -1,147 +1,237 @@
-//! The perf-regression gate: parses perf-smoke artifacts (`BENCH_*.json`)
-//! and compares each benchmark's `median_ns` against a checked-in
-//! baseline, flagging medians that regressed beyond a tolerance.
+//! The perf-artifact format and the regression gate over it.
 //!
-//! `flep-sim-core`'s JSON module is an emitter only, so this module
-//! carries its own reader — deliberately minimal, scoped to the artifact
-//! shape the perf smokes emit: a flat `"results"` array of objects with
-//! a `"name"` string and a `"median_ns"` unsigned integer. Anything
-//! outside that shape is reported as a parse error rather than guessed
-//! at.
+//! Every `BENCH_*.json` artifact — the micro-bench recorder and the
+//! `serve_slo`, `fault_recovery`, `cluster_failover`, `cluster_scale` and
+//! `chaos_sweep` sweeps — is one document:
+//! `{"suite":…,"samples":…,"results":[{"name":…,"median_ns":…,"min_ns":…,"max_ns":…,<extras>}],"sweep_wall_ns":…}`
+//! with `sweep_wall_ns` optional. [`write_artifact`] is its only writer,
+//! [`parse_artifact`] its only reader, and [`compare`] checks every
+//! baseline row's `median_ns` against the current artifact.
+//!
+//! `flep-sim-core`'s JSON module is an emitter only, so the reader is
+//! hand-written and scoped to exactly this shape: flat row objects with a
+//! `name` string (no escapes) and unsigned-integer fields. Anything else
+//! is reported as a parse error rather than guessed at.
 
-/// One benchmark's median as recorded in an artifact.
+use flep_sim_core::json::{JsonValue, ToJson};
+
+/// One artifact row: a named median / min / max in nanoseconds (wall
+/// clock, or simulated time for the sweeps), plus named counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateEntry {
-    /// Benchmark name (the artifact's `name` field).
+pub struct ArtifactRow {
+    /// Benchmark name.
     pub name: String,
-    /// Recorded median, nanoseconds.
+    /// Median, nanoseconds — the field the gate compares.
     pub median_ns: u64,
+    /// Minimum, nanoseconds.
+    pub min_ns: u64,
+    /// Maximum, nanoseconds.
+    pub max_ns: u64,
+    /// Named counters, rendered after the timing fields in this order.
+    pub extras: Vec<(String, u64)>,
 }
 
-/// One baseline-vs-current comparison.
+impl ArtifactRow {
+    /// A row with a spread (wall-clock samples, or latency percentiles).
+    #[must_use]
+    pub fn new(name: impl Into<String>, median_ns: u64, min_ns: u64, max_ns: u64) -> Self {
+        ArtifactRow {
+            name: name.into(),
+            median_ns,
+            min_ns,
+            max_ns,
+            extras: Vec::new(),
+        }
+    }
+
+    /// A deterministic simulated quantity: min = median = max = `ns`.
+    #[must_use]
+    pub fn exact(name: impl Into<String>, ns: u64) -> Self {
+        ArtifactRow::new(name, ns, ns, ns)
+    }
+
+    /// Appends the named counter `key`.
+    #[must_use]
+    pub fn with(mut self, key: &str, value: u64) -> Self {
+        self.extras.push((key.to_string(), value));
+        self
+    }
+}
+
+impl ToJson for ArtifactRow {
+    fn to_json(&self) -> JsonValue {
+        let mut fields = vec![
+            ("name".to_string(), self.name.to_json()),
+            ("median_ns".to_string(), self.median_ns.to_json()),
+            ("min_ns".to_string(), self.min_ns.to_json()),
+            ("max_ns".to_string(), self.max_ns.to_json()),
+        ];
+        fields.extend(self.extras.iter().map(|(k, v)| (k.clone(), v.to_json())));
+        JsonValue::Object(fields)
+    }
+}
+
+/// The artifact document exactly as [`write_artifact`] writes it,
+/// trailing newline included.
+fn render_artifact(
+    suite: &str,
+    samples: u32,
+    rows: &[ArtifactRow],
+    sweep_wall_ns: Option<u64>,
+) -> String {
+    let mut fields = vec![
+        ("suite", suite.to_json()),
+        ("samples", samples.to_json()),
+        ("results", JsonValue::array(rows)),
+    ];
+    fields.extend(sweep_wall_ns.map(|ns| ("sweep_wall_ns", ns.to_json())));
+    JsonValue::object(fields).render() + "\n"
+}
+
+/// Writes the artifact to the path in `FLEP_BENCH_JSON`, if set, and
+/// reports the outcome on stderr (a failed write is not fatal).
+pub fn write_artifact(suite: &str, samples: u32, rows: &[ArtifactRow], sweep_wall_ns: Option<u64>) {
+    let Ok(path) = std::env::var("FLEP_BENCH_JSON") else {
+        return;
+    };
+    match std::fs::write(&path, render_artifact(suite, samples, rows, sweep_wall_ns)) {
+        Ok(()) => eprintln!("{suite}: artifact written to {path}"),
+        Err(e) => eprintln!("FLEP_BENCH_JSON: cannot write {path}: {e}"),
+    }
+}
+
+/// Extracts the `results` rows from an artifact document.
+///
+/// # Errors
+///
+/// Returns a description when the document has no `results` array, or a
+/// row is malformed or lacks `name` / `median_ns` / `min_ns` / `max_ns`.
+pub fn parse_artifact(text: &str) -> Result<Vec<ArtifactRow>, String> {
+    let (_, mut rest) = text
+        .split_once("\"results\":[")
+        .ok_or("no \"results\" array")?;
+    let mut rows = Vec::new();
+    if rest.starts_with(']') {
+        return Ok(rows);
+    }
+    loop {
+        let (row, tail) = parse_row(rest)?;
+        rows.push(row);
+        match tail.as_bytes().first() {
+            Some(b',') => rest = &tail[1..],
+            Some(b']') => return Ok(rows),
+            _ => return Err("unterminated results array".into()),
+        }
+    }
+}
+
+/// Parses the flat row object at the start of `text`, returning it and
+/// the text after its closing brace.
+fn parse_row(text: &str) -> Result<(ArtifactRow, &str), String> {
+    let mut rest = text.strip_prefix('{').ok_or("unterminated results array")?;
+    let malformed = |at: &str| {
+        format!(
+            "malformed row at {:?}",
+            at.chars().take(40).collect::<String>()
+        )
+    };
+    let mut name = None;
+    let mut fields: Vec<(String, u64)> = Vec::new();
+    loop {
+        let (key, tail) = rest
+            .strip_prefix('"')
+            .and_then(|s| s.split_once("\":"))
+            .ok_or_else(|| malformed(rest))?;
+        if key == "name" {
+            let (value, tail) = tail
+                .strip_prefix('"')
+                .and_then(|s| s.split_once('"'))
+                .ok_or_else(|| malformed(rest))?;
+            name = Some(value.to_string());
+            rest = tail;
+        } else {
+            let end = tail
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(tail.len());
+            let value = tail[..end].parse().map_err(|_| malformed(rest))?;
+            fields.push((key.to_string(), value));
+            rest = &tail[end..];
+        }
+        match rest.as_bytes().first() {
+            Some(b',') => rest = &rest[1..],
+            Some(b'}') => break,
+            _ => return Err(malformed(rest)),
+        }
+    }
+    let name = name.ok_or("row without name")?;
+    let mut take = |key: &str| match fields.iter().position(|(k, _)| k == key) {
+        Some(i) => Ok(fields.remove(i).1),
+        None => Err(format!("{name}: no {key} field")),
+    };
+    let (median_ns, min_ns, max_ns) = (take("median_ns")?, take("min_ns")?, take("max_ns")?);
+    let row = ArtifactRow {
+        name,
+        median_ns,
+        min_ns,
+        max_ns,
+        extras: fields,
+    };
+    Ok((row, &rest[1..]))
+}
+
+/// One baseline row checked against the current artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRow {
     /// Benchmark name.
     pub name: String,
     /// Baseline median, nanoseconds.
     pub baseline_ns: u64,
-    /// Current median, nanoseconds.
-    pub current_ns: u64,
+    /// Current median, nanoseconds; `None` when the current artifact lost
+    /// the row (a rename or a dropped benchmark).
+    pub current_ns: Option<u64>,
     /// `current / baseline` (infinite for a zero baseline with nonzero
-    /// current).
+    /// current, NaN for a lost row).
     pub ratio: f64,
-    /// Whether the current median exceeds the tolerance.
-    pub regressed: bool,
+    /// Whether the row fails the gate: lost, or its median exceeds the
+    /// tolerance.
+    pub failed: bool,
 }
 
-/// Extracts the `results` entries from an artifact document.
+/// Checks every baseline row against `current` at `tolerance_percent`.
 ///
-/// # Errors
-///
-/// Returns a description when the document has no `results` array or an
-/// entry lacks `name`/`median_ns`.
-pub fn parse_artifact(text: &str) -> Result<Vec<GateEntry>, String> {
-    let start = text
-        .find("\"results\":[")
-        .ok_or_else(|| "no \"results\" array".to_string())?
-        + "\"results\":[".len();
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut obj_start = None;
-    for (i, c) in text[start..].char_indices() {
-        let pos = start + i;
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    obj_start = Some(pos);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.checked_sub(1).ok_or("unbalanced braces")?;
-                if depth == 0 {
-                    let obj = &text[obj_start.take().ok_or("stray '}'")?..=pos];
-                    entries.push(parse_entry(obj)?);
-                }
-            }
-            ']' if depth == 0 => return Ok(entries),
-            _ => {}
-        }
-    }
-    Err("unterminated results array".into())
-}
-
-/// Parses one flat results object.
-fn parse_entry(obj: &str) -> Result<GateEntry, String> {
-    let name = string_field(obj, "name").ok_or_else(|| format!("entry without name: {obj}"))?;
-    let median_ns =
-        uint_field(obj, "median_ns").ok_or_else(|| format!("{name}: no median_ns field"))?;
-    Ok(GateEntry { name, median_ns })
-}
-
-/// The string value of `"key":"..."` in a flat object (no escape
-/// processing beyond passing `\"` through — artifact names never contain
-/// escapes).
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = &obj[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The unsigned-integer value of `"key":123` in a flat object.
-fn uint_field(obj: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let digits: String = obj[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Compares current medians against the baseline at `tolerance_percent`.
-///
-/// Benchmarks present only on one side are skipped (renames and new
-/// benchmarks must not fail the gate); the caller can surface them from
-/// the row count. A zero baseline median never regresses — there is
-/// nothing meaningful to be 15% worse than.
+/// A baseline row missing from `current` fails: a renamed or dropped row
+/// must not silently stop being checked. Current rows without a baseline
+/// are not compared (the caller warns about them). A zero baseline
+/// median never regresses — there is nothing meaningful to be 15% worse
+/// than.
 #[must_use]
 pub fn compare(
-    current: &[GateEntry],
-    baseline: &[GateEntry],
+    current: &[ArtifactRow],
+    baseline: &[ArtifactRow],
     tolerance_percent: f64,
 ) -> Vec<GateRow> {
-    current
+    baseline
         .iter()
-        .filter_map(|c| {
-            let b = baseline.iter().find(|b| b.name == c.name)?;
-            let ratio = if b.median_ns == 0 {
-                if c.median_ns == 0 {
-                    1.0
-                } else {
-                    f64::INFINITY
+        .map(|b| {
+            let current_ns = current
+                .iter()
+                .find(|c| c.name == b.name)
+                .map(|c| c.median_ns);
+            let (ratio, failed) = match current_ns {
+                None => (f64::NAN, true),
+                Some(c) if b.median_ns == 0 => (if c == 0 { 1.0 } else { f64::INFINITY }, false),
+                Some(c) => {
+                    let limit = b.median_ns as f64 * (1.0 + tolerance_percent / 100.0);
+                    (c as f64 / b.median_ns as f64, c as f64 > limit)
                 }
-            } else {
-                c.median_ns as f64 / b.median_ns as f64
             };
-            let limit = (b.median_ns as f64) * (1.0 + tolerance_percent / 100.0);
-            Some(GateRow {
-                name: c.name.clone(),
+            GateRow {
+                name: b.name.clone(),
                 baseline_ns: b.median_ns,
-                current_ns: c.median_ns,
+                current_ns,
                 ratio,
-                regressed: b.median_ns > 0 && c.median_ns as f64 > limit,
-            })
+                failed,
+            }
         })
         .collect()
 }
@@ -150,7 +240,7 @@ pub fn compare(
 mod tests {
     use super::*;
 
-    const DOC: &str = r#"{"suite":"flep micro","samples":3,"results":[{"name":"a/b","median_ns":100,"min_ns":90,"max_ns":110},{"name":"c","median_ns":250}],"sweep_wall_ns":5}"#;
+    const DOC: &str = r#"{"suite":"flep micro","samples":3,"results":[{"name":"a/b","median_ns":100,"min_ns":90,"max_ns":110},{"name":"c","median_ns":250,"min_ns":250,"max_ns":250,"goodput":7}],"sweep_wall_ns":5}"#;
 
     #[test]
     fn parses_artifact_entries() {
@@ -158,14 +248,8 @@ mod tests {
         assert_eq!(
             e,
             vec![
-                GateEntry {
-                    name: "a/b".into(),
-                    median_ns: 100
-                },
-                GateEntry {
-                    name: "c".into(),
-                    median_ns: 250
-                },
+                ArtifactRow::new("a/b", 100, 90, 110),
+                ArtifactRow::exact("c", 250).with("goodput", 7),
             ]
         );
     }
@@ -176,6 +260,15 @@ mod tests {
         assert!(parse_artifact(r#"{"results":["#).is_err());
         assert!(parse_artifact(r#"{"results":[{"median_ns":1}]}"#).is_err());
         assert!(parse_artifact(r#"{"results":[{"name":"x"}]}"#).is_err());
+        assert!(parse_artifact(r#"{"results":[{"name":"x","median_ns":1}]}"#).is_err());
+        assert!(parse_artifact(
+            r#"{"results":[{"name":"x","median_ns":-1,"min_ns":1,"max_ns":1}]}"#
+        )
+        .is_err());
+        assert!(
+            parse_artifact(r#"{"results":[{"name":"x","median_ns":1,"min_ns":1,"max_ns":1}"#)
+                .is_err()
+        );
     }
 
     #[test]
@@ -183,33 +276,87 @@ mod tests {
         assert_eq!(parse_artifact(r#"{"results":[]}"#).unwrap(), vec![]);
     }
 
-    fn entry(name: &str, median_ns: u64) -> GateEntry {
-        GateEntry {
-            name: name.into(),
-            median_ns,
+    /// Every row shape the writers produce survives `render_artifact` →
+    /// `parse_artifact` unchanged, with and without `sweep_wall_ns`.
+    #[test]
+    fn every_row_shape_round_trips() {
+        let rows = vec![
+            ArtifactRow::new("micro/a", 1_200, 1_100, 9_000),
+            ArtifactRow::exact("cluster_failover/d1_f0.0", 7_063_299)
+                .with("migrations", 0)
+                .with("completed", 8),
+            ArtifactRow::new("serve_slo/load_0.25", 114_650, 114_650, 14_704_490)
+                .with("p99_ns", 1_842_184)
+                .with("goodput", 2_808)
+                .with("offered", 2_808),
+            ArtifactRow::exact("cluster_scale/per_device_ratio_permille", 0),
+        ];
+        for wall in [None, Some(81_322_129)] {
+            let text = render_artifact("flep test", 3, &rows, wall);
+            assert_eq!(parse_artifact(&text).unwrap(), rows);
+            assert_eq!(text.contains("sweep_wall_ns"), wall.is_some());
         }
+        let empty = render_artifact("flep test", 1, &[], None);
+        assert_eq!(parse_artifact(&empty).unwrap(), vec![]);
+    }
+
+    /// The rendered bytes are pinned: the checked-in baselines and every
+    /// consumer of `BENCH_*.json` depend on this exact layout.
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        let rows = [
+            ArtifactRow::exact("cluster_failover/d1_f0.0", 7_063_299)
+                .with("migrations", 0)
+                .with("completed", 8),
+            ArtifactRow::new("fault_recovery/stuck_flag", 2_684_315, 2_682_459, 2_686_967),
+        ];
+        assert_eq!(
+            render_artifact("flep cluster failover", 3, &rows, Some(95_822_916)),
+            "{\"suite\":\"flep cluster failover\",\"samples\":3,\"results\":[\
+             {\"name\":\"cluster_failover/d1_f0.0\",\"median_ns\":7063299,\"min_ns\":7063299,\
+             \"max_ns\":7063299,\"migrations\":0,\"completed\":8},\
+             {\"name\":\"fault_recovery/stuck_flag\",\"median_ns\":2684315,\"min_ns\":2682459,\
+             \"max_ns\":2686967}],\"sweep_wall_ns\":95822916}\n"
+        );
+        assert_eq!(
+            render_artifact("flep-bench micro", 3, &[], None),
+            "{\"suite\":\"flep-bench micro\",\"samples\":3,\"results\":[]}\n"
+        );
     }
 
     #[test]
     fn compare_flags_only_over_tolerance() {
-        let baseline = [entry("a", 100), entry("b", 100), entry("c", 100)];
-        let current = [entry("a", 114), entry("b", 116), entry("c", 90)];
+        let baseline = [
+            ArtifactRow::exact("a", 100),
+            ArtifactRow::exact("b", 100),
+            ArtifactRow::exact("c", 100),
+        ];
+        let current = [
+            ArtifactRow::exact("a", 114),
+            ArtifactRow::exact("b", 116),
+            ArtifactRow::exact("c", 90),
+        ];
         let rows = compare(&current, &baseline, 15.0);
         assert_eq!(
-            rows.iter().map(|r| r.regressed).collect::<Vec<_>>(),
+            rows.iter().map(|r| r.failed).collect::<Vec<_>>(),
             vec![false, true, false]
         );
         assert!((rows[1].ratio - 1.16).abs() < 1e-9);
     }
 
     #[test]
-    fn compare_skips_unmatched_and_zero_baselines() {
-        let baseline = [entry("gone", 100), entry("z", 0)];
-        let current = [entry("new", 500), entry("z", 400)];
+    fn compare_fails_lost_rows_and_skips_new_and_zero_baselines() {
+        let baseline = [ArtifactRow::exact("gone", 100), ArtifactRow::exact("z", 0)];
+        let current = [ArtifactRow::exact("new", 500), ArtifactRow::exact("z", 400)];
         let rows = compare(&current, &baseline, 15.0);
-        // "new" has no baseline; "z"'s zero baseline cannot regress.
-        assert_eq!(rows.len(), 1);
-        assert!(!rows[0].regressed);
-        assert!(rows[0].ratio.is_infinite());
+        // "gone" lost its current row: a failure, never a silent skip.
+        assert_eq!(rows[0].name, "gone");
+        assert_eq!(rows[0].current_ns, None);
+        assert!(rows[0].failed);
+        // "new" has no baseline, so it is not a row; "z"'s zero baseline
+        // cannot regress.
+        assert_eq!(rows.len(), 2);
+        assert!(!rows[1].failed);
+        assert!(rows[1].ratio.is_infinite());
     }
 }

@@ -1,12 +1,13 @@
 //! Shared helpers for the `flep-bench` experiment binaries: consistent
-//! table printing, machine-readable JSON emission, and run configuration
-//! from environment variables.
+//! table printing, machine-readable JSON emission, the one env-knob
+//! reader, and the wall-clock repeat loop.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper. Set `FLEP_SEED` / `FLEP_REPEATS` to override the defaults,
 //! `FLEP_THREADS` to control the experiment runner's worker-thread count,
 //! and `FLEP_JSON` to also emit the structured rows as JSON (see
-//! [`emit_json`]).
+//! [`emit_json`]). Every knob is read through [`env_knob`]: an invalid
+//! value warns on stderr and the default is used.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,65 +16,118 @@ pub mod gate;
 
 use flep_core::prelude::ExpConfig;
 use flep_sim_core::json::ToJson;
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Parses environment variable `name` as an unsigned integer, warning on
-/// stderr — naming the variable and the offending value — when it is set
-/// but not parsable, instead of silently falling back to the default.
-fn env_uint<T: std::str::FromStr + std::fmt::Display + Copy>(name: &str, default: T) -> T {
-    match std::env::var(name) {
-        Ok(v) => match parse_uint(name, &v, default) {
-            Ok(n) => n,
-            Err(warning) => {
-                eprintln!("{warning}");
-                default
-            }
-        },
-        Err(_) => default,
+/// Reads env knob `name` through its pure parser `parse`. Unset means
+/// `default`; an invalid value prints one warning line on stderr (knob,
+/// offending value, the parser's rule, and the default) and also falls
+/// back to `default`. Nothing falls back silently.
+///
+/// # Panics
+///
+/// Panics if `default` itself does not parse.
+pub fn env_knob<T>(name: &str, default: &str, parse: impl Fn(&str) -> Result<T, String>) -> T {
+    if let Ok(raw) = std::env::var(name) {
+        match parse_knob(name, &raw, default, &parse) {
+            Ok(v) => return v,
+            Err(warning) => eprintln!("{warning}"),
+        }
     }
+    parse(default).expect("knob default parses")
 }
 
-/// The pure core of [`env_uint`]: parses `raw`, or returns the exact
-/// (stable) warning line printed for an invalid value.
-fn parse_uint<T: std::str::FromStr + std::fmt::Display + Copy>(
+/// The pure core of [`env_knob`]: `raw` parsed, or the exact (stable)
+/// warning line for an invalid value — knob, offending value, the
+/// parser's rule, and the default used instead.
+fn parse_knob<T>(
     name: &str,
     raw: &str,
-    default: T,
+    default: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
 ) -> Result<T, String> {
-    raw.parse().map_err(|_| {
-        format!("{name}: invalid value {raw:?} (want an unsigned integer); using {default}")
-    })
+    parse(raw)
+        .map_err(|rule| format!("{name}: invalid value {raw:?} (want {rule}); using {default}"))
 }
 
-/// Validates a repeat count: zero repeats cannot produce a figure, so it
-/// is rejected with the exact warning [`exp_config`] prints.
-fn validate_repeats(n: u32) -> Result<u32, String> {
-    if n == 0 {
-        Err("FLEP_REPEATS: invalid value 0 (want >= 1); using 3".to_string())
-    } else {
-        Ok(n)
+/// Parses an unsigned integer no smaller than `min`, or returns the rule
+/// a warning names.
+///
+/// # Errors
+///
+/// Returns the rule when `raw` is not such an integer.
+pub fn parse_uint<T>(raw: &str, min: T) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + Display + From<u8>,
+{
+    match raw.trim().parse::<T>() {
+        Ok(v) if v >= min => Ok(v),
+        _ if min > T::from(0) => Err(format!("an integer >= {min}")),
+        _ => Err("an unsigned integer".into()),
     }
+}
+
+/// Parses a finite number `>= 0`, or returns the rule a warning names.
+///
+/// # Errors
+///
+/// Returns the rule when `raw` is not such a number.
+pub fn parse_finite(raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err("a finite number >= 0".into()),
+    }
+}
+
+/// Parses a comma-separated list whose every entry passes `entry` (for
+/// example [`parse_finite`], or [`parse_uint`] with `min` 1). One bad
+/// entry rejects the whole list, with the entry's rule.
+///
+/// # Errors
+///
+/// Returns the rule when any entry is invalid (an empty entry included).
+pub fn parse_list<T>(
+    raw: &str,
+    entry: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|s| entry(s.trim()))
+        .collect::<Result<_, _>>()
+        .map_err(|rule| format!("a comma-separated list, each {rule}"))
 }
 
 /// Reads the experiment configuration from `FLEP_SEED` / `FLEP_REPEATS`
-/// (defaults: 42 / 3). Unparsable values are reported on stderr and
-/// replaced by the default. `FLEP_REPEATS=0` is also rejected — every
-/// figure needs at least one repeat.
+/// (defaults: 42 / 3). `FLEP_REPEATS=0` is invalid — every figure needs
+/// at least one repeat.
 ///
 /// The runner's `FLEP_THREADS` is validated eagerly here too (by asking
 /// the runner for its configured count), so a typo like `FLEP_THREADS=all`
 /// warns once up front rather than mid-experiment.
 #[must_use]
 pub fn exp_config() -> ExpConfig {
-    let seed = env_uint("FLEP_SEED", 42u64);
-    let repeats = match validate_repeats(env_uint("FLEP_REPEATS", 3u32)) {
-        Ok(n) => n,
-        Err(warning) => {
-            eprintln!("{warning}");
-            3
-        }
-    };
+    let seed = env_knob("FLEP_SEED", "42", |s| parse_uint(s, 0u64));
+    let repeats = env_knob("FLEP_REPEATS", "3", |s| parse_uint(s, 1u32));
     let _ = flep_core::runner::configured_threads();
     ExpConfig { seed, repeats }
+}
+
+/// Runs `f` once to warm up, then `repeats` timed times, and returns the
+/// last result with the median wall-clock nanoseconds of the timed runs.
+/// Results are deterministic, so repeats only sample wall-clock.
+///
+/// # Panics
+///
+/// Panics when `repeats` is 0 ([`exp_config`] never yields that).
+pub fn timed<R>(repeats: u32, mut f: impl FnMut() -> R) -> (R, u64) {
+    let mut result = f();
+    let mut wall_ns = Vec::new();
+    for _ in 0..repeats {
+        let t0 = std::time::Instant::now();
+        result = f();
+        wall_ns.push(t0.elapsed().as_nanos() as u64);
+    }
+    wall_ns.sort_unstable();
+    (result, flep_metrics::percentile_ns(&wall_ns, 50, 100))
 }
 
 /// Default correlated-outage rates for the chaos sweep (events per
@@ -84,71 +138,22 @@ pub const CHAOS_RATES_DEFAULT: &str = "0,400,1600";
 /// zones × racks-per-zone × devices-per-rack).
 pub const CHAOS_TOPOS_DEFAULT: &str = "1x1x8,2x2x2,4x2x1";
 
-/// The pure core of the `FLEP_CHAOS_RATES` knob: parses a comma-separated
-/// list of correlated-outage rates (events per simulated second), or
-/// returns the exact (stable) warning line printed for an invalid value.
-/// Every entry must parse as a finite number `>= 0`.
-pub fn parse_chaos_rates(raw: &str) -> Result<Vec<f64>, String> {
-    let parsed: Option<Vec<f64>> = raw
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v >= 0.0)
-        })
-        .collect();
-    match parsed {
-        Some(rates) if !rates.is_empty() => Ok(rates),
-        _ => Err(format!(
-            "FLEP_CHAOS_RATES: invalid value {raw:?} (want comma-separated rates/s >= 0); \
-             using {CHAOS_RATES_DEFAULT}"
-        )),
-    }
-}
-
-/// The pure core of the `FLEP_CHAOS_TOPOS` knob: parses a comma-separated
-/// list of `ZxRxD` failure topologies, or returns the exact (stable)
-/// warning line printed for an invalid value. Every level must be an
-/// integer `>= 1`.
+/// Parses the `FLEP_CHAOS_TOPOS` knob: a comma-separated list of `ZxRxD`
+/// failure topologies, every level an integer `>= 1`.
+///
+/// # Errors
+///
+/// Returns the rule when any topology is invalid.
 pub fn parse_chaos_topos(raw: &str) -> Result<Vec<flep_gpu_sim::FailureTopology>, String> {
-    let invalid = || {
-        format!(
-            "FLEP_CHAOS_TOPOS: invalid value {raw:?} (want comma-separated ZxRxD topologies); \
-             using {CHAOS_TOPOS_DEFAULT}"
-        )
-    };
-    let mut topos = Vec::new();
-    for spec in raw.split(',') {
-        let levels: Vec<u32> = spec
-            .trim()
-            .split('x')
-            .map(|s| s.parse::<u32>().ok().filter(|&v| v >= 1))
-            .collect::<Option<_>>()
-            .ok_or_else(invalid)?;
-        let [zones, racks, devices] = levels[..] else {
-            return Err(invalid());
-        };
-        topos.push(flep_gpu_sim::FailureTopology::new(zones, racks, devices));
-    }
-    if topos.is_empty() {
-        return Err(invalid());
-    }
-    Ok(topos)
-}
-
-/// Reads a chaos-sweep knob through its pure parser, warning on stderr —
-/// with the parser's exact message — when the value is invalid, and
-/// falling back to `default`.
-pub fn env_chaos<T>(name: &str, default: &str, parse: impl Fn(&str) -> Result<T, String>) -> T {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.to_string());
-    match parse(&raw) {
-        Ok(v) => v,
-        Err(warning) => {
-            eprintln!("{warning}");
-            parse(default).expect("default parses")
+    parse_list(raw, |spec| {
+        let levels: Result<Vec<u32>, _> = spec.split('x').map(|l| parse_uint(l, 1u32)).collect();
+        match levels.as_deref() {
+            Ok(&[zones, racks, devices]) => {
+                Ok(flep_gpu_sim::FailureTopology::new(zones, racks, devices))
+            }
+            _ => Err("a ZxRxD topology, every level >= 1".into()),
         }
-    }
+    })
 }
 
 /// Emits an experiment's structured rows as JSON when `FLEP_JSON` is set.
@@ -230,46 +235,123 @@ mod tests {
         assert_eq!(mean_std(1.234, 0.5), "1.23 ± 0.50");
     }
 
-    /// The warning lines `exp_config` prints for bad knob values are
-    /// stable, exact strings: they name the knob, the offending value,
-    /// the rule, and the fallback — nothing machine-dependent.
+    fn uint_knob(name: &str, raw: &str, default: &str, min: u64) -> Result<u64, String> {
+        parse_knob(name, raw, default, |s| parse_uint(s, min))
+    }
+
+    /// The warning lines every knob prints for a bad value are stable,
+    /// exact strings: they name the knob, the offending value, the rule,
+    /// and the default — nothing machine-dependent.
     #[test]
-    fn bad_seed_warning_text_is_stable() {
-        assert_eq!(parse_uint("FLEP_SEED", "3", 42u64), Ok(3));
+    fn bad_uint_warning_text_is_stable() {
+        assert_eq!(uint_knob("FLEP_SEED", "3", "42", 0), Ok(3));
+        assert_eq!(uint_knob("FLEP_SEED", " 0 ", "42", 0), Ok(0));
         assert_eq!(
-            parse_uint("FLEP_SEED", "banana", 42u64),
+            uint_knob("FLEP_SEED", "banana", "42", 0),
             Err(r#"FLEP_SEED: invalid value "banana" (want an unsigned integer); using 42"#.into())
         );
         assert_eq!(
-            parse_uint("FLEP_SEED", "-1", 42u64),
+            uint_knob("FLEP_SEED", "-1", "42", 0),
             Err(r#"FLEP_SEED: invalid value "-1" (want an unsigned integer); using 42"#.into())
         );
         assert_eq!(
-            parse_uint("FLEP_REPEATS", "2.5", 3u32),
-            Err(r#"FLEP_REPEATS: invalid value "2.5" (want an unsigned integer); using 3"#.into())
+            uint_knob("FLEP_REPEATS", "2.5", "3", 1),
+            Err(r#"FLEP_REPEATS: invalid value "2.5" (want an integer >= 1); using 3"#.into())
         );
-    }
-
-    #[test]
-    fn zero_repeats_warning_text_is_stable() {
-        assert_eq!(validate_repeats(2), Ok(2));
         assert_eq!(
-            validate_repeats(0),
-            Err("FLEP_REPEATS: invalid value 0 (want >= 1); using 3".into())
+            parse_knob("FLEP_REPEATS", "5000000000", "3", |s| parse_uint(s, 1u32)),
+            Err(
+                r#"FLEP_REPEATS: invalid value "5000000000" (want an integer >= 1); using 3"#
+                    .into()
+            )
         );
     }
 
-    /// The chaos-sweep knob warnings are stable, exact strings too: knob,
-    /// offending value, rule, fallback.
     #[test]
-    fn bad_chaos_rates_warning_text_is_stable() {
-        assert_eq!(parse_chaos_rates("0, 150,600"), Ok(vec![0.0, 150.0, 600.0]));
-        for bad in ["", "fast", "10,-5", "10,inf", "10,,20"] {
+    fn zero_repeats_and_zero_scale_jobs_are_rejected() {
+        assert_eq!(uint_knob("FLEP_REPEATS", "2", "3", 1), Ok(2));
+        assert_eq!(
+            uint_knob("FLEP_REPEATS", "0", "3", 1),
+            Err(r#"FLEP_REPEATS: invalid value "0" (want an integer >= 1); using 3"#.into())
+        );
+        assert_eq!(
+            uint_knob("FLEP_SCALE_JOBS", "0", "4", 1),
+            Err(r#"FLEP_SCALE_JOBS: invalid value "0" (want an integer >= 1); using 4"#.into())
+        );
+    }
+
+    /// `FLEP_BENCH_SAMPLES=0` used to index an empty timing vector in the
+    /// micro-bench harness; it is now rejected like garbage. Zero warmup
+    /// iterations are fine.
+    #[test]
+    fn micro_bench_knobs_reject_zero_samples_and_garbage() {
+        assert_eq!(uint_knob("FLEP_BENCH_SAMPLES", "5", "15", 1), Ok(5));
+        assert_eq!(
+            uint_knob("FLEP_BENCH_SAMPLES", "0", "15", 1),
+            Err(r#"FLEP_BENCH_SAMPLES: invalid value "0" (want an integer >= 1); using 15"#.into())
+        );
+        assert_eq!(
+            uint_knob("FLEP_BENCH_SAMPLES", "many", "15", 1),
+            Err(
+                r#"FLEP_BENCH_SAMPLES: invalid value "many" (want an integer >= 1); using 15"#
+                    .into()
+            )
+        );
+        assert_eq!(uint_knob("FLEP_BENCH_WARMUP", "0", "3", 0), Ok(0));
+        assert_eq!(
+            uint_knob("FLEP_BENCH_WARMUP", "1e3", "3", 0),
+            Err(
+                r#"FLEP_BENCH_WARMUP: invalid value "1e3" (want an unsigned integer); using 3"#
+                    .into()
+            )
+        );
+    }
+
+    /// A list knob is rejected whole when any entry is bad — no entry is
+    /// silently dropped.
+    #[test]
+    fn bad_list_warning_text_is_stable() {
+        let rates = |raw: &str| {
+            parse_knob("FLEP_CHAOS_RATES", raw, CHAOS_RATES_DEFAULT, |s| {
+                parse_list(s, parse_finite)
+            })
+        };
+        assert_eq!(rates("0, 150,600"), Ok(vec![0.0, 150.0, 600.0]));
+        for bad in ["", "fast", "10,-5", "10,inf", "10,,20", "NaN"] {
             assert_eq!(
-                parse_chaos_rates(bad),
+                rates(bad),
                 Err(format!(
-                    "FLEP_CHAOS_RATES: invalid value {bad:?} (want comma-separated rates/s >= 0); \
-                     using 0,400,1600"
+                    "FLEP_CHAOS_RATES: invalid value {bad:?} (want a comma-separated list, \
+                     each a finite number >= 0); using 0,400,1600"
+                ))
+            );
+        }
+        let devices = |raw: &str| {
+            parse_knob("FLEP_CLUSTER_DEVICES", raw, "1,2,4,8", |s| {
+                parse_list(s, |e| parse_uint(e, 1u32))
+            })
+        };
+        assert_eq!(devices("2, 8"), Ok(vec![2, 8]));
+        for bad in ["2,0", "2,2.5", "2,x", "2,"] {
+            assert_eq!(
+                devices(bad),
+                Err(format!(
+                    "FLEP_CLUSTER_DEVICES: invalid value {bad:?} (want a comma-separated list, \
+                     each an integer >= 1); using 1,2,4,8"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn bad_tolerance_warning_text_is_stable() {
+        let tol = |raw: &str| parse_knob("FLEP_PERF_TOLERANCE", raw, "15", parse_finite);
+        assert_eq!(tol("7.5"), Ok(7.5));
+        for bad in ["-1", "lots", "inf", "5,10"] {
+            assert_eq!(
+                tol(bad),
+                Err(format!(
+                    "FLEP_PERF_TOLERANCE: invalid value {bad:?} (want a finite number >= 0); using 15"
                 ))
             );
         }
@@ -287,10 +369,15 @@ mod tests {
         );
         for bad in ["", "2x2", "2x2x2x2", "0x1x8", "axbxc", "2x2x2,"] {
             assert_eq!(
-                parse_chaos_topos(bad),
+                parse_knob(
+                    "FLEP_CHAOS_TOPOS",
+                    bad,
+                    CHAOS_TOPOS_DEFAULT,
+                    parse_chaos_topos
+                ),
                 Err(format!(
-                    "FLEP_CHAOS_TOPOS: invalid value {bad:?} \
-                     (want comma-separated ZxRxD topologies); using 1x1x8,2x2x2,4x2x1"
+                    "FLEP_CHAOS_TOPOS: invalid value {bad:?} (want a comma-separated list, \
+                     each a ZxRxD topology, every level >= 1); using 1x1x8,2x2x2,4x2x1"
                 ))
             );
         }
@@ -300,12 +387,27 @@ mod tests {
     /// back to them on a bad value).
     #[test]
     fn chaos_defaults_parse() {
-        assert_eq!(parse_chaos_rates(CHAOS_RATES_DEFAULT).unwrap().len(), 3);
+        assert_eq!(
+            parse_list(CHAOS_RATES_DEFAULT, parse_finite).unwrap().len(),
+            3
+        );
         let topos = parse_chaos_topos(CHAOS_TOPOS_DEFAULT).unwrap();
         assert_eq!(topos.len(), 3);
         for t in topos {
             assert_eq!(t.devices(), 8, "chaos cells compare equal fleet sizes");
         }
+    }
+
+    /// `timed` warms up once, runs `repeats` timed passes, and hands back
+    /// the last pass's result.
+    #[test]
+    fn timed_warms_up_once_and_returns_the_last_result() {
+        let mut calls = 0u32;
+        let (last, _wall) = timed(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (4, 4));
     }
 
     /// The `FLEP_THREADS` warning (validated eagerly by `exp_config` via

@@ -8,7 +8,9 @@
 //!   [`SimRng`] derived from a fixed root seed, so `cargo test` output is
 //!   bit-identical run to run.
 //! * **Configurable case count** — [`CheckConfig::cases`] (default 64,
-//!   override with `FLEP_CHECK_CASES`).
+//!   override with `FLEP_CHECK_CASES`). An invalid `FLEP_CHECK_CASES`,
+//!   `FLEP_CHECK_SEED` or `FLEP_CHECK_REPRO` warns on stderr and is
+//!   ignored; nothing falls back silently.
 //! * **Shrinking** — on failure the input is shrunk via the [`Shrink`]
 //!   trait, which halves/decrements scalars and prunes collections.
 //! * **Reproducible failures** — the panic message names the per-case seed;
@@ -54,17 +56,9 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        let cases = std::env::var("FLEP_CHECK_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CASES);
-        let seed = std::env::var("FLEP_CHECK_SEED")
-            .ok()
-            .and_then(|v| parse_seed(&v))
-            .unwrap_or(DEFAULT_SEED);
         CheckConfig {
-            cases,
-            seed,
+            cases: env_knob("FLEP_CHECK_CASES", parse_cases).unwrap_or(DEFAULT_CASES),
+            seed: env_knob("FLEP_CHECK_SEED", parse_root_seed).unwrap_or(DEFAULT_SEED),
             max_shrink_steps: 2_000,
         }
     }
@@ -81,7 +75,62 @@ impl CheckConfig {
     }
 }
 
+/// Reads knob `name` through its pure parser: `None` when unset, and also
+/// when invalid — after printing the parser's warning line on stderr.
+fn env_knob<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    parse(&raw).map_err(|warning| eprintln!("{warning}")).ok()
+}
+
+/// Parses a `FLEP_CHECK_CASES` value: the case count, or the exact warning
+/// line printed for an invalid value (unparsable, or `0`, which would pass
+/// every property vacuously).
+///
+/// # Errors
+///
+/// Returns the warning line for an invalid value.
+pub fn parse_cases(raw: &str) -> Result<u32, String> {
+    match raw.trim().parse::<u32>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "FLEP_CHECK_CASES: invalid value {raw:?} (want an integer >= 1); using {DEFAULT_CASES}"
+        )),
+    }
+}
+
+/// Parses a `FLEP_CHECK_SEED` value (decimal or `0x`-hex): the root seed,
+/// or the exact warning line printed for an invalid value.
+///
+/// # Errors
+///
+/// Returns the warning line for an invalid value.
+pub fn parse_root_seed(raw: &str) -> Result<u64, String> {
+    parse_seed(raw).ok_or_else(|| {
+        format!(
+            "FLEP_CHECK_SEED: invalid value {raw:?} (want a decimal or 0x-hex u64); \
+             using {DEFAULT_SEED:#x}"
+        )
+    })
+}
+
+/// Parses a `FLEP_CHECK_REPRO` value (decimal or `0x`-hex): the case seed
+/// to replay, or the exact warning line printed for an invalid value —
+/// after which the normal suite runs.
+///
+/// # Errors
+///
+/// Returns the warning line for an invalid value.
+pub fn parse_repro(raw: &str) -> Result<u64, String> {
+    parse_seed(raw).ok_or_else(|| {
+        format!(
+            "FLEP_CHECK_REPRO: invalid value {raw:?} (want a decimal or 0x-hex case seed); \
+             running every case"
+        )
+    })
+}
+
 fn parse_seed(v: &str) -> Option<u64> {
+    let v = v.trim();
     if let Some(hex) = v.strip_prefix("0x") {
         u64::from_str_radix(hex, 16).ok()
     } else {
@@ -382,10 +431,7 @@ where
     G: Fn(&mut SimRng) -> T,
     P: Fn(&T) -> CaseResult,
 {
-    if let Some(seed) = std::env::var("FLEP_CHECK_REPRO")
-        .ok()
-        .and_then(|v| parse_seed(&v))
-    {
+    if let Some(seed) = env_knob("FLEP_CHECK_REPRO", parse_repro) {
         let mut rng = SimRng::seed_from(seed);
         let input = gen(&mut rng);
         match prop(&input) {
@@ -563,6 +609,48 @@ mod tests {
             },
         );
         assert_eq!(evaluated.get(), 16);
+    }
+
+    /// The knob warnings are stable, exact strings: knob, offending value,
+    /// rule, and what happens instead.
+    #[test]
+    fn bad_cases_warning_text_is_stable() {
+        assert_eq!(parse_cases("200"), Ok(200));
+        for bad in ["0", "many", "-4", ""] {
+            assert_eq!(
+                parse_cases(bad),
+                Err(format!(
+                    "FLEP_CHECK_CASES: invalid value {bad:?} (want an integer >= 1); using 64"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn bad_seed_warning_text_is_stable() {
+        assert_eq!(parse_root_seed("0xF1E9"), Ok(0xF1E9));
+        assert_eq!(parse_root_seed("17"), Ok(17));
+        assert_eq!(
+            parse_root_seed("0xZZ"),
+            Err(
+                "FLEP_CHECK_SEED: invalid value \"0xZZ\" (want a decimal or 0x-hex u64); \
+                 using 0xf1ebc4ec0de5eed5"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn bad_repro_warning_text_is_stable() {
+        assert_eq!(parse_repro("0x1f"), Ok(0x1f));
+        assert_eq!(
+            parse_repro("yes"),
+            Err(
+                "FLEP_CHECK_REPRO: invalid value \"yes\" (want a decimal or 0x-hex case seed); \
+                 running every case"
+                    .into()
+            )
+        );
     }
 
     #[test]
