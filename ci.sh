@@ -9,7 +9,7 @@
 #
 # With no argument every stage runs in order. With a stage name only that
 # stage runs (after whatever build it needs): build, test, fmt, clippy,
-# hot-path, sim-corun, faults, fault-recovery, serve, cluster-smoke,
+# lint, hot-path, sim-corun, faults, fault-recovery, serve, cluster-smoke,
 # cluster-scale, chaos-smoke, perf-gate.
 set -eu
 
@@ -34,6 +34,35 @@ stage_fmt() {
 stage_clippy() {
     echo "==> cargo clippy --workspace --offline -- -D warnings"
     cargo clippy --workspace --offline -- -D warnings
+}
+
+# One knob reader, one worker pool (DESIGN.md §7): non-test Rust under
+# crates/ reads the environment only through flep_sim_core::knob — plus
+# the two artifact-destination readers, FLEP_JSON in flep-bench's
+# `emit_json` and FLEP_BENCH_JSON in its `gate::write_artifact` — and
+# starts threads only through flep_sim_core::runner. Any `env::var` /
+# `env::{` or `thread::scope` / `thread::spawn` / `thread::Builder` /
+# `thread::{` path counts, `use` lines included. Comment lines and
+# everything from a file's `#[cfg(test)]` module on are skipped, as are
+# integration-test directories.
+stage_lint() {
+    echo "==> lint: env reads through sim-core knob, threads through sim-core runner"
+    found=$(find crates -name '*.rs' -not -path '*/tests/*' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            /env::(var|\{)|thread::(scope|spawn|Builder|\{)/ { print f ":" FNR ": " $0 }' "$f"
+    done)
+    bad=$(printf '%s\n' "$found" | grep -v '^$' \
+        | grep -v '^crates/sim-core/src/knob\.rs:[0-9]*: .*env::var' \
+        | grep -v '^crates/bench/src/lib\.rs:[0-9]*: .*env::var("FLEP_JSON")' \
+        | grep -v '^crates/bench/src/gate\.rs:[0-9]*: .*env::var("FLEP_BENCH_JSON")' \
+        | grep -v '^crates/sim-core/src/runner\.rs:[0-9]*: .*thread::scope' || true)
+    if [ -n "$bad" ]; then
+        echo "lint: env read outside flep_sim_core::knob or thread fan-out outside flep_sim_core::runner:" >&2
+        printf '%s\n' "$bad" >&2
+        exit 1
+    fi
+    echo "lint: every env read and thread fan-out goes through sim-core"
 }
 
 # Perf smoke: a handful of samples of the event-queue churn targets,
@@ -201,6 +230,7 @@ run_stage() {
         test) stage_test ;;
         fmt) stage_fmt ;;
         clippy) stage_clippy ;;
+        lint) stage_lint ;;
         hot-path) stage_hot_path ;;
         sim-corun) stage_sim_corun ;;
         faults) stage_faults ;;
@@ -211,7 +241,7 @@ run_stage() {
         chaos-smoke) stage_chaos_smoke ;;
         perf-gate) stage_perf_gate ;;
         *)
-            echo "ci.sh: unknown stage '$1' (want build, test, fmt, clippy," >&2
+            echo "ci.sh: unknown stage '$1' (want build, test, fmt, clippy, lint," >&2
             echo "       hot-path, sim-corun, faults, fault-recovery, serve," >&2
             echo "       cluster-smoke, cluster-scale, chaos-smoke, perf-gate)" >&2
             exit 2
@@ -230,6 +260,7 @@ else
     stage_test
     stage_fmt
     stage_clippy
+    stage_lint
     stage_hot_path
     stage_sim_corun
     stage_faults

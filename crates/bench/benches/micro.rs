@@ -20,8 +20,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
-use flep_bench::{env_knob, parse_uint};
 use flep_core::prelude::*;
+use flep_sim_core::knob::{env_knob, parse_uint};
 use flep_sim_core::{EventQueue, Scheduler, Simulation, World};
 
 fn format_ns(ns: u64) -> String {

@@ -20,10 +20,9 @@
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
 use flep_bench::{
-    emit_json, env_knob, exp_config, header, parse_chaos_topos, parse_finite, parse_list, timed,
-    CHAOS_RATES_DEFAULT, CHAOS_TOPOS_DEFAULT,
+    emit_json, exp_config, header, parse_chaos_topos, timed, CHAOS_RATES_DEFAULT,
+    CHAOS_TOPOS_DEFAULT,
 };
-use flep_core::runner::{cell_seed, run_cells};
 use flep_gpu_sim::{CorrelatedFaultConfig, FailureTopology, GpuConfig};
 use flep_metrics::RecoverySummary;
 use flep_runtime::{
@@ -31,6 +30,8 @@ use flep_runtime::{
     KernelProfile, PlacementConfig, Policy,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
+use flep_sim_core::knob::{env_knob, parse_finite, parse_list};
+use flep_sim_core::runner::{cell_seed, run_cells};
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 

@@ -15,15 +15,14 @@
 //! samples); `FLEP_JSON` / `FLEP_BENCH_JSON` (artifacts).
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
-use flep_bench::{
-    emit_json, env_knob, exp_config, header, parse_finite, parse_list, parse_uint, timed,
-};
-use flep_core::runner::{cell_seed, run_cells};
+use flep_bench::{emit_json, exp_config, header, timed};
 use flep_gpu_sim::{DeviceFaultConfig, GpuConfig};
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, DeviceEventKind, JobSpec, KernelProfile, Policy,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
+use flep_sim_core::knob::{env_knob, parse_finite, parse_list, parse_uint};
+use flep_sim_core::runner::{cell_seed, run_cells};
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 

@@ -20,13 +20,14 @@
 //! (artifacts).
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
-use flep_bench::{emit_json, env_knob, exp_config, header, parse_list, parse_uint, timed};
-use flep_core::runner::cell_seed;
+use flep_bench::{emit_json, exp_config, header, timed};
 use flep_gpu_sim::GpuConfig;
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, JobSpec, KernelProfile, Policy, WatchdogConfig,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
+use flep_sim_core::knob::{env_knob, parse_list, parse_uint};
+use flep_sim_core::runner::cell_seed;
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 

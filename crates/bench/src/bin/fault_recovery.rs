@@ -9,8 +9,9 @@
 //! the perf-smoke artifact format (`BENCH_fault_recovery.json` in CI).
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
-use flep_bench::{emit_json, env_knob, exp_config, header, parse_uint};
+use flep_bench::{emit_json, exp_config, header};
 use flep_core::prelude::*;
+use flep_sim_core::knob::{env_knob, parse_uint};
 
 fn main() {
     header(

@@ -18,7 +18,7 @@
 //! is self-explanatory.
 
 use flep_bench::gate::{compare, parse_artifact, ArtifactRow};
-use flep_bench::{env_knob, parse_finite};
+use flep_sim_core::knob::{env_knob, parse_finite};
 use std::process::ExitCode;
 
 fn load(path: &str, what: &str) -> Result<Vec<ArtifactRow>, String> {

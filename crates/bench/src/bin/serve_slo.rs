@@ -14,11 +14,10 @@
 //! perf artifact); `FLEP_JSON` / `FLEP_BENCH_JSON` (artifacts).
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
-use flep_bench::{
-    emit_json, env_knob, exp_config, header, parse_finite, parse_list, parse_uint, timed,
-};
+use flep_bench::{emit_json, exp_config, header, timed};
 use flep_metrics::tail_triple_ns;
 use flep_serve::{reference_tenants, sweep_offered_load, ServeConfig};
+use flep_sim_core::knob::{env_knob, parse_finite, parse_list, parse_uint};
 use flep_sim_core::SimTime;
 
 fn main() {

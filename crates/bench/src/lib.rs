@@ -6,8 +6,9 @@
 //! paper. Set `FLEP_SEED` / `FLEP_REPEATS` to override the defaults,
 //! `FLEP_THREADS` to control the experiment runner's worker-thread count,
 //! and `FLEP_JSON` to also emit the structured rows as JSON (see
-//! [`emit_json`]). Every knob is read through [`env_knob`]: an invalid
-//! value warns on stderr and the default is used.
+//! [`emit_json`]). Every knob is read through
+//! [`flep_sim_core::knob::env_knob`]: an invalid value warns on stderr and
+//! the default is used.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,85 +17,7 @@ pub mod gate;
 
 use flep_core::prelude::ExpConfig;
 use flep_sim_core::json::ToJson;
-use std::fmt::Display;
-use std::str::FromStr;
-
-/// Reads env knob `name` through its pure parser `parse`. Unset means
-/// `default`; an invalid value prints one warning line on stderr (knob,
-/// offending value, the parser's rule, and the default) and also falls
-/// back to `default`. Nothing falls back silently.
-///
-/// # Panics
-///
-/// Panics if `default` itself does not parse.
-pub fn env_knob<T>(name: &str, default: &str, parse: impl Fn(&str) -> Result<T, String>) -> T {
-    if let Ok(raw) = std::env::var(name) {
-        match parse_knob(name, &raw, default, &parse) {
-            Ok(v) => return v,
-            Err(warning) => eprintln!("{warning}"),
-        }
-    }
-    parse(default).expect("knob default parses")
-}
-
-/// The pure core of [`env_knob`]: `raw` parsed, or the exact (stable)
-/// warning line for an invalid value — knob, offending value, the
-/// parser's rule, and the default used instead.
-fn parse_knob<T>(
-    name: &str,
-    raw: &str,
-    default: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<T, String> {
-    parse(raw)
-        .map_err(|rule| format!("{name}: invalid value {raw:?} (want {rule}); using {default}"))
-}
-
-/// Parses an unsigned integer no smaller than `min`, or returns the rule
-/// a warning names.
-///
-/// # Errors
-///
-/// Returns the rule when `raw` is not such an integer.
-pub fn parse_uint<T>(raw: &str, min: T) -> Result<T, String>
-where
-    T: FromStr + PartialOrd + Display + From<u8>,
-{
-    match raw.trim().parse::<T>() {
-        Ok(v) if v >= min => Ok(v),
-        _ if min > T::from(0) => Err(format!("an integer >= {min}")),
-        _ => Err("an unsigned integer".into()),
-    }
-}
-
-/// Parses a finite number `>= 0`, or returns the rule a warning names.
-///
-/// # Errors
-///
-/// Returns the rule when `raw` is not such a number.
-pub fn parse_finite(raw: &str) -> Result<f64, String> {
-    match raw.trim().parse::<f64>() {
-        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-        _ => Err("a finite number >= 0".into()),
-    }
-}
-
-/// Parses a comma-separated list whose every entry passes `entry` (for
-/// example [`parse_finite`], or [`parse_uint`] with `min` 1). One bad
-/// entry rejects the whole list, with the entry's rule.
-///
-/// # Errors
-///
-/// Returns the rule when any entry is invalid (an empty entry included).
-pub fn parse_list<T>(
-    raw: &str,
-    entry: impl Fn(&str) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    raw.split(',')
-        .map(|s| entry(s.trim()))
-        .collect::<Result<_, _>>()
-        .map_err(|rule| format!("a comma-separated list, each {rule}"))
-}
+use flep_sim_core::knob::{env_knob, parse_list, parse_uint};
 
 /// Reads the experiment configuration from `FLEP_SEED` / `FLEP_REPEATS`
 /// (defaults: 42 / 3). `FLEP_REPEATS=0` is invalid — every figure needs
@@ -107,7 +30,7 @@ pub fn parse_list<T>(
 pub fn exp_config() -> ExpConfig {
     let seed = env_knob("FLEP_SEED", "42", |s| parse_uint(s, 0u64));
     let repeats = env_knob("FLEP_REPEATS", "3", |s| parse_uint(s, 1u32));
-    let _ = flep_core::runner::configured_threads();
+    let _ = flep_sim_core::runner::configured_threads();
     ExpConfig { seed, repeats }
 }
 
@@ -222,6 +145,7 @@ pub fn mean_std(mean: f64, std: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flep_sim_core::knob::{parse_finite, parse_knob};
 
     #[test]
     fn exp_config_defaults() {
@@ -233,128 +157,6 @@ mod tests {
     #[test]
     fn mean_std_format() {
         assert_eq!(mean_std(1.234, 0.5), "1.23 ± 0.50");
-    }
-
-    fn uint_knob(name: &str, raw: &str, default: &str, min: u64) -> Result<u64, String> {
-        parse_knob(name, raw, default, |s| parse_uint(s, min))
-    }
-
-    /// The warning lines every knob prints for a bad value are stable,
-    /// exact strings: they name the knob, the offending value, the rule,
-    /// and the default — nothing machine-dependent.
-    #[test]
-    fn bad_uint_warning_text_is_stable() {
-        assert_eq!(uint_knob("FLEP_SEED", "3", "42", 0), Ok(3));
-        assert_eq!(uint_knob("FLEP_SEED", " 0 ", "42", 0), Ok(0));
-        assert_eq!(
-            uint_knob("FLEP_SEED", "banana", "42", 0),
-            Err(r#"FLEP_SEED: invalid value "banana" (want an unsigned integer); using 42"#.into())
-        );
-        assert_eq!(
-            uint_knob("FLEP_SEED", "-1", "42", 0),
-            Err(r#"FLEP_SEED: invalid value "-1" (want an unsigned integer); using 42"#.into())
-        );
-        assert_eq!(
-            uint_knob("FLEP_REPEATS", "2.5", "3", 1),
-            Err(r#"FLEP_REPEATS: invalid value "2.5" (want an integer >= 1); using 3"#.into())
-        );
-        assert_eq!(
-            parse_knob("FLEP_REPEATS", "5000000000", "3", |s| parse_uint(s, 1u32)),
-            Err(
-                r#"FLEP_REPEATS: invalid value "5000000000" (want an integer >= 1); using 3"#
-                    .into()
-            )
-        );
-    }
-
-    #[test]
-    fn zero_repeats_and_zero_scale_jobs_are_rejected() {
-        assert_eq!(uint_knob("FLEP_REPEATS", "2", "3", 1), Ok(2));
-        assert_eq!(
-            uint_knob("FLEP_REPEATS", "0", "3", 1),
-            Err(r#"FLEP_REPEATS: invalid value "0" (want an integer >= 1); using 3"#.into())
-        );
-        assert_eq!(
-            uint_knob("FLEP_SCALE_JOBS", "0", "4", 1),
-            Err(r#"FLEP_SCALE_JOBS: invalid value "0" (want an integer >= 1); using 4"#.into())
-        );
-    }
-
-    /// `FLEP_BENCH_SAMPLES=0` used to index an empty timing vector in the
-    /// micro-bench harness; it is now rejected like garbage. Zero warmup
-    /// iterations are fine.
-    #[test]
-    fn micro_bench_knobs_reject_zero_samples_and_garbage() {
-        assert_eq!(uint_knob("FLEP_BENCH_SAMPLES", "5", "15", 1), Ok(5));
-        assert_eq!(
-            uint_knob("FLEP_BENCH_SAMPLES", "0", "15", 1),
-            Err(r#"FLEP_BENCH_SAMPLES: invalid value "0" (want an integer >= 1); using 15"#.into())
-        );
-        assert_eq!(
-            uint_knob("FLEP_BENCH_SAMPLES", "many", "15", 1),
-            Err(
-                r#"FLEP_BENCH_SAMPLES: invalid value "many" (want an integer >= 1); using 15"#
-                    .into()
-            )
-        );
-        assert_eq!(uint_knob("FLEP_BENCH_WARMUP", "0", "3", 0), Ok(0));
-        assert_eq!(
-            uint_knob("FLEP_BENCH_WARMUP", "1e3", "3", 0),
-            Err(
-                r#"FLEP_BENCH_WARMUP: invalid value "1e3" (want an unsigned integer); using 3"#
-                    .into()
-            )
-        );
-    }
-
-    /// A list knob is rejected whole when any entry is bad — no entry is
-    /// silently dropped.
-    #[test]
-    fn bad_list_warning_text_is_stable() {
-        let rates = |raw: &str| {
-            parse_knob("FLEP_CHAOS_RATES", raw, CHAOS_RATES_DEFAULT, |s| {
-                parse_list(s, parse_finite)
-            })
-        };
-        assert_eq!(rates("0, 150,600"), Ok(vec![0.0, 150.0, 600.0]));
-        for bad in ["", "fast", "10,-5", "10,inf", "10,,20", "NaN"] {
-            assert_eq!(
-                rates(bad),
-                Err(format!(
-                    "FLEP_CHAOS_RATES: invalid value {bad:?} (want a comma-separated list, \
-                     each a finite number >= 0); using 0,400,1600"
-                ))
-            );
-        }
-        let devices = |raw: &str| {
-            parse_knob("FLEP_CLUSTER_DEVICES", raw, "1,2,4,8", |s| {
-                parse_list(s, |e| parse_uint(e, 1u32))
-            })
-        };
-        assert_eq!(devices("2, 8"), Ok(vec![2, 8]));
-        for bad in ["2,0", "2,2.5", "2,x", "2,"] {
-            assert_eq!(
-                devices(bad),
-                Err(format!(
-                    "FLEP_CLUSTER_DEVICES: invalid value {bad:?} (want a comma-separated list, \
-                     each an integer >= 1); using 1,2,4,8"
-                ))
-            );
-        }
-    }
-
-    #[test]
-    fn bad_tolerance_warning_text_is_stable() {
-        let tol = |raw: &str| parse_knob("FLEP_PERF_TOLERANCE", raw, "15", parse_finite);
-        assert_eq!(tol("7.5"), Ok(7.5));
-        for bad in ["-1", "lots", "inf", "5,10"] {
-            assert_eq!(
-                tol(bad),
-                Err(format!(
-                    "FLEP_PERF_TOLERANCE: invalid value {bad:?} (want a finite number >= 0); using 15"
-                ))
-            );
-        }
     }
 
     #[test]
@@ -372,7 +174,7 @@ mod tests {
                 parse_knob(
                     "FLEP_CHAOS_TOPOS",
                     bad,
-                    CHAOS_TOPOS_DEFAULT,
+                    &format!("using {CHAOS_TOPOS_DEFAULT}"),
                     parse_chaos_topos
                 ),
                 Err(format!(
@@ -408,28 +210,5 @@ mod tests {
             calls
         });
         assert_eq!((calls, last), (4, 4));
-    }
-
-    /// The `FLEP_THREADS` warning (validated eagerly by `exp_config` via
-    /// the runner) is stable too, with no available-parallelism number
-    /// baked in.
-    #[test]
-    fn bad_threads_warning_text_is_stable() {
-        use flep_core::runner::parse_threads;
-        assert_eq!(parse_threads("8"), Ok(8));
-        assert_eq!(
-            parse_threads("all"),
-            Err(
-                r#"FLEP_THREADS: invalid value "all" (want an integer >= 1); using available parallelism"#
-                    .into()
-            )
-        );
-        assert_eq!(
-            parse_threads("0"),
-            Err(
-                r#"FLEP_THREADS: invalid value "0" (want an integer >= 1); using available parallelism"#
-                    .into()
-            )
-        );
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! Every function is deterministic given its [`ExpConfig`] seed — and
 //! *independent of the worker-thread count*: the heavy experiments fan
-//! their independent simulation cells out through [`crate::runner`], with
+//! their independent simulation cells out through [`flep_sim_core::runner`], with
 //! each cell's randomness derived from the root seed and the cell's grid
-//! coordinates (see [`crate::runner::cell_seed`]) rather than drawn from
+//! coordinates (see [`cell_seed`]) rather than drawn from
 //! a shared sequential stream. Results merge in cell-index order, so the
 //! rows (and their `FLEP_JSON` rendering) are byte-identical at
 //! `FLEP_THREADS=1` and `FLEP_THREADS=64`.
@@ -17,8 +17,9 @@ use flep_runtime::{CoRun, CoRunResult, JobSpec, KernelProfile, Policy};
 use flep_sim_core::{SimRng, SimTime};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
+use flep_sim_core::runner::{cell_seed, run_cells};
+
 use crate::models::ModelStore;
-use crate::runner::{cell_seed, run_cells};
 
 /// Configuration shared by all experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -46,7 +46,8 @@
 
 pub mod experiments;
 mod models;
-pub mod runner;
+/// The parallel experiment runner; it lives in [`flep_sim_core::runner`].
+pub use flep_sim_core::runner;
 mod timeline;
 
 pub use models::{ModelStore, DEFAULT_LAMBDA, TRAINING_SAMPLES};
@@ -68,5 +69,5 @@ pub mod prelude {
     pub use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
     pub use crate::experiments::{self, ExpConfig};
-    pub use crate::{render_timeline, runner, ModelStore};
+    pub use crate::{render_timeline, ModelStore};
 }

@@ -51,7 +51,7 @@
 //! deterministic state — `FLEP_THREADS` cannot change any byte of output.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 use flep_gpu_sim::{
     CorrelatedFaultConfig, CorrelatedFaultKind, CorrelatedFaultPlan, DeviceFaultConfig,
@@ -59,14 +59,12 @@ use flep_gpu_sim::{
     GpuDevice, ResourceUsage, TaskCost,
 };
 use flep_metrics::RecoverySummary;
-use flep_sim_core::{
-    EventQueue, PartitionedSimulation, RunOutcome, Scheduler, SimTime, Simulation, World,
-};
+use flep_sim_core::runner::run_cells;
+use flep_sim_core::{EventQueue, PartitionedSimulation, RunOutcome, Scheduler, SimTime, World};
 
 use crate::driver::{settle_budget, DEFAULT_EVENT_BUDGET};
 use crate::health::{BreakerState, DeviceHealth, HealthConfig};
 use crate::job::{JobRecord, JobSpec, KernelProfile};
-use crate::threads::parse_threads;
 use crate::world::{
     Policy, RecoveryAction, RecoveryEvent, RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
@@ -1335,53 +1333,23 @@ fn route_cluster_event(ev: &ClusterEvent) -> u32 {
 /// How [`ClusterRun`] steps the cluster (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Choose automatically: [`StepMode::Epoch`] when the run has no
-    /// device-level faults (seeded or scripted), [`StepMode::Merged`]
-    /// otherwise.
+    /// Choose automatically: epoch stepping — per-device event streams
+    /// stepped independently (through the [`run_cells`] worker pool) up to
+    /// the next cluster-level interaction timestamp, with a barrier there
+    /// — when the run has no device-level faults (seeded or scripted);
+    /// [`StepMode::Merged`] otherwise.
     #[default]
     Auto,
-    /// Per-device event streams stepped independently (in parallel across
-    /// `FLEP_THREADS` workers) up to the next cluster-level interaction
-    /// timestamp, with a barrier there. Byte-identical to `Flat` for
-    /// eligible runs; falls back to `Merged` when device faults make the
-    /// streams interact between barriers.
-    Epoch,
-    /// Per-device queues merged through the sim-core cursor into the
-    /// exact flat `(time, seq)` total order — byte-identical to `Flat`
-    /// for *every* run, faults included.
+    /// Always the merged driver: per-device queues merged through the
+    /// sim-core cursor into the exact `(time, seq)` total order of one
+    /// global [`EventQueue`], for *every* run, faults included.
     Merged,
-    /// The pre-partitioning single global queue; kept as the reference
-    /// implementation the equivalence tests compare against.
-    Flat,
-}
-
-/// The epoch driver's worker count for a `FLEP_THREADS` value (`None`
-/// when unset), or the warning to print for an invalid one. Unlike the
-/// bench runner (which defaults to all cores), stepping inside one run
-/// defaults to 1: the bench harness already parallelizes across cells,
-/// and nesting both would oversubscribe. Output is byte-identical either
-/// way.
-fn epoch_threads_for(raw: Option<&str>) -> Result<usize, String> {
-    raw.map_or(Ok(1), |v| parse_threads(v, "1 epoch worker"))
-}
-
-/// `FLEP_THREADS` as the epoch driver's worker count, read once per
-/// process; an invalid value warns once on stderr and falls back to 1.
-fn epoch_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let raw = std::env::var("FLEP_THREADS").ok();
-        epoch_threads_for(raw.as_deref()).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            1
-        })
-    })
 }
 
 /// Drains one device stream: every event strictly before `bound` (all of
 /// them when `None`), capped at `cap` dispatches. Follow-ups the shard
 /// emits go straight back into its own stream with device-local sequence
-/// numbers — the same relative order the flat queue would assign, since a
+/// numbers — the same relative order one global queue would assign, since a
 /// device's pushes arrive in the same order either way.
 fn step_stream(
     shard: &mut Shard,
@@ -1414,49 +1382,35 @@ fn merge_step(a: (u64, Option<SimTime>), b: (u64, Option<SimTime>)) -> (u64, Opt
     (a.0 + b.0, last)
 }
 
-/// Streams a shard chunk sequentially; the unit of work one epoch worker
-/// executes.
-fn step_chunk(
-    shards: &mut [Shard],
-    streams: &mut [EventQueue<SystemEvent>],
-    bound: Option<SimTime>,
-    cap: u64,
-) -> (u64, Option<SimTime>) {
-    shards
-        .iter_mut()
-        .zip(streams.iter_mut())
-        .map(|(s, q)| step_stream(s, q, bound, cap))
-        .fold((0, None), merge_step)
-}
-
-/// Steps every device stream up to `bound`, fanning chunks of devices out
-/// across `threads` scoped workers. Device streams are independent
-/// between cluster-level timestamps (see [`ClusterRun::run`]'s epoch-mode
-/// docs), so the split changes wall-clock only — never a byte of output.
+/// Steps every device stream up to `bound`. Fleets of 8 or more devices
+/// fan out one device per cell through [`run_cells`], so the worker count
+/// is the runner's (`FLEP_THREADS`, or 1 inside another run's cell);
+/// smaller fleets step inline. Device streams are independent between
+/// cluster-level timestamps (see [`ClusterRun::run_epoch`]), and results
+/// fold in device order, so the split changes wall-clock only — never a
+/// byte of output.
 fn step_streams(
     shards: &mut [Shard],
     streams: &mut [EventQueue<SystemEvent>],
     bound: Option<SimTime>,
     cap: u64,
-    threads: usize,
 ) -> (u64, Option<SimTime>) {
-    // Spawning per epoch only pays off with enough devices per worker;
-    // small clusters step inline.
-    if threads <= 1 || shards.len() < threads.max(8) {
-        return step_chunk(shards, streams, bound, cap);
+    let small = shards.len() < 8;
+    let devices = shards.iter_mut().zip(streams.iter_mut());
+    if small {
+        return devices
+            .map(|(s, q)| step_stream(s, q, bound, cap))
+            .fold((0, None), merge_step);
     }
-    let chunk = shards.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .chunks_mut(chunk)
-            .zip(streams.chunks_mut(chunk))
-            .map(|(sc, qc)| scope.spawn(move || step_chunk(sc, qc, bound, cap)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("epoch worker panicked"))
-            .fold((0, None), merge_step)
+    // Each cell owns exactly one device; the lock is never contended.
+    let cells: Vec<Mutex<_>> = devices.map(Mutex::new).collect();
+    run_cells(cells.len(), |d| {
+        let mut cell = cells[d].lock().expect("device cell poisoned");
+        let (shard, stream) = &mut *cell;
+        step_stream(shard, stream, bound, cap)
     })
+    .into_iter()
+    .fold((0, None), merge_step)
 }
 
 /// A complete cluster run description — the [`CoRun`](crate::CoRun)
@@ -1498,14 +1452,14 @@ impl ClusterRun {
 
     /// Pins the stepping mode (builder style), overriding the automatic
     /// choice. The equivalence tests use this to drive the same run
-    /// through every mode.
+    /// through both modes.
     #[must_use]
     pub fn with_step_mode(mut self, mode: StepMode) -> Self {
         self.mode = mode;
         self
     }
 
-    /// Whether epoch stepping reproduces the flat event order for this
+    /// Whether epoch stepping reproduces the global event order for this
     /// configuration: true exactly when no device-level faults (seeded or
     /// scripted) can create cross-device interactions between arrival
     /// timestamps. Grid-level fault injection stays eligible — those
@@ -1525,21 +1479,17 @@ impl ClusterRun {
     ///
     /// The default ([`StepMode::Auto`]) picks partitioned *epoch*
     /// stepping for runs without device-level faults and the merged
-    /// partitioned driver otherwise; both produce byte-identical results
-    /// to the flat reference driver (DESIGN.md §13 gives the ordering
-    /// argument, and the `partition` test suite enforces it).
+    /// partitioned driver otherwise; both replay the event order of one
+    /// global queue exactly (DESIGN.md §13 gives the ordering argument;
+    /// the `partition` test suite pins merged == epoch, and the sim-core
+    /// queue property pins the merged cursor against a flat
+    /// [`EventQueue`]).
     #[must_use]
     pub fn run(self) -> ClusterResult {
-        match self.mode {
-            StepMode::Flat => self.run_flat(),
-            StepMode::Merged => self.run_merged(),
-            StepMode::Epoch | StepMode::Auto => {
-                if self.epoch_eligible() {
-                    self.run_epoch()
-                } else {
-                    self.run_merged()
-                }
-            }
+        if self.mode == StepMode::Auto && self.epoch_eligible() {
+            self.run_epoch()
+        } else {
+            self.run_merged()
         }
     }
 
@@ -1562,21 +1512,10 @@ impl ClusterRun {
         (cluster, seeds)
     }
 
-    /// The reference driver: one flat global queue.
-    fn run_flat(mut self) -> ClusterResult {
-        let (cluster, seeds) = self.build();
-        let mut sim = Simulation::new(cluster);
-        for (at, ev) in seeds {
-            sim.schedule_at(at, ev);
-        }
-        let outcome = sim.run_with_budget(self.budget);
-        finish(sim.into_world(), outcome)
-    }
-
     /// Per-device queues merged through the sim-core cursor: the same
     /// push order receives the same global sequence numbers, so the pop
-    /// order — and therefore every byte of the result — matches the flat
-    /// driver exactly, while each device's events churn a small
+    /// order — and therefore every byte of the result — matches a single
+    /// global queue exactly, while each device's events churn a small
     /// cache-resident queue instead of one cluster-wide heap.
     fn run_merged(mut self) -> ClusterResult {
         let partitions = self.cfg.devices.max(1) as usize + 1;
@@ -1590,15 +1529,16 @@ impl ClusterRun {
     }
 
     /// Epoch stepping: device streams run independently — and in parallel
-    /// — up to the next cluster-level timestamp, with a barrier there.
+    /// when the runner has workers to spare — up to the next cluster-level
+    /// timestamp, with a barrier there.
     ///
-    /// # Why this reproduces the flat order
+    /// # Why this reproduces the global order
     ///
     /// For eligible runs (no device faults) the only cluster-level events
     /// are the pre-scheduled job arrivals, which carry the globally
     /// lowest sequence numbers; every run-time event is shard-local and
     /// all its follow-ups target the same shard. At a shared timestamp
-    /// the flat driver therefore dispatches arrivals before any shard
+    /// one global queue therefore dispatches arrivals before any shard
     /// event (lower seq), and orders each device's own events by that
     /// device's push order — exactly what "drain streams strictly below
     /// the bound, then dispatch the bound's arrivals, device-local FIFO
@@ -1610,7 +1550,6 @@ impl ClusterRun {
     fn run_epoch(mut self) -> ClusterResult {
         let (mut cluster, seeds) = self.build();
         let n = cluster.shards.len();
-        let threads = epoch_threads();
         // The control stream holds cluster-level events; one per-device
         // stream holds each shard's (device-local FIFO ordering).
         let mut control: EventQueue<ClusterEvent> = EventQueue::new();
@@ -1638,8 +1577,7 @@ impl ClusterRun {
             // point is deterministic at any `FLEP_THREADS`.
             let bound = control.peek_time();
             let cap = self.budget.saturating_sub(spent);
-            let (count, last) =
-                step_streams(&mut cluster.shards, &mut streams, bound, cap, threads);
+            let (count, last) = step_streams(&mut cluster.shards, &mut streams, bound, cap);
             spent += count;
             if let Some(t) = last {
                 end = end.max(t);
@@ -1737,30 +1675,5 @@ impl ClusterResult {
     #[must_use]
     pub fn succeeded(&self) -> bool {
         self.errors.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn epoch_threads_default_to_one() {
-        assert_eq!(epoch_threads_for(None), Ok(1));
-        assert_eq!(epoch_threads_for(Some("8")), Ok(8));
-        assert_eq!(epoch_threads_for(Some(" 3 ")), Ok(3));
-    }
-
-    #[test]
-    fn epoch_threads_warning_text_is_pinned() {
-        assert_eq!(
-            epoch_threads_for(Some("all")),
-            Err(
-                "FLEP_THREADS: invalid value \"all\" (want an integer >= 1); using 1 epoch worker"
-                    .to_string()
-            )
-        );
-        assert!(epoch_threads_for(Some("0")).is_err());
-        assert!(epoch_threads_for(Some("")).is_err());
     }
 }

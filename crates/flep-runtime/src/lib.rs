@@ -29,7 +29,6 @@ mod driver;
 mod health;
 mod job;
 mod poll;
-mod threads;
 mod world;
 
 pub use cluster::{
@@ -39,7 +38,6 @@ pub use cluster::{
 pub use driver::{CoRun, CoRunResult, DEFAULT_EVENT_BUDGET};
 pub use health::{BreakerState, DeviceHealth, HealthConfig};
 pub use job::{JobRecord, JobSpec, KernelProfile, RepeatMode};
-pub use threads::parse_threads;
 pub use world::{
     EvictedJob, Policy, RecoveryAction, RecoveryEvent, RunRecords, RunReport, RuntimeError,
     SystemEvent, SystemWorld, WatchdogConfig,

@@ -1,13 +1,17 @@
-//! Partitioned-vs-global event-order equivalence (DESIGN.md §13).
+//! Merged-vs-epoch event-order equivalence (DESIGN.md §13).
 //!
-//! `ClusterRun` can step the same run three ways — the flat reference
-//! driver (one global queue), the merged partitioned driver (per-device
-//! queues behind the sim-core cursor), and the epoch driver (independent
-//! device streams with a barrier at every cluster-level timestamp). All
-//! three must produce byte-identical results; this suite pins that on
-//! fixed scenarios (same-timestamp cross-device pileups, N=1 `CoRun`
-//! replay) and drives it through a flep-check property covering migration
-//! storms, scripted faults, and grid-fault injection.
+//! `ClusterRun` steps a run one of two ways: the merged partitioned
+//! driver (per-device queues behind the sim-core cursor, exact for every
+//! run) or — under `StepMode::Auto`, for runs without device faults — the
+//! epoch driver (independent device streams with a barrier at every
+//! cluster-level timestamp). The merged cursor is proven against one flat
+//! `EventQueue` by the sim-core `merged_order_matches_flat_queue`
+//! property; this suite pins merged == `Auto` on fixed scenarios
+//! (same-timestamp cross-device pileups, grid faults, a scripted death),
+//! N=1 `CoRun` replay in both modes, thread-count independence of the
+//! epoch fan-out, and drives merged == `Auto` through a flep-check
+//! property covering migration storms, scripted faults, and grid-fault
+//! injection.
 
 use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, FaultConfig, GpuConfig};
 use flep_runtime::{
@@ -15,6 +19,7 @@ use flep_runtime::{
     StepMode, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
+use flep_sim_core::runner::with_threads;
 use flep_sim_core::{require, require_eq, SimRng, SimTime};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -41,7 +46,7 @@ fn run_in(mode: StepMode, cfg: ClusterConfig, specs: &[JobSpec]) -> ClusterResul
     run.run()
 }
 
-/// Every mode must agree on this faults-off scenario: four devices, jobs
+/// Both modes must agree on this faults-off scenario: four devices, jobs
 /// arriving in same-timestamp waves (so several devices interact with the
 /// scheduler at one instant), plus a straggler wave while earlier work is
 /// still resident.
@@ -68,16 +73,13 @@ fn step_modes_agree_on_same_timestamp_cross_device_pileups() {
         c.watchdog = Some(WatchdogConfig::default());
         c
     };
-    let flat = render(&run_in(StepMode::Flat, cfg(), &specs));
     let merged = render(&run_in(StepMode::Merged, cfg(), &specs));
-    let epoch = render(&run_in(StepMode::Epoch, cfg(), &specs));
-    assert_eq!(flat, merged, "merged diverged from flat");
-    assert_eq!(flat, epoch, "epoch diverged from flat");
+    let epoch = render(&run_in(StepMode::Auto, cfg(), &specs));
+    assert_eq!(merged, epoch, "epoch diverged from merged");
 }
 
 /// N=1 partitioned cluster replays the flat `CoRun` byte-identically, in
-/// both partitioned modes (the satellite's explicit forced-mode check —
-/// the default `Auto` path is pinned by the cluster suite).
+/// both modes.
 #[test]
 fn single_device_partitioned_cluster_replays_corun() {
     let specs = vec![
@@ -93,7 +95,7 @@ fn single_device_partitioned_cluster_replays_corun() {
         corun = corun.job(s.clone());
     }
     let solo = corun.run();
-    for mode in [StepMode::Merged, StepMode::Epoch] {
+    for mode in [StepMode::Merged, StepMode::Auto] {
         let clustered = run_in(
             mode,
             ClusterConfig::new(1, GpuConfig::k40(), Policy::hpf()),
@@ -132,18 +134,16 @@ fn step_modes_agree_under_grid_faults() {
         );
         c
     };
-    let flat = render(&run_in(StepMode::Flat, cfg(), &specs));
     let merged = render(&run_in(StepMode::Merged, cfg(), &specs));
-    let epoch = render(&run_in(StepMode::Epoch, cfg(), &specs));
-    assert_eq!(flat, merged, "merged diverged from flat");
-    assert_eq!(flat, epoch, "epoch diverged from flat");
+    let epoch = render(&run_in(StepMode::Auto, cfg(), &specs));
+    assert_eq!(merged, epoch, "epoch diverged from merged");
 }
 
 /// A scripted mid-run device death — migration traffic at an arbitrary
-/// instant — is outside the epoch driver's eligibility, so `Epoch` must
-/// quietly fall back to the (exact) merged driver and still match flat.
+/// instant — is outside the epoch driver's eligibility, so `Auto` must
+/// quietly fall back to the (exact) merged driver.
 #[test]
-fn scripted_death_migration_matches_flat_in_every_mode() {
+fn scripted_death_migration_agrees_in_both_modes() {
     let specs: Vec<JobSpec> = (0..4)
         .map(|i| {
             JobSpec::new(profile(BenchmarkId::Mm, InputClass::Small), SimTime::ZERO)
@@ -156,16 +156,15 @@ fn scripted_death_migration_matches_flat_in_every_mode() {
         c.scripted_faults = vec![(SimTime::from_us(300), 0, DeviceFaultKind::Death)];
         c
     };
-    let flat = render(&run_in(StepMode::Flat, cfg(), &specs));
-    for mode in [StepMode::Merged, StepMode::Epoch, StepMode::Auto] {
-        assert_eq!(flat, render(&run_in(mode, cfg(), &specs)), "{mode:?}");
-    }
+    let merged = render(&run_in(StepMode::Merged, cfg(), &specs));
+    assert_eq!(merged, render(&run_in(StepMode::Auto, cfg(), &specs)));
+    assert!(merged.contains("Migrated"), "the death migrated no job");
 }
 
 /// A budget far too small to finish the run aborts every driver the same
-/// structured way: `CoRun` and all four cluster step modes return (no hang,
-/// no panic) with `EventBudgetExhausted` as their last error, and the flat
-/// and merged drivers agree byte for byte at the abort point.
+/// structured way: `CoRun` and both cluster step modes return (no hang,
+/// no panic) with `EventBudgetExhausted` as their last error, and no job
+/// is lost at the abort point.
 #[test]
 fn tiny_budget_aborts_every_driver_with_a_structured_error() {
     const BUDGET: u64 = 40;
@@ -201,18 +200,37 @@ fn tiny_budget_aborts_every_driver_with_a_structured_error() {
         }
         run.run()
     };
-    for mode in [StepMode::Auto, StepMode::Epoch] {
+    for mode in [StepMode::Auto, StepMode::Merged] {
         let r = run(mode);
         assert!(exhausted(&r.errors), "{mode:?}: {:?}", r.errors);
         assert!(r.reconciles(), "{mode:?} lost a job at the abort");
     }
-    let flat = run(StepMode::Flat);
-    assert!(exhausted(&flat.errors), "Flat: {:?}", flat.errors);
-    assert_eq!(
-        render(&flat),
-        render(&run(StepMode::Merged)),
-        "merged diverged"
-    );
+}
+
+/// The epoch driver fans a fleet of 8 or more devices out through the
+/// runner's worker pool; the worker count changes wall-clock only. Pinned
+/// in-process with `with_threads`, so no env replay is needed.
+#[test]
+fn epoch_fanout_is_byte_identical_at_one_and_four_threads() {
+    let run = || {
+        let mut cfg = ClusterConfig::new(12, GpuConfig::k40(), Policy::hpf());
+        cfg.watchdog = Some(WatchdogConfig::default());
+        let mut run = ClusterRun::new(cfg);
+        for i in 0..30u64 {
+            run = run.job(
+                JobSpec::new(
+                    profile(bench_of(i), InputClass::Small),
+                    SimTime::from_us((i / 12) * 250),
+                )
+                .with_priority(1 + (i as u32 % 3))
+                .with_seed(0x5CA1E ^ i),
+            );
+        }
+        render(&run.run())
+    };
+    let one = with_threads(1, run);
+    assert_eq!(one, with_threads(4, run), "epoch rows depend on threads");
+    assert!(one.contains("completed: 30"), "not every job finished");
 }
 
 /// One generated job: (bench index, arrival_us, priority, seed).
@@ -284,10 +302,10 @@ fn build_case(devices: u64, fault_class: u64, jobs: &[JobTuple], seed: u64) -> C
     run
 }
 
-/// The partitioned drivers replay the flat global event order for *any*
-/// cluster: merged always (migration storms included), epoch whenever the
-/// run is eligible (no device-level faults) — and `Auto` resolves to an
-/// exact mode either way.
+/// The two drivers agree for *any* cluster: `Auto` takes the epoch
+/// driver whenever the run is eligible (no device-level faults) and the
+/// merged driver otherwise (migration storms included), and either way
+/// it replays the merged global event order.
 #[test]
 fn partitioned_and_global_event_orders_are_equivalent() {
     check(
@@ -295,26 +313,14 @@ fn partitioned_and_global_event_orders_are_equivalent() {
         CheckConfig::with_cases(24),
         gen_cluster_case,
         |&(devices, fault_class, ref jobs, seed)| {
-            let flat = render(
-                &build_case(devices, fault_class, jobs, seed)
-                    .with_step_mode(StepMode::Flat)
-                    .run(),
-            );
             let merged = render(
                 &build_case(devices, fault_class, jobs, seed)
                     .with_step_mode(StepMode::Merged)
                     .run(),
             );
-            require_eq!(flat, merged, "merged vs flat (fault class {fault_class})");
-            let epoch = render(
-                &build_case(devices, fault_class, jobs, seed)
-                    .with_step_mode(StepMode::Epoch)
-                    .run(),
-            );
-            require_eq!(flat, epoch, "epoch vs flat (fault class {fault_class})");
             let auto = render(&build_case(devices, fault_class, jobs, seed).run());
-            require_eq!(flat, auto, "auto vs flat (fault class {fault_class})");
-            require!(!flat.is_empty());
+            require_eq!(merged, auto, "auto vs merged (fault class {fault_class})");
+            require!(!merged.is_empty());
             Ok(())
         },
     );

@@ -2,16 +2,15 @@
 //! sweeps, producing goodput and tail-latency curves versus load.
 //!
 //! Each load point runs as one independent cell under
-//! [`flep_core::runner::run_cells`], with its own seed derived by
-//! [`flep_core::runner::cell_seed`]. Cells are merged in index order, so
+//! [`flep_sim_core::runner::run_cells`], with its own seed derived by
+//! [`flep_sim_core::runner::cell_seed`]. Cells are merged in index order, so
 //! the sweep's output is byte-identical whatever `FLEP_THREADS` says —
 //! the same discipline every other experiment in the tree follows.
 
 use crate::arrivals::ArrivalProcess;
 use crate::frontend::{run_serve, ServeConfig, ServeReport, TenantSpec};
-use flep_core::runner;
 use flep_sim_core::json::{JsonValue, ToJson};
-use flep_sim_core::SimTime;
+use flep_sim_core::{runner, SimTime};
 use flep_workloads::ModelId;
 
 /// One point of the load sweep.

@@ -3,11 +3,10 @@
 //! fault-injected variant checking the watchdog recovery taxonomy still
 //! reconciles and goodput degrades monotonically with the fault rate.
 
-use flep_core::runner;
 use flep_gpu_sim::FaultConfig;
 use flep_serve::{run_serve, sweep_offered_load, ArrivalProcess, ServeConfig, TenantSpec};
 use flep_sim_core::json::{JsonValue, ToJson};
-use flep_sim_core::SimTime;
+use flep_sim_core::{runner, SimTime};
 use flep_workloads::ModelId;
 
 /// A small, Poisson-only two-tenant config: a tight-SLO recommendation

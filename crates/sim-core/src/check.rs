@@ -9,8 +9,8 @@
 //!   bit-identical run to run.
 //! * **Configurable case count** — [`CheckConfig::cases`] (default 64,
 //!   override with `FLEP_CHECK_CASES`). An invalid `FLEP_CHECK_CASES`,
-//!   `FLEP_CHECK_SEED` or `FLEP_CHECK_REPRO` warns on stderr and is
-//!   ignored; nothing falls back silently.
+//!   `FLEP_CHECK_SEED` or `FLEP_CHECK_REPRO` warns on stderr through
+//!   [`crate::knob`] and is ignored; nothing falls back silently.
 //! * **Shrinking** — on failure the input is shrunk via the [`Shrink`]
 //!   trait, which halves/decrements scalars and prunes collections.
 //! * **Reproducible failures** — the panic message names the per-case seed;
@@ -35,6 +35,7 @@
 
 use std::fmt::Debug;
 
+use crate::knob::{env_knob, env_opt, parse_uint};
 use crate::SimRng;
 
 /// The default root seed: fixed so test output is identical across runs.
@@ -57,8 +58,12 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            cases: env_knob("FLEP_CHECK_CASES", parse_cases).unwrap_or(DEFAULT_CASES),
-            seed: env_knob("FLEP_CHECK_SEED", parse_root_seed).unwrap_or(DEFAULT_SEED),
+            cases: env_knob("FLEP_CHECK_CASES", &DEFAULT_CASES.to_string(), parse_cases),
+            seed: env_knob(
+                "FLEP_CHECK_SEED",
+                &format!("{DEFAULT_SEED:#x}"),
+                parse_root_seed,
+            ),
             max_shrink_steps: 2_000,
         }
     }
@@ -75,59 +80,26 @@ impl CheckConfig {
     }
 }
 
-/// Reads knob `name` through its pure parser: `None` when unset, and also
-/// when invalid — after printing the parser's warning line on stderr.
-fn env_knob<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
-    parse(&raw).map_err(|warning| eprintln!("{warning}")).ok()
-}
-
-/// Parses a `FLEP_CHECK_CASES` value: the case count, or the exact warning
-/// line printed for an invalid value (unparsable, or `0`, which would pass
-/// every property vacuously).
-///
-/// # Errors
-///
-/// Returns the warning line for an invalid value.
-pub fn parse_cases(raw: &str) -> Result<u32, String> {
-    match raw.trim().parse::<u32>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "FLEP_CHECK_CASES: invalid value {raw:?} (want an integer >= 1); using {DEFAULT_CASES}"
-        )),
-    }
+/// Parses a `FLEP_CHECK_CASES` value: at least 1, because zero cases
+/// would pass every property vacuously.
+fn parse_cases(raw: &str) -> Result<u32, String> {
+    parse_uint(raw, 1)
 }
 
 /// Parses a `FLEP_CHECK_SEED` value (decimal or `0x`-hex): the root seed,
-/// or the exact warning line printed for an invalid value.
-///
-/// # Errors
-///
-/// Returns the warning line for an invalid value.
-pub fn parse_root_seed(raw: &str) -> Result<u64, String> {
-    parse_seed(raw).ok_or_else(|| {
-        format!(
-            "FLEP_CHECK_SEED: invalid value {raw:?} (want a decimal or 0x-hex u64); \
-             using {DEFAULT_SEED:#x}"
-        )
-    })
+/// or the rule a warning names.
+fn parse_root_seed(raw: &str) -> Result<u64, String> {
+    parse_seed(raw).ok_or_else(|| "a decimal or 0x-hex u64".into())
 }
 
 /// Parses a `FLEP_CHECK_REPRO` value (decimal or `0x`-hex): the case seed
-/// to replay, or the exact warning line printed for an invalid value —
-/// after which the normal suite runs.
-///
-/// # Errors
-///
-/// Returns the warning line for an invalid value.
-pub fn parse_repro(raw: &str) -> Result<u64, String> {
-    parse_seed(raw).ok_or_else(|| {
-        format!(
-            "FLEP_CHECK_REPRO: invalid value {raw:?} (want a decimal or 0x-hex case seed); \
-             running every case"
-        )
-    })
+/// to replay, or the rule a warning names.
+fn parse_repro(raw: &str) -> Result<u64, String> {
+    parse_seed(raw).ok_or_else(|| "a decimal or 0x-hex case seed".into())
 }
+
+/// What happens instead when `FLEP_CHECK_REPRO` is invalid.
+const REPRO_FALLBACK: &str = "running every case";
 
 fn parse_seed(v: &str) -> Option<u64> {
     let v = v.trim();
@@ -431,7 +403,7 @@ where
     G: Fn(&mut SimRng) -> T,
     P: Fn(&T) -> CaseResult,
 {
-    if let Some(seed) = env_knob("FLEP_CHECK_REPRO", parse_repro) {
+    if let Some(seed) = env_opt("FLEP_CHECK_REPRO", REPRO_FALLBACK, parse_repro) {
         let mut rng = SimRng::seed_from(seed);
         let input = gen(&mut rng);
         match prop(&input) {
@@ -518,6 +490,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knob::parse_knob;
 
     #[test]
     fn passing_property_runs_all_cases() {
@@ -612,39 +585,51 @@ mod tests {
     }
 
     /// The knob warnings are stable, exact strings: knob, offending value,
-    /// rule, and what happens instead.
+    /// rule, and what happens instead. Each test goes through the parser
+    /// and fallback its call site uses.
     #[test]
     fn bad_cases_warning_text_is_stable() {
-        assert_eq!(parse_cases("200"), Ok(200));
+        let fallback = format!("using {DEFAULT_CASES}");
+        let cases = |raw: &str| parse_knob("FLEP_CHECK_CASES", raw, &fallback, parse_cases);
+        assert_eq!(cases("200"), Ok(200));
         for bad in ["0", "many", "-4", ""] {
             assert_eq!(
-                parse_cases(bad),
+                cases(bad),
                 Err(format!(
                     "FLEP_CHECK_CASES: invalid value {bad:?} (want an integer >= 1); using 64"
                 ))
             );
         }
+        assert_eq!(DEFAULT_CASES.to_string(), "64");
     }
 
     #[test]
     fn bad_seed_warning_text_is_stable() {
-        assert_eq!(parse_root_seed("0xF1E9"), Ok(0xF1E9));
-        assert_eq!(parse_root_seed("17"), Ok(17));
+        let fallback = format!("using {DEFAULT_SEED:#x}");
+        let seed = |raw: &str| parse_knob("FLEP_CHECK_SEED", raw, &fallback, parse_root_seed);
+        assert_eq!(seed("0xF1E9"), Ok(0xF1E9));
+        assert_eq!(seed("17"), Ok(17));
         assert_eq!(
-            parse_root_seed("0xZZ"),
+            seed("0xZZ"),
             Err(
                 "FLEP_CHECK_SEED: invalid value \"0xZZ\" (want a decimal or 0x-hex u64); \
                  using 0xf1ebc4ec0de5eed5"
                     .into()
             )
         );
+        // The default the warning names parses back to the default seed.
+        assert_eq!(
+            parse_root_seed(&format!("{DEFAULT_SEED:#x}")),
+            Ok(DEFAULT_SEED)
+        );
     }
 
     #[test]
     fn bad_repro_warning_text_is_stable() {
-        assert_eq!(parse_repro("0x1f"), Ok(0x1f));
+        let repro = |raw: &str| parse_knob("FLEP_CHECK_REPRO", raw, REPRO_FALLBACK, parse_repro);
+        assert_eq!(repro("0x1f"), Ok(0x1f));
         assert_eq!(
-            parse_repro("yes"),
+            repro("yes"),
             Err(
                 "FLEP_CHECK_REPRO: invalid value \"yes\" (want a decimal or 0x-hex case seed); \
                  running every case"

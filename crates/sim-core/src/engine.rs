@@ -171,13 +171,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Exclusive access to the world (e.g. to inspect or mutate state
-    /// between runs).
-    #[must_use]
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation and returns the world.
     #[must_use]
     pub fn into_world(self) -> W {
@@ -263,20 +256,6 @@ impl<W: World> Simulation<W> {
             }
         }
     }
-
-    /// Runs until `deadline` (inclusive), the queue drains, or the world
-    /// stops. Events scheduled after the deadline stay queued.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => match self.step() {
-                    StepOutcome::Dispatched => {}
-                    StepOutcome::Idle | StepOutcome::Stopped => return self.now,
-                },
-                _ => return self.now,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -347,19 +326,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.pending(), 1);
         assert!(sim.world().seen.is_empty());
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulation::new(recorder());
-        sim.schedule_at(SimTime::from_us(1), Ev::Mark(1));
-        sim.schedule_at(SimTime::from_us(10), Ev::Mark(10));
-        sim.run_until(SimTime::from_us(5));
-        assert_eq!(sim.world().seen.len(), 1);
-        assert_eq!(sim.pending(), 1);
-        // Resuming picks up the rest.
-        sim.run();
-        assert_eq!(sim.world().seen.len(), 2);
     }
 
     #[test]

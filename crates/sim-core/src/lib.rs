@@ -28,6 +28,10 @@
 //!   workspace's property suites run on, and [`json`] the minimal JSON
 //!   emitter used by the experiment harness — both exist so the whole
 //!   workspace builds and tests offline with a bare toolchain.
+//! * [`runner`] is the one worker pool: the experiment grids and the
+//!   cluster epoch driver both fan out through [`runner::run_cells`], and
+//!   [`knob`] is the one reader every `FLEP_*` environment knob goes
+//!   through (an invalid value warns on stderr, in one format).
 //!
 //! # Example
 //!
@@ -64,8 +68,10 @@ pub mod check;
 mod engine;
 mod event;
 pub mod json;
+pub mod knob;
 mod partition;
 mod rng;
+pub mod runner;
 mod slab;
 mod time;
 mod trace;

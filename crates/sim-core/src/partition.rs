@@ -23,13 +23,6 @@
 //! and a pop re-adds the partition's next head. Stale entries are
 //! discarded on the way out by re-validating against the partition's
 //! actual head, so the cursor never needs random-access deletion.
-//!
-//! Partition queues may also be drained *directly* (the epoch driver in
-//! `flep-runtime` steps device streams without consulting the cursor),
-//! but a queue handed out via [`PartitionedQueue::parts_mut`] must not be
-//! mixed with merged pops afterwards — direct pops leave the cursor
-//! pointing at events that no longer exist, which merged popping would
-//! silently skip.
 
 use crate::engine::{RunOutcome, SchedSink, Scheduler, StepOutcome, World};
 use crate::event::{SLOT_BITS, SLOT_MASK};
@@ -168,15 +161,6 @@ impl<E> PartitionedQueue<E> {
             self.cursor.pop_min();
         }
     }
-
-    /// Direct access to the partition queues, bypassing the merge cursor.
-    ///
-    /// For epoch-style drivers that drain partitions independently and
-    /// never pop the merged view again (see the module docs); the length
-    /// counter and cursor are NOT maintained across direct mutation.
-    pub fn parts_mut(&mut self) -> &mut [EventQueue<E>] {
-        &mut self.parts
-    }
 }
 
 /// A discrete-event simulation over a [`PartitionedQueue`]: same contract
@@ -228,12 +212,6 @@ impl<W: World> PartitionedSimulation<W> {
     #[must_use]
     pub fn world(&self) -> &W {
         &self.world
-    }
-
-    /// Exclusive access to the world.
-    #[must_use]
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
     }
 
     /// Consumes the simulation and returns the world.
@@ -322,36 +300,92 @@ impl<W: World> PartitionedSimulation<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimRng, Simulation};
+    use crate::check::{check, CheckConfig};
+    use crate::{require, require_eq, SimRng, Simulation};
 
-    /// Merged pops must match a flat queue fed the same push sequence.
+    /// One generated queue script: the partition count and a list of
+    /// `(op, partition, time slot)` operations.
+    type Script = (u64, Vec<(u64, u64, u64)>);
+
+    fn gen_script(rng: &mut SimRng) -> Script {
+        // Partition counts span 1..=1025: one partition, a small fleet, a
+        // large one, and the cluster_scale maximum (1024 devices plus the
+        // control partition).
+        let partitions = match rng.uniform_u64(0, 3) {
+            0 => 1,
+            1 => rng.uniform_u64(2, 16),
+            2 => rng.uniform_u64(17, 1024),
+            _ => 1025,
+        };
+        // Few distinct timestamps, so same-timestamp pileups are the norm.
+        let slots = rng.uniform_u64(0, 24);
+        let ops = (0..rng.uniform_u64(1, 600))
+            .map(|_| {
+                (
+                    rng.uniform_u64(0, 9),
+                    rng.uniform_u64(0, partitions - 1),
+                    rng.uniform_u64(0, slots),
+                )
+            })
+            .collect();
+        (partitions, ops)
+    }
+
+    /// The merged cursor is exact: for any partition count and any
+    /// interleaving of pushes (single and same-timestamp bursts across
+    /// consecutive partitions), pops and `peek_time` calls, a
+    /// `PartitionedQueue` returns exactly what one `EventQueue` fed the
+    /// same pushes returns — time, payload, and the partition each event
+    /// was pushed to. This is the reference every partitioned driver
+    /// stands on.
     #[test]
     fn merged_order_matches_flat_queue() {
-        let mut rng = SimRng::seed_from(7);
-        let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut parted: PartitionedQueue<u64> = PartitionedQueue::new(5);
-        let mut payload = 0u64;
-        for _ in 0..2_000 {
-            if rng.f64() < 0.6 || flat.is_empty() {
-                // Cluster timestamps, with deliberate collisions.
-                let t = SimTime::from_ns(rng.uniform_u64(0, 64) * 100);
-                let part = rng.uniform_u64(0, 4) as u32;
-                flat.push(t, payload);
-                parted.push(part, t, payload);
-                payload += 1;
-            } else {
-                let f = flat.pop().expect("flat nonempty");
-                let (_, t, p) = parted.pop().expect("partitioned nonempty");
-                assert_eq!((f.time, f.payload), (t, p));
-                assert_eq!(parted.peek_time(), flat.peek_time());
-            }
-        }
-        while let Some(f) = flat.pop() {
-            let (_, t, p) = parted.pop().expect("same length");
-            assert_eq!((f.time, f.payload), (t, p));
-        }
-        assert!(parted.pop().is_none());
-        assert!(parted.is_empty());
+        check(
+            "merged_order_matches_flat_queue",
+            CheckConfig::with_cases(CheckConfig::default().cases.max(64)),
+            gen_script,
+            |(partitions, ops)| {
+                // Shrinking may take the count to 0 or below a pick.
+                let partitions = (*partitions).max(1);
+                let mut flat: EventQueue<u64> = EventQueue::new();
+                let mut parted: PartitionedQueue<u64> = PartitionedQueue::new(partitions as usize);
+                // The partition each payload (its index here) went to.
+                let mut pushed_to: Vec<u32> = Vec::new();
+                for &(op, pick, slot) in ops {
+                    let t = SimTime::from_ns(slot * 100);
+                    match op {
+                        0..=4 => {
+                            // One push, or a burst of 16 at one timestamp
+                            // across consecutive partitions.
+                            let n = if op == 4 { 16 } else { 1 };
+                            for k in 0..n {
+                                let part = ((pick + k) % partitions) as u32;
+                                let payload = pushed_to.len() as u64;
+                                flat.push(t, payload);
+                                parted.push(part, t, payload);
+                                pushed_to.push(part);
+                            }
+                        }
+                        5..=7 => {
+                            let f = flat.pop().map(|e| (e.time, e.payload));
+                            let m = parted.pop();
+                            require_eq!(f, m.map(|(_, t, p)| (t, p)));
+                            if let Some((part, _, p)) = m {
+                                require_eq!(part, pushed_to[p as usize], "payload {p}");
+                            }
+                        }
+                        _ => require_eq!(flat.peek_time(), parted.peek_time()),
+                    }
+                    require_eq!(flat.len(), parted.len());
+                }
+                while let Some(f) = flat.pop() {
+                    let m = parted.pop().map(|(_, t, p)| (t, p));
+                    require_eq!(Some((f.time, f.payload)), m, "drain");
+                }
+                require!(parted.pop().is_none() && parted.is_empty());
+                Ok(())
+            },
+        );
     }
 
     #[test]

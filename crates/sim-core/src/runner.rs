@@ -1,10 +1,12 @@
-//! Determinism-preserving parallel experiment runner.
+//! Determinism-preserving parallel runner: the workspace's one worker
+//! pool.
 //!
 //! Every figure of the paper is an embarrassingly parallel grid of
 //! independent cells — one simulated co-run per `(pair, repeat)` or
-//! `(case, sweep-point)` coordinate. This module fans those cells out
-//! across OS threads (`std::thread::scope`, zero dependencies) while
-//! keeping the output *byte-identical at any thread count*:
+//! `(case, sweep-point)` coordinate — and the cluster epoch driver steps
+//! independent device streams between barriers. Both fan out through
+//! [`run_cells`] (`std::thread::scope`, zero dependencies), which keeps
+//! the output *byte-identical at any thread count*:
 //!
 //! * **Seeding** — a cell never draws from a shared RNG stream. Each cell
 //!   derives its seeds from the experiment's root seed and its own grid
@@ -19,10 +21,17 @@
 //! `available_parallelism()`; `1` selects the sequential reference path,
 //! which runs the exact same cell closures inline). Tests pin the count
 //! programmatically with [`with_threads`].
+//!
+//! **One thread rule:** a worker runs its cells under `with_threads(1)`,
+//! so a run nested inside a cell (an epoch-stepped cluster inside a sweep
+//! cell) steps inline on that worker instead of oversubscribing the
+//! machine. Only a top-level run fans out.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use crate::knob::{env_opt, parse_uint};
 
 thread_local! {
     /// Scoped override installed by [`with_threads`]; beats the
@@ -49,42 +58,34 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The configured worker-thread count: the [`with_threads`] override if
-/// one is active, else `FLEP_THREADS`, else `available_parallelism()`.
+/// one is active (inside a [`run_cells`] worker, always 1), else
+/// `FLEP_THREADS`, else `available_parallelism()`.
 ///
-/// Invalid `FLEP_THREADS` values (unparsable, or `0`) are reported on
-/// stderr and fall back to the default rather than being silently
-/// swallowed.
+/// The environment is read once per process, so an invalid `FLEP_THREADS`
+/// value (unparsable, or `0`) warns on stderr through [`crate::knob`]
+/// once — not once per grid or epoch — and falls back to the default.
 #[must_use]
 pub fn configured_threads() -> usize {
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
     }
-    let default = || {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    };
-    match std::env::var("FLEP_THREADS") {
-        Ok(v) => match parse_threads(&v) {
-            Ok(n) => n,
-            Err(warning) => {
-                eprintln!("{warning}");
-                default()
-            }
-        },
-        Err(_) => default(),
-    }
+    *FROM_ENV.get_or_init(|| {
+        env_opt("FLEP_THREADS", THREADS_FALLBACK, parse_threads).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+    })
 }
 
-/// Parses a `FLEP_THREADS` value with the runner's fallback: the thread
-/// count for valid input, or the exact warning line
-/// [`configured_threads`] prints for invalid input (unparsable, or `0`).
-/// The parsing itself is [`flep_runtime::parse_threads`], shared with the
-/// cluster epoch driver; the warning names no machine-dependent fallback
-/// value, so tests can pin it.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    flep_runtime::parse_threads(raw, "available parallelism")
+/// Parses a `FLEP_THREADS` value: at least 1 worker.
+fn parse_threads(raw: &str) -> Result<usize, String> {
+    parse_uint(raw, 1)
 }
+
+/// What happens instead when `FLEP_THREADS` is invalid.
+const THREADS_FALLBACK: &str = "using available parallelism";
 
 /// Evaluates `f(0..n)` across the configured worker threads and returns
 /// the results in index order.
@@ -94,7 +95,9 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 /// stored at its own index, so the returned `Vec` — and anything folded
 /// from it — is byte-identical whether one thread or sixteen did the
 /// work. With one configured thread (or one cell) the cells run inline on
-/// the caller's thread: the sequential reference path.
+/// the caller's thread: the sequential reference path. Spawned workers
+/// run their cells under `with_threads(1)` (the one thread rule, see the
+/// module docs).
 ///
 /// # Panics
 ///
@@ -113,13 +116,15 @@ where
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i);
-                results.lock().expect("runner poisoned")[i] = Some(result);
+            scope.spawn(|| {
+                with_threads(1, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = f(i);
+                    results.lock().expect("runner poisoned")[i] = Some(result);
+                });
             });
         }
     });
@@ -182,6 +187,49 @@ mod tests {
             configured_threads()
         });
         assert_eq!(outer, 3);
+    }
+
+    /// The one thread rule: a cell running on a spawned worker sees one
+    /// configured thread, so a nested run steps inline.
+    #[test]
+    fn workers_configure_one_thread_for_nested_runs() {
+        let seen = with_threads(4, || run_cells(8, |_| configured_threads()));
+        assert_eq!(seen, vec![1; 8]);
+        let nested = with_threads(3, || {
+            run_cells(6, |i| {
+                let me = std::thread::current().id();
+                run_cells(4, |j| (i * j, std::thread::current().id() == me))
+            })
+        });
+        for (i, row) in nested.iter().enumerate() {
+            assert_eq!(row.len(), 4);
+            for (j, &(v, inline)) in row.iter().enumerate() {
+                assert_eq!(v, i * j);
+                assert!(inline, "nested cell ({i},{j}) left its worker");
+            }
+        }
+        // The override is per worker: the caller's own setting survives.
+        assert_eq!(with_threads(3, configured_threads), 3);
+    }
+
+    /// The `FLEP_THREADS` warning is the one line both the runner and the
+    /// epoch driver (which steps devices through the runner) print, with
+    /// no machine-dependent number in it.
+    #[test]
+    fn bad_threads_warning_text_is_stable() {
+        use crate::knob::parse_knob;
+        let threads = |raw: &str| parse_knob("FLEP_THREADS", raw, THREADS_FALLBACK, parse_threads);
+        assert_eq!(threads("8"), Ok(8));
+        assert_eq!(threads(" 3 "), Ok(3));
+        for bad in ["all", "0", "", "-2"] {
+            assert_eq!(
+                threads(bad),
+                Err(format!(
+                    "FLEP_THREADS: invalid value {bad:?} (want an integer >= 1); \
+                     using available parallelism"
+                ))
+            );
+        }
     }
 
     #[test]

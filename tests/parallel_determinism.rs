@@ -11,6 +11,7 @@
 
 use flep_core::prelude::*;
 use flep_sim_core::json::ToJson;
+use flep_sim_core::runner;
 
 /// Renders the exact document `FLEP_JSON` would write for an experiment,
 /// mirroring `flep_bench::emit_json`.
