@@ -476,6 +476,13 @@ impl GpuCluster {
         self.shards[device as usize].state
     }
 
+    /// A device's runtime shard (its [`SystemWorld`] and, through it,
+    /// the device).
+    #[must_use]
+    pub fn world(&self, device: u32) -> &SystemWorld {
+        &self.shards[device as usize].sys
+    }
+
     /// The device lifecycle log.
     #[must_use]
     pub fn device_events(&self) -> &[DeviceEvent] {

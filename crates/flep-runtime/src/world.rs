@@ -633,6 +633,15 @@ impl SystemWorld {
         &mut self.device
     }
 
+    /// Grids this runtime launched whose terminal notification it has
+    /// not processed yet (the jobs still linked to a grid). Processing
+    /// that note releases the grid, so the device never holds more grids
+    /// than this once every earlier note has arrived.
+    #[must_use]
+    pub fn grids_awaiting_note(&self) -> usize {
+        self.jobs.iter().filter(|j| j.grid.is_some()).count()
+    }
+
     /// Jobs not yet done or failed — the cluster placement layer's
     /// same-instant load tie-breaker.
     #[must_use]
@@ -1170,6 +1179,14 @@ impl SystemWorld {
             .is_none_or(|j| j.grid != Some(note.grid()))
         {
             return;
+        }
+        // A terminal note on the live grid is the last time the host needs
+        // the retired grid: the watchdog's lost-note reconciliation and
+        // `decommission` both read it before this point, so its slot can
+        // be freed now. Stale events and notes for it are dropped by the
+        // generation checks above and in the device.
+        if !matches!(note, HostNotification::DispatchStarted { .. }) {
+            self.device.release(note.grid());
         }
         match note {
             HostNotification::DispatchStarted { .. } => {

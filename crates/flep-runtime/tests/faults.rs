@@ -4,13 +4,15 @@
 //! structured error), the ladder never livelocks, and fault runs are
 //! deterministic per seed.
 
-use flep_gpu_sim::{FaultConfig, GpuConfig};
+use flep_gpu_sim::{FaultConfig, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId};
 use flep_runtime::{
-    CoRun, CoRunResult, JobSpec, KernelProfile, Policy, RecoveryAction, RuntimeError,
-    WatchdogConfig,
+    CoRun, CoRunResult, JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport,
+    RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
-use flep_sim_core::{assume, require, require_eq, SimRng, SimTime};
+use flep_sim_core::{
+    assume, require, require_eq, RunOutcome, Scheduler, SimRng, SimTime, Simulation, World,
+};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
 fn profile(id: BenchmarkId, class: InputClass) -> KernelProfile {
@@ -347,6 +349,191 @@ fn wedged_victim_recovering_late_is_not_double_escalated() {
         r.escalations[1] + r.escalations[2] <= drains as u64,
         "histogram never double-counts an escalated drain"
     );
+}
+
+/// Drives a [`SystemWorld`] directly so a test can watch grid ids: it
+/// records every grid the runtime launches, and counts device events and
+/// delayed notes that arrive for a grid the device has already released
+/// while a later grid holds the same slab slot (the low 32 bits of a
+/// [`GridId`]).
+struct SlotProbe {
+    sys: SystemWorld,
+    launched: Vec<GridId>,
+    stale_events_on_reused_slot: u64,
+    stale_notes_on_reused_slot: u64,
+}
+
+impl SlotProbe {
+    fn reused(&self, grid: GridId) -> bool {
+        let dev = self.sys.device();
+        dev.grid_phase(grid).is_none()
+            && self.launched.iter().any(|&later| {
+                later != grid && later.0 as u32 == grid.0 as u32 && dev.grid_phase(later).is_some()
+            })
+    }
+}
+
+impl World for SlotProbe {
+    type Event = SystemEvent;
+
+    fn handle(&mut self, now: SimTime, ev: SystemEvent, sched: &mut Scheduler<'_, SystemEvent>) {
+        match ev {
+            SystemEvent::Gpu(GpuEvent::BatchDone { grid, .. } | GpuEvent::CtaDone { grid, .. })
+                if self.reused(grid) =>
+            {
+                self.stale_events_on_reused_slot += 1;
+            }
+            SystemEvent::Note(note) if self.reused(note.grid()) => {
+                self.stale_notes_on_reused_slot += 1;
+            }
+            _ => {}
+        }
+        self.sys.dispatch(now, ev);
+        let launched = &mut self.launched;
+        self.sys.for_each_pending(|at, e| {
+            if let SystemEvent::Gpu(GpuEvent::LaunchArrived(grid)) = e {
+                launched.push(grid);
+            }
+            sched.schedule_at(at, e);
+        });
+    }
+}
+
+/// Runs `specs` under HPF with a watchdog and `faults`, returning the
+/// records, the report, the probe's two counters and the number of grids
+/// the device still holds at the end.
+fn run_probed(
+    specs: Vec<JobSpec>,
+    faults: FaultConfig,
+    wd: WatchdogConfig,
+) -> (Vec<JobRecord>, RunReport, u64, u64, usize) {
+    let arrivals: Vec<SimTime> = specs.iter().map(|j| j.arrival).collect();
+    let mut device = GpuDevice::new(GpuConfig::k40());
+    device.set_fault_plan(Some(FaultPlan::new(faults)));
+    let mut sys = SystemWorld::new(device, Policy::hpf(), specs, None);
+    sys.set_watchdog(wd);
+    let mut sim = Simulation::new(SlotProbe {
+        sys,
+        launched: Vec::new(),
+        stale_events_on_reused_slot: 0,
+        stale_notes_on_reused_slot: 0,
+    });
+    for (idx, at) in arrivals.into_iter().enumerate() {
+        sim.schedule_at(at, SystemEvent::Arrival(idx));
+    }
+    sim.schedule_at(wd.poll_interval, SystemEvent::Watchdog);
+    // A lost retirement keeps the watchdog re-arming forever; the budget
+    // turns that into a failure instead of a hang.
+    let outcome = sim.run_with_budget(1_000_000);
+    assert!(
+        matches!(outcome, RunOutcome::Completed(_)),
+        "run did not drain: {outcome:?}"
+    );
+    let probe = sim.into_world();
+    let held = probe.sys.device().live_grids();
+    let (jobs, _, _, report) = probe.sys.into_records();
+    (
+        jobs,
+        report,
+        probe.stale_events_on_reused_slot,
+        probe.stale_notes_on_reused_slot,
+        held,
+    )
+}
+
+#[test]
+fn released_slot_reuse_drops_stale_batch_and_note() {
+    // The victim ignores its flag and runs 1 ms batches, so the forced
+    // drain cannot finish before the kill rung fires, and the kill lands
+    // with its CTAs' `BatchDone` events in flight. Every note is delayed
+    // past the next watchdog tick: the watchdog reconciles the kill from
+    // device state, the grid is released, and the high-priority grid
+    // launched next takes the freed slot. The victim's in-flight batches
+    // and its delayed kill note then arrive for a slot a live grid now
+    // holds; both must be dropped.
+    let wd = WatchdogConfig {
+        drain_deadline: SimTime::from_us(300),
+        ..WatchdogConfig::default()
+    };
+    let faults = FaultConfig::quiet(23)
+        .with_stuck_flag(1.0)
+        .with_note_delay(1.0, SimTime::from_us(400));
+    let mut victim = profile(BenchmarkId::Cfd, InputClass::Large);
+    victim.total_tasks = 2_000;
+    victim.task_cost.base = SimTime::from_ms(1);
+    victim.amortize = 1;
+    let specs = vec![
+        JobSpec::new(victim, SimTime::ZERO).with_priority(1),
+        JobSpec::new(
+            profile(BenchmarkId::Spmv, InputClass::Small),
+            SimTime::from_us(200),
+        )
+        .with_priority(2),
+    ];
+    let (jobs, report, stale_events, stale_notes, held) = run_probed(specs, faults, wd);
+    let kills = report
+        .recoveries
+        .iter()
+        .filter(|e| e.action == RecoveryAction::Killed)
+        .count();
+    assert!(kills >= 1, "recoveries: {:?}", report.recoveries);
+    assert!(stale_events >= 1, "no stale BatchDone hit a reused slot");
+    assert!(stale_notes >= 1, "no stale note hit a reused slot");
+    // The grid in the reused slot is unaffected and the ledger
+    // reconciles: each job completes once with its exact task count.
+    let expected = [
+        2_000,
+        Benchmark::get(BenchmarkId::Spmv)
+            .profile(InputClass::Small)
+            .tasks,
+    ];
+    for (j, want) in jobs.iter().zip(expected) {
+        assert_eq!(j.completions, 1, "{} completed exactly once", j.name);
+        assert_eq!(j.tasks_completed, want, "{} task conservation", j.name);
+    }
+    assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
+    assert_eq!(held, 0, "every retired grid is released");
+}
+
+#[test]
+fn lost_note_reconciliation_reads_the_retired_grid_before_release() {
+    // Every note is dropped, so the only way the runtime learns of a
+    // retirement is the watchdog reading the retired grid's phase and
+    // task count from the device. Release happens only once that
+    // rebuilt note is processed; releasing any earlier would leave the
+    // watchdog nothing to read and the jobs would never finish.
+    let specs = vec![
+        JobSpec::new(profile(BenchmarkId::Va, InputClass::Large), SimTime::ZERO).with_priority(1),
+        JobSpec::new(
+            profile(BenchmarkId::Spmv, InputClass::Small),
+            SimTime::from_us(200),
+        )
+        .with_priority(2),
+    ];
+    let (jobs, report, _, _, held) = run_probed(
+        specs,
+        FaultConfig::quiet(14).with_note_drop(1.0),
+        WatchdogConfig::default(),
+    );
+    let lost = report
+        .recoveries
+        .iter()
+        .filter(|e| e.action == RecoveryAction::LostNotification)
+        .count();
+    assert!(lost >= 2, "recoveries: {:?}", report.recoveries);
+    let expected = [
+        Benchmark::get(BenchmarkId::Va)
+            .profile(InputClass::Large)
+            .tasks,
+        Benchmark::get(BenchmarkId::Spmv)
+            .profile(InputClass::Small)
+            .tasks,
+    ];
+    for (j, want) in jobs.iter().zip(expected) {
+        assert_eq!(j.completions, 1, "{} completed exactly once", j.name);
+        assert_eq!(j.tasks_completed, want, "{} task conservation", j.name);
+    }
+    assert_eq!(held, 0, "every reconciled grid is released");
 }
 
 // -- flep-check properties -----------------------------------------------

@@ -370,7 +370,7 @@ impl ServeWorld {
     }
 
     /// Settles finished cluster jobs back into request-level accounting.
-    fn reap(&mut self, now: SimTime) {
+    fn reap(&mut self) {
         let mut done = std::mem::take(&mut self.done_scratch);
         // Migrations first (they precede any completion of the same batch
         // and don't settle requests — the batch is still in flight on its
@@ -393,7 +393,6 @@ impl ServeWorld {
             self.settle_batch(at, job, false);
         }
         self.done_scratch = done;
-        let _ = now;
     }
 
     fn settle_batch(&mut self, at: SimTime, job: usize, completed: bool) {
@@ -583,7 +582,7 @@ impl World for ServeWorld {
         // failing submission produces a new failure entry, so iterate to
         // fixpoint (terminates: every round consumes queued requests).
         loop {
-            self.reap(now);
+            self.reap();
             if !self.try_dispatch(now) {
                 break;
             }

@@ -1,7 +1,7 @@
 //! The GPU device: launch intake, the non-preemptive hardware CTA
 //! dispatcher, and the persistent-threads batch engine.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -199,7 +199,12 @@ pub struct GpuDevice {
     collect_spans: bool,
     /// Total busy time per owner tag, maintained regardless of
     /// `collect_spans` so long runs get accounting without unbounded spans.
+    /// Entries are in first-exit order.
     busy_totals: Vec<(u64, SimTime)>,
+    /// Owner tag → its entry in `busy_totals`. Consulted once per grid,
+    /// at its first CTA exit (later exits use the grid's cached slot), so
+    /// an exit costs the same however many owners the device has seen.
+    busy_index: HashMap<u64, usize>,
     trace: TraceLog,
     /// Per-stream lanes (interned from the launches' stream ids): the live
     /// grid (head of the stream) and grids parked behind it, in launch
@@ -282,6 +287,7 @@ impl GpuDevice {
             busy_spans: Vec::new(),
             collect_spans: true,
             busy_totals: Vec::new(),
+            busy_index: HashMap::new(),
             trace: TraceLog::disabled(),
             streams: Vec::new(),
             fault: None,
@@ -391,14 +397,26 @@ impl GpuDevice {
         self.grids.get(grid.0).map(|g| g.launched_at)
     }
 
-    /// Drops retired grids' bookkeeping to bound memory in long experiments.
-    /// Phases queried after pruning return `None` (the slab's generation
-    /// check catches stale ids even after slot reuse).
-    pub fn prune_retired(&mut self) {
-        self.grids
-            .retain(|_, g| !matches!(g.phase, GridPhase::Completed | GridPhase::Preempted));
-        let grids = &self.grids;
-        self.signalled.retain(|&g| grids.get(g.0).is_some());
+    /// Grids the device still holds: launched and not yet
+    /// [released](GpuDevice::release), retired or not.
+    #[must_use]
+    pub fn live_grids(&self) -> usize {
+        self.grids.len()
+    }
+
+    /// Frees a retired (`Completed`/`Preempted`) grid's bookkeeping once
+    /// the host no longer needs it; its slot is reused by a later launch.
+    /// Afterwards every query on the id returns `None`, and any of its
+    /// events or notifications still in flight are dropped by the slab's
+    /// generation check. No-op for live or unknown grids.
+    pub fn release(&mut self, grid: GridId) {
+        if self
+            .grids
+            .get(grid.0)
+            .is_some_and(|g| matches!(g.phase, GridPhase::Completed | GridPhase::Preempted))
+        {
+            self.grids.remove(grid.0);
+        }
     }
 
     /// Issues a kernel launch. The grid reaches the device FIFO after the
@@ -476,6 +494,7 @@ impl GpuDevice {
             launched_at: now,
             planned_ctas,
             stream_lane,
+            busy_slot: None,
             threads_on_sm: vec![0; self.cfg.num_sms as usize],
             full_own_load: f64::from(occ * desc.resources.threads_per_cta)
                 / f64::from(self.cfg.threads_per_sm),
@@ -681,7 +700,7 @@ impl GpuDevice {
                 .threads_on_sm[sm_idx] = 0;
             for evicted in self.sms[sm_idx].evict_grid(&usage, grid) {
                 self.placement.on_remove(sm_idx as u32);
-                self.record_busy(evicted.since, now, tag);
+                self.record_busy(grid, evicted.since, now);
             }
         }
         self.trace.record(now, "kill", tag);
@@ -773,7 +792,7 @@ impl GpuDevice {
                     .threads_on_sm[sm_idx] = 0;
                 for evicted in self.sms[sm_idx].evict_grid(&usage, gid) {
                     self.placement.on_remove(sm_idx as u32);
-                    self.record_busy(evicted.since, now, tag);
+                    self.record_busy(gid, evicted.since, now);
                 }
             }
             let g = self
@@ -893,8 +912,8 @@ impl GpuDevice {
         id: GridId,
         harness: &mut H,
     ) {
-        // A grid killed (or pruned) while its launch was in flight simply
-        // never arrives.
+        // A grid killed (and perhaps already released) while its launch
+        // was in flight simply never arrives.
         let Some(grid) = self.grids.get_mut(id.0) else {
             return;
         };
@@ -1164,11 +1183,10 @@ impl GpuDevice {
         grid.completed_ctas += 1;
         grid.active_ctas -= 1;
         let usage = grid.resources;
-        let tag = grid.tag;
         grid.threads_on_sm[sm as usize] -= usage.threads_per_cta;
         let removed = self.sms[sm as usize].remove(&usage, gid, cta);
         self.placement.on_remove(sm);
-        self.record_busy(removed.since, now, tag);
+        self.record_busy(gid, removed.since, now);
         self.maybe_retire(now, gid, harness);
         self.dispatch(now, harness);
     }
@@ -1221,11 +1239,10 @@ impl GpuDevice {
         if must_exit || out_of_work {
             grid.active_ctas -= 1;
             let usage = grid.resources;
-            let tag = grid.tag;
             grid.threads_on_sm[sm as usize] -= usage.threads_per_cta;
             let removed = self.sms[sm as usize].remove(&usage, gid, cta);
             self.placement.on_remove(sm);
-            self.record_busy(removed.since, now, tag);
+            self.record_busy(gid, removed.since, now);
             self.maybe_retire(now, gid, harness);
             self.dispatch(now, harness);
         } else {
@@ -1233,14 +1250,24 @@ impl GpuDevice {
         }
     }
 
-    /// Accrues one CTA-residency interval: always into the per-owner
-    /// totals, and into the span list only when span collection is on.
-    fn record_busy(&mut self, start: SimTime, end: SimTime, owner: u64) {
+    /// Accrues one CTA-residency interval of `gid` (owner = its tag):
+    /// always into the per-owner totals, and into the span list only when
+    /// span collection is on.
+    fn record_busy(&mut self, gid: GridId, start: SimTime, end: SimTime) {
         let dur = end.saturating_sub(start);
-        match self.busy_totals.iter_mut().find(|(t, _)| *t == owner) {
-            Some(entry) => entry.1 += dur,
-            None => self.busy_totals.push((owner, dur)),
-        }
+        let grid = self
+            .grids
+            .get_mut(gid.0)
+            .expect("invariant: a CTA exits only while its grid is held");
+        let owner = grid.tag;
+        let totals = &mut self.busy_totals;
+        let slot = *grid.busy_slot.get_or_insert_with(|| {
+            *self.busy_index.entry(owner).or_insert_with(|| {
+                totals.push((owner, SimTime::ZERO));
+                totals.len() - 1
+            })
+        });
+        totals[slot].1 += dur;
         if self.collect_spans {
             self.busy_spans.push(Span { start, end, owner });
         }

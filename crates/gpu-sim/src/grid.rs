@@ -346,6 +346,9 @@ pub(crate) struct Grid {
     /// Index of the launch's interned stream lane on the device, if the
     /// launch named a stream.
     pub(crate) stream_lane: Option<u32>,
+    /// This grid's entry in the device's per-owner busy totals, resolved
+    /// at its first CTA exit so later exits skip the owner lookup.
+    pub(crate) busy_slot: Option<usize>,
     /// Resident thread total per SM, maintained on CTA place/remove so
     /// contention queries need not walk residents.
     pub(crate) threads_on_sm: Vec<u32>,

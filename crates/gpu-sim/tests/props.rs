@@ -373,3 +373,65 @@ fn batch_sample_matches_sum_of_task_samples() {
         },
     );
 }
+
+/// Per-owner busy totals equal a naive linear-`find` fold over the
+/// device's CTA-exit sequence (its span list, which records exits in
+/// order), order included. Three tags over four to twelve launches force
+/// repeated owners, and the random preemption signals and kills relaunch
+/// under a tag that already has an entry, as the runtime does after a
+/// preemption.
+#[test]
+fn busy_totals_match_naive_fold_of_exits() {
+    check(
+        "busy_totals_match_naive_fold_of_exits",
+        CheckConfig::default(),
+        |rng: &mut SimRng| (rng.uniform_u64(0, u64::MAX - 1), rng.uniform_u64(4, 12)),
+        |&(seed, launches)| {
+            assume!((4..=12).contains(&launches));
+            let mut rng = SimRng::seed_from(seed);
+            let mut sc = Scenario::new(clean_cfg());
+            for i in 0..launches {
+                let at = SimTime::from_us(rng.uniform_u64(0, 400));
+                let tag = rng.uniform_u64(1, 3);
+                let shape = if rng.uniform_u64(0, 1) == 0 {
+                    GridShape::Original {
+                        ctas: rng.uniform_u64(1, 300),
+                    }
+                } else {
+                    GridShape::Persistent {
+                        total_tasks: rng.uniform_u64(1, 3_000),
+                        amortize: rng.uniform_u64(1, 16) as u32,
+                    }
+                };
+                let cost = TaskCost::fixed(SimTime::from_us(rng.uniform_u64(1, 20)));
+                sc.launch_at(
+                    at,
+                    LaunchDesc::new("busy", shape, cost)
+                        .with_tag(tag)
+                        .with_seed(i),
+                );
+                let act_at = at + SimTime::from_us(rng.uniform_u64(0, 200));
+                match rng.uniform_u64(0, 3) {
+                    0 => sc.signal_at(
+                        act_at,
+                        tag,
+                        PreemptSignal::YieldSms(rng.uniform_u64(1, 15) as u32),
+                    ),
+                    1 => sc.kill_at(act_at, tag),
+                    _ => {}
+                }
+            }
+            let result = sc.run();
+            let mut want: Vec<(u64, SimTime)> = Vec::new();
+            for s in result.device.busy_spans() {
+                match want.iter_mut().find(|(t, _)| *t == s.owner) {
+                    Some(entry) => entry.1 += s.duration(),
+                    None => want.push((s.owner, s.duration())),
+                }
+            }
+            require!(!want.is_empty(), "no CTA ever exited");
+            require_eq!(result.device.busy_totals(), want.as_slice());
+            Ok(())
+        },
+    );
+}
