@@ -42,27 +42,34 @@ stage_clippy() {
 # `emit_json` and FLEP_BENCH_JSON in its `gate::write_artifact` — and
 # starts threads only through flep_sim_core::runner. Any `env::var` /
 # `env::{` or `thread::scope` / `thread::spawn` / `thread::Builder` /
-# `thread::{` path counts, `use` lines included. Comment lines and
-# everything from a file's `#[cfg(test)]` module on are skipped, as are
-# integration-test directories.
+# `thread::{` path counts, `use` lines included. One event queue
+# (DESIGN.md §13): every product driver steps a flat
+# `flep_sim_core::Simulation`, so `PartitionedSimulation` may be named
+# only by its definition in sim-core's partition.rs and its re-export in
+# sim-core's lib.rs. Comment lines and everything from a file's
+# `#[cfg(test)]` module on are skipped, as are integration-test
+# directories.
 stage_lint() {
-    echo "==> lint: env reads through sim-core knob, threads through sim-core runner"
+    echo "==> lint: env reads through sim-core knob, threads through sim-core runner, one event queue"
     found=$(find crates -name '*.rs' -not -path '*/tests/*' | sort | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }
-            /env::(var|\{)|thread::(scope|spawn|Builder|\{)/ { print f ":" FNR ": " $0 }' "$f"
+            /env::(var|\{)|thread::(scope|spawn|Builder|\{)|PartitionedSimulation/ { print f ":" FNR ": " $0 }' "$f"
     done)
     bad=$(printf '%s\n' "$found" | grep -v '^$' \
         | grep -v '^crates/sim-core/src/knob\.rs:[0-9]*: .*env::var' \
         | grep -v '^crates/bench/src/lib\.rs:[0-9]*: .*env::var("FLEP_JSON")' \
         | grep -v '^crates/bench/src/gate\.rs:[0-9]*: .*env::var("FLEP_BENCH_JSON")' \
-        | grep -v '^crates/sim-core/src/runner\.rs:[0-9]*: .*thread::scope' || true)
+        | grep -v '^crates/sim-core/src/runner\.rs:[0-9]*: .*thread::scope' \
+        | grep -v '^crates/sim-core/src/partition\.rs:[0-9]*: .*PartitionedSimulation' \
+        | grep -v '^crates/sim-core/src/lib\.rs:[0-9]*: pub use partition::PartitionedSimulation;$' || true)
     if [ -n "$bad" ]; then
-        echo "lint: env read outside flep_sim_core::knob or thread fan-out outside flep_sim_core::runner:" >&2
+        echo "lint: env read outside flep_sim_core::knob, thread fan-out outside flep_sim_core::runner," >&2
+        echo "      or a PartitionedSimulation outside its sim-core definition:" >&2
         printf '%s\n' "$bad" >&2
         exit 1
     fi
-    echo "lint: every env read and thread fan-out goes through sim-core"
+    echo "lint: every env read, thread fan-out and event-queue driver goes through sim-core"
 }
 
 # Perf smoke: a handful of samples of the event-queue churn targets,

@@ -60,7 +60,7 @@ use flep_gpu_sim::{
 };
 use flep_metrics::RecoverySummary;
 use flep_sim_core::runner::run_cells;
-use flep_sim_core::{EventQueue, PartitionedSimulation, RunOutcome, Scheduler, SimTime, World};
+use flep_sim_core::{EventQueue, RunOutcome, Scheduler, SimTime, Simulation, World};
 
 use crate::driver::{settle_budget, DEFAULT_EVENT_BUDGET};
 use crate::health::{BreakerState, DeviceHealth, HealthConfig};
@@ -309,6 +309,9 @@ pub struct GpuCluster {
     health_cfg: Option<HealthConfig>,
     placement: PlacementConfig,
     jobs: Vec<ClusterJob>,
+    /// Jobs in a terminal state (`Done` or `Failed`): bumped at every site
+    /// that settles a job, so the faulted early stop is one compare.
+    settled: usize,
     /// Jobs waiting for any eligible device, FIFO.
     parked: VecDeque<usize>,
     /// Cluster-level errors (device loss, migration failures).
@@ -449,6 +452,7 @@ impl GpuCluster {
             health_cfg: cfg.health,
             placement: cfg.placement,
             jobs: Vec::new(),
+            settled: 0,
             parked: VecDeque::new(),
             errors: Vec::new(),
             recoveries: Vec::new(),
@@ -664,6 +668,7 @@ impl GpuCluster {
             let job = &mut self.jobs[cidx];
             job.done = job.spec.profile.total_tasks;
             job.state = CJobState::Done;
+            self.settled += 1;
             self.completed_log.push((t, cidx));
         }
 
@@ -677,6 +682,7 @@ impl GpuCluster {
                 continue;
             }
             self.jobs[cidx].state = CJobState::Failed;
+            self.settled += 1;
             self.failed_log.push((t, cidx));
         }
 
@@ -1037,6 +1043,7 @@ impl GpuCluster {
                 // The grid had in fact finished; only its notification was
                 // lost with the device. Count the completion here.
                 job.state = CJobState::Done;
+                self.settled += 1;
                 self.completed_log.push((now, cidx));
                 continue;
             }
@@ -1044,6 +1051,7 @@ impl GpuCluster {
             if job.migrations > self.max_migrations {
                 let attempts = job.migrations - 1;
                 job.state = CJobState::Failed;
+                self.settled += 1;
                 self.errors.push(RuntimeError::MigrationFailed {
                     job: cidx,
                     attempts,
@@ -1307,33 +1315,26 @@ impl World for GpuCluster {
         for (at, ev) in self.pending.drain(..) {
             sched.schedule_at(at, ev);
         }
+        debug_assert_eq!(
+            self.settled,
+            self.jobs
+                .iter()
+                .filter(|j| matches!(j.state, CJobState::Done | CJobState::Failed))
+                .count(),
+            "settled-job count drifted from the job states"
+        );
         // A seeded device-fault plan re-arms itself after every draw, so
         // it outlives the workload: left alone, the run would only end
         // when every device has died. Once all jobs have settled there is
         // nothing left for faults to hit — stop instead of simulating the
         // cluster's slow death by injection. (Faults-off runs never take
         // this path, preserving exact CoRun equivalence.)
-        if !self.jobs.is_empty()
+        if self.settled == self.jobs.len()
+            && !self.jobs.is_empty()
             && (self.corr_plan.is_some() || self.shards.iter().any(|s| s.plan.is_some()))
-            && self
-                .jobs
-                .iter()
-                .all(|j| matches!(j.state, CJobState::Done | CJobState::Failed))
         {
             sched.stop();
         }
-    }
-}
-
-/// Routes a cluster event to its [`PartitionedQueue`] partition: shard
-/// events to `device + 1`, everything cluster-level (arrivals, device
-/// faults/restores) to the control partition 0.
-///
-/// [`PartitionedQueue`]: flep_sim_core::PartitionedQueue
-fn route_cluster_event(ev: &ClusterEvent) -> u32 {
-    match ev {
-        ClusterEvent::Shard { device, .. } => device + 1,
-        _ => 0,
     }
 }
 
@@ -1347,9 +1348,9 @@ pub enum StepMode {
     /// [`StepMode::Merged`] otherwise.
     #[default]
     Auto,
-    /// Always the merged driver: per-device queues merged through the
-    /// sim-core cursor into the exact `(time, seq)` total order of one
-    /// global [`EventQueue`], for *every* run, faults included.
+    /// Always the merged driver: every device's events and the
+    /// cluster-level ones in one flat sim-core [`Simulation`], whose
+    /// `(time, seq)` order is exact for *every* run, faults included.
     Merged,
 }
 
@@ -1486,11 +1487,10 @@ impl ClusterRun {
     ///
     /// The default ([`StepMode::Auto`]) picks partitioned *epoch*
     /// stepping for runs without device-level faults and the merged
-    /// partitioned driver otherwise; both replay the event order of one
-    /// global queue exactly (DESIGN.md §13 gives the ordering argument;
-    /// the `partition` test suite pins merged == epoch, and the sim-core
-    /// queue property pins the merged cursor against a flat
-    /// [`EventQueue`]).
+    /// driver (one flat [`Simulation`]) otherwise; epoch stepping replays
+    /// the flat queue's event order exactly (DESIGN.md §13 gives the
+    /// ordering argument; the `partition` test suite pins merged ==
+    /// epoch).
     #[must_use]
     pub fn run(self) -> ClusterResult {
         if self.mode == StepMode::Auto && self.epoch_eligible() {
@@ -1519,15 +1519,12 @@ impl ClusterRun {
         (cluster, seeds)
     }
 
-    /// Per-device queues merged through the sim-core cursor: the same
-    /// push order receives the same global sequence numbers, so the pop
-    /// order — and therefore every byte of the result — matches a single
-    /// global queue exactly, while each device's events churn a small
-    /// cache-resident queue instead of one cluster-wide heap.
+    /// One flat [`Simulation`] over the whole cluster: every device's
+    /// events and the cluster-level ones share one `(time, seq)` queue,
+    /// the global order the epoch driver reproduces.
     fn run_merged(mut self) -> ClusterResult {
-        let partitions = self.cfg.devices.max(1) as usize + 1;
         let (cluster, seeds) = self.build();
-        let mut sim = PartitionedSimulation::new(cluster, partitions, route_cluster_event);
+        let mut sim = Simulation::new(cluster);
         for (at, ev) in seeds {
             sim.schedule_at(at, ev);
         }

@@ -3,10 +3,10 @@
 //! device faults, task conservation across migrations, the migration
 //! budget, graceful drain, and replay determinism.
 
-use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, GpuConfig};
+use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, FaultConfig, GpuConfig};
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, CoRun, DeviceEventKind, DeviceState, GpuCluster,
-    JobSpec, KernelProfile, Policy, RecoveryAction, RuntimeError, WatchdogConfig,
+    JobSpec, KernelProfile, Policy, RecoveryAction, RuntimeError, StepMode, WatchdogConfig,
 };
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
@@ -264,6 +264,54 @@ fn migration_budget_exhaustion_is_structural() {
             attempts: 0
         }
     )));
+}
+
+/// A job its shard gives up on (every launch rejected until the retries
+/// run out) settles as failed under the merged driver, whose per-event
+/// settled-job check is tied to the job states by a debug assertion.
+#[test]
+fn shard_launch_failures_settle_under_the_merged_driver() {
+    let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
+    cfg.grid_faults = Some(FaultConfig::quiet(7).with_launch_reject(1.0));
+    let mut run = ClusterRun::new(cfg).with_step_mode(StepMode::Merged);
+    for s in pair_specs() {
+        run = run.job(s);
+    }
+    let r = run.run();
+    assert!(r.reconciles());
+    assert_eq!((r.completed, r.failed), (0, 2));
+    assert!(r
+        .errors
+        .iter()
+        .all(|e| matches!(e, RuntimeError::LaunchRetriesExhausted { .. })));
+}
+
+/// A grid that finished but whose completion note was lost, on a device
+/// that dies before the watchdog's next tick could reconcile it, is
+/// counted done at the evacuation — not migrated and re-run.
+#[test]
+fn completion_lost_with_its_device_counts_as_done() {
+    let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
+    cfg.grid_faults = Some(FaultConfig::quiet(7).with_note_drop(1.0));
+    cfg.watchdog = Some(WatchdogConfig {
+        poll_interval: SimTime::from_ms(10),
+        ..WatchdogConfig::default()
+    });
+    // SPMV Small finishes at 0.6 ms; the device dies at 1 ms.
+    cfg.scripted_faults = vec![(SimTime::from_ms(1), 0, DeviceFaultKind::Death)];
+    let r = ClusterRun::new(cfg)
+        .job(JobSpec::new(
+            profile(BenchmarkId::Spmv, InputClass::Small),
+            SimTime::ZERO,
+        ))
+        .run();
+    assert!(r.reconciles());
+    assert!(r.recoveries.is_empty(), "{:?}", r.recoveries);
+    assert_eq!((r.completed, r.failed, r.migrations), (1, 0, 0));
+    assert_eq!(
+        r.jobs[0].tasks_completed,
+        tasks_of(BenchmarkId::Spmv, InputClass::Small)
+    );
 }
 
 /// When every device is dead before a job arrives, it parks forever and

@@ -31,7 +31,7 @@ use flep_runtime::{
     Policy, RecoveryAction, WatchdogConfig,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
-use flep_sim_core::{PartitionedSimulation, RunOutcome, SimRng, SimTime, World};
+use flep_sim_core::{RunOutcome, SimRng, SimTime, Simulation, World};
 use flep_workloads::{InferenceModel, ModelId};
 
 /// One admitted inference request.
@@ -793,29 +793,16 @@ impl ToJson for ServeReport {
     }
 }
 
-/// Routes a frontend event to its partition: shard-internal cluster
-/// events to `device + 1`, everything frontend- or cluster-level
-/// (arrivals, device faults/restores) to the control partition 0.
-fn route_serve_event(ev: &ServeEvent) -> u32 {
-    match ev {
-        ServeEvent::Sys(ClusterEvent::Shard { device, .. }) => device + 1,
-        _ => 0,
-    }
-}
-
 /// Runs one serving experiment to completion (or budget exhaustion) and
 /// returns the report.
 ///
-/// The frontend drives a [`PartitionedSimulation`]: one event queue per
-/// device plus a control partition, merged in the exact global
-/// `(time, seq)` order a flat queue would produce — reports are
-/// byte-identical to the flat driver at any device count, but per-event
-/// queue cost no longer grows with the fleet size.
+/// The frontend drives one flat [`Simulation`]: arrivals, frontend
+/// timers and every device's cluster events share one `(time, seq)`
+/// queue.
 #[must_use]
 pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
     let (world, initial) = ServeWorld::new(cfg);
-    let partitions = cfg.devices.max(1) as usize + 1;
-    let mut sim = PartitionedSimulation::new(world, partitions, route_serve_event);
+    let mut sim = Simulation::new(world);
     for (at, ev) in initial {
         sim.schedule_at(at, ev);
     }

@@ -728,8 +728,17 @@ impl GpuDevice {
                 remaining_tasks: total - done,
             }
         };
+        let lane = g.stream_lane;
         self.signalled.retain(|&x| x != grid);
         self.fifo.retain(|&x| x != grid);
+        // A grid killed while parked behind its stream's live grid must
+        // leave the lane, or it would be released as the next live grid
+        // (and dropped on arrival), wedging the stream for good.
+        if let Some(lane_idx) = lane {
+            self.streams[lane_idx as usize]
+                .parked
+                .retain(|&x| x != grid);
+        }
         self.emit_note(now, note, harness);
         self.advance_stream(now, grid, harness);
         // The eviction freed SM resources; let queued grids use them.

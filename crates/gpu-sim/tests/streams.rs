@@ -113,3 +113,23 @@ fn launch_overhead_applies_per_stream_launch() {
         SimTime::from_us(116)
     );
 }
+
+#[test]
+fn killing_a_parked_grid_does_not_wedge_its_stream() {
+    // Grid 2 is killed while still parked behind grid 1; grid 3, launched
+    // behind it, must take over the stream once grid 1 retires.
+    let mut sc = Scenario::new(clean_cfg());
+    for tag in 1..=3u64 {
+        sc.launch_at(SimTime::ZERO, small(tag, 40, 100).with_stream(7));
+    }
+    sc.kill_at(SimTime::from_us(50), 2);
+    let r = sc.run();
+    assert_eq!(r.records[&1].completed_at.unwrap(), SimTime::from_us(100));
+    assert_eq!(r.records[&2].dispatch_started, None);
+    assert_eq!(r.records[&2].preemptions.len(), 1);
+    assert_eq!(
+        r.records[&3].dispatch_started.unwrap(),
+        SimTime::from_us(100)
+    );
+    assert_eq!(r.records[&3].completed_at.unwrap(), SimTime::from_us(200));
+}

@@ -1,25 +1,6 @@
 //! The simulation driver.
 
-use crate::partition::PartitionedQueue;
 use crate::{EventQueue, SimTime};
-
-/// Where a [`Scheduler`] deposits follow-up events: the flat single queue
-/// of a [`Simulation`], or the per-partition queues of a
-/// [`PartitionedSimulation`](crate::PartitionedSimulation) (routed by the
-/// simulation's partition function). Worlds never see the difference, so
-/// one `World` impl runs unchanged under either driver.
-#[derive(Debug)]
-pub(crate) enum SchedSink<'a, E> {
-    /// A flat single-queue simulation.
-    Flat(&'a mut EventQueue<E>),
-    /// A partitioned simulation: events route to `route(&payload)`.
-    Partitioned {
-        /// The merged per-partition queues.
-        queue: &'a mut PartitionedQueue<E>,
-        /// Maps a payload to its partition index.
-        route: fn(&E) -> u32,
-    },
-}
 
 /// A handle the [`World`] uses to schedule follow-up events while handling
 /// the current one.
@@ -29,39 +10,20 @@ pub(crate) enum SchedSink<'a, E> {
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     now: SimTime,
-    sink: SchedSink<'a, E>,
+    queue: &'a mut EventQueue<E>,
     stop_requested: &'a mut bool,
 }
 
 impl<'a, E> Scheduler<'a, E> {
-    /// Builds a scheduler around `sink`; used by both simulation drivers.
-    pub(crate) fn new(now: SimTime, sink: SchedSink<'a, E>, stop_requested: &'a mut bool) -> Self {
-        Scheduler {
-            now,
-            sink,
-            stop_requested,
-        }
-    }
-
     /// The current virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    fn push(&mut self, time: SimTime, payload: E) {
-        match &mut self.sink {
-            SchedSink::Flat(q) => q.push(time, payload),
-            SchedSink::Partitioned { queue, route } => {
-                let part = route(&payload);
-                queue.push(part, time, payload);
-            }
-        }
-    }
-
     /// Schedules `payload` to fire `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.push(self.now + delay, payload);
+        self.queue.push(self.now + delay, payload);
     }
 
     /// Schedules `payload` at an absolute time.
@@ -77,7 +39,7 @@ impl<'a, E> Scheduler<'a, E> {
             self.now,
             time
         );
-        self.push(time, payload);
+        self.queue.push(time, payload);
     }
 
     /// Requests that the simulation stop after the current event completes,
@@ -207,7 +169,11 @@ impl<W: World> Simulation<W> {
         self.now = entry.time;
         self.dispatched += 1;
         let mut stop = false;
-        let mut sched = Scheduler::new(self.now, SchedSink::Flat(&mut self.queue), &mut stop);
+        let mut sched = Scheduler {
+            now: self.now,
+            queue: &mut self.queue,
+            stop_requested: &mut stop,
+        };
         self.world.handle(entry.time, entry.payload, &mut sched);
         if stop {
             StepOutcome::Stopped

@@ -5,8 +5,7 @@
 //! keys, and pops use Floyd's bottom-up sift-down with a branchless
 //! min-of-4 tournament. Dispatch order is exact `(time, seq)` FIFO — a
 //! pure function of the push sequence — which is what keeps every golden
-//! trace bit-identical. The same heap doubles as the merge cursor of
-//! [`PartitionedQueue`](crate::PartitionedQueue).
+//! trace bit-identical.
 //!
 //! Payloads never enter the heap: they are parked in a [`SoaSlab`] arena
 //! (hot slot metadata packed in a parallel array, cold payloads
@@ -62,9 +61,9 @@ impl<E> Ord for EventEntry<E> {
 
 /// Bits of the packed key word reserved for the slab slot; the remaining
 /// 40 high bits hold the sequence number.
-pub(crate) const SLOT_BITS: u32 = 24;
+const SLOT_BITS: u32 = 24;
 /// Mask extracting the slot from the packed word.
-pub(crate) const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
 /// The key circulating through the heap: everything ordering needs, plus
 /// the payload's arena slot, packed into one `u128` — the timestamp in
@@ -82,7 +81,7 @@ pub(crate) const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// payloads than fit in memory); both are asserted in
 /// [`EventQueue::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedKey(pub(crate) u128);
+pub struct PackedKey(u128);
 
 impl PackedKey {
     #[inline]
@@ -297,20 +296,7 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` to fire at absolute time `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
-        self.push_with_seq(time, seq, payload);
-    }
-
-    /// Schedules `payload` with an externally assigned sequence number.
-    ///
-    /// [`PartitionedQueue`](crate::PartitionedQueue) stamps one global
-    /// counter across its partitions so the merged pop order reproduces a
-    /// single flat queue's `(time, seq)` total order exactly. The local
-    /// counter is bumped past `seq` so interleaving with plain [`push`]
-    /// calls can never reuse a sequence number.
-    ///
-    /// [`push`]: EventQueue::push
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, payload: E) {
-        self.next_seq = self.next_seq.max(seq + 1);
+        self.next_seq += 1;
         let slot = self.payloads.insert(payload);
         debug_assert!(seq < 1 << (64 - SLOT_BITS), "event queue seq overflow");
         debug_assert!(u64::from(slot) <= SLOT_MASK, "event queue slot overflow");
@@ -341,16 +327,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The full packed `(time, seq, slot)` key of the earliest pending
-    /// event — the merge cursor compares these to validate its entries.
-    pub(crate) fn min_packed(&self) -> Option<PackedKey> {
-        self.keys.min_key()
-    }
-
     /// The timestamp of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_packed().map(PackedKey::time)
+        self.keys.min_key().map(PackedKey::time)
     }
 
     /// Number of pending events.

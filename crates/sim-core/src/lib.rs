@@ -19,7 +19,10 @@
 //!   when many events share a timestamp.
 //! * [`Simulation`] drives a user-supplied [`World`]: each popped event is
 //!   handed to the world together with a [`Scheduler`] handle with which the
-//!   world may schedule follow-up events.
+//!   world may schedule follow-up events. It is the one stepping driver:
+//!   single-device co-runs, faulted fleets and the serving frontend all
+//!   pop one flat queue. [`PartitionedSimulation`] keeps the retired
+//!   partitioned constructor as a thin wrapper over it.
 //! * [`SimRng`] is a from-scratch seeded PRNG (SplitMix64-seeded
 //!   xoshiro256\*\*) with the distributions the workloads need (uniform,
 //!   normal, lognormal) so that every experiment is reproducible from a
@@ -78,7 +81,7 @@ mod trace;
 
 pub use engine::{RunOutcome, Scheduler, Simulation, StepOutcome, World};
 pub use event::{EventEntry, EventQueue, HeapCore, PackedKey};
-pub use partition::{PartitionedQueue, PartitionedSimulation};
+pub use partition::PartitionedSimulation;
 pub use rng::SimRng;
 pub use slab::{GenSlab, SoaSlab};
 pub use time::SimTime;

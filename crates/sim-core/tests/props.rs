@@ -205,3 +205,70 @@ fn simtime_scale_bounds() {
         },
     );
 }
+
+/// `SimTime`'s integer rounding (used by `scale` and `from_us_f64`) is
+/// bit-identical to `f64::round` then a saturating cast, for every input.
+///
+/// Each case draws a batch of `f64` bit patterns from one regime: exact
+/// `k + 0.5` ties and their neighbours, a few ulps around 2^52, 2^53 and
+/// 2^64 (where the spacing passes 0.5, then 1, then the cast saturates),
+/// small values with a fraction, raw random bits (NaN, infinities,
+/// negatives, subnormals), and the fixed specials.
+#[test]
+fn simtime_rounding_matches_f64_round() {
+    fn near(x: f64, ulps: i64) -> u64 {
+        (x.to_bits() as i64 + ulps) as u64
+    }
+    const SPECIALS: [f64; 12] = [
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        0.0,
+        -0.0,
+        0.5,
+        1.5,
+        2.5,
+        0.499_999_999_999_999_94,
+        f64::MIN_POSITIVE,
+        u64::MAX as f64,
+        f64::MAX,
+    ];
+    check(
+        "simtime_rounding_matches_f64_round",
+        CheckConfig::with_cases(CheckConfig::default().cases.max(64)),
+        |rng: &mut SimRng| {
+            let regime = rng.uniform_u64(0, 5);
+            (0..64)
+                .map(|_| {
+                    let ulps = rng.uniform_u64(0, 64) as i64 - 32;
+                    match regime {
+                        0 => near(rng.uniform_u64(0, 1 << 52) as f64 + 0.5, ulps % 2),
+                        1 => near(2f64.powi(52), ulps),
+                        2 => near(2f64.powi(53), ulps),
+                        3 => near(2f64.powi(64), ulps),
+                        4 => rng.uniform_f64(0.0, 1e7).to_bits(),
+                        _ if ulps < 0 => rng.u64(),
+                        _ => SPECIALS[ulps as usize % SPECIALS.len()].to_bits(),
+                    }
+                })
+                .collect::<Vec<u64>>()
+        },
+        |bits| {
+            for &b in bits {
+                let x = f64::from_bits(b);
+                require_eq!(
+                    SimTime::from_ns(1).scale(x).as_ns(),
+                    x.round() as u64,
+                    "scale({x:e})"
+                );
+                let want = if x <= 0.0 {
+                    0
+                } else {
+                    (x * 1_000.0).round() as u64
+                };
+                require_eq!(SimTime::from_us_f64(x).as_ns(), want, "from_us_f64({x:e})");
+            }
+            Ok(())
+        },
+    );
+}
