@@ -9,8 +9,8 @@
 #
 # With no argument every stage runs in order. With a stage name only that
 # stage runs (after whatever build it needs): build, test, fmt, clippy,
-# lint, hot-path, sim-corun, faults, fault-recovery, serve, cluster-smoke,
-# cluster-scale, chaos-smoke, perf-gate.
+# lint, doc, hot-path, sim-corun, faults, fault-recovery, serve,
+# cluster-smoke, cluster-scale, chaos-smoke, perf-gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -70,6 +70,13 @@ stage_lint() {
         exit 1
     fi
     echo "lint: every env read, thread fan-out and event-queue driver goes through sim-core"
+}
+
+# Rustdoc with warnings denied: a public doc that links to a deleted or
+# private item fails here instead of rendering as dead text.
+stage_doc() {
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 # Perf smoke: a handful of samples of the event-queue churn targets,
@@ -155,7 +162,7 @@ stage_cluster_smoke() {
     echo "cluster smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
 }
 
-# Cluster scale-out (DESIGN.md §13): the partitioned-scheduler headline.
+# Cluster scale-out (DESIGN.md §13): the epoch driver's headline.
 # The full sweep (d = 8..1024, watchdog armed, faults off so the epoch
 # driver engages) records BENCH_cluster_scale.json for the perf gate:
 # `makespan_*` rows are deterministic simulated time, and the permille
@@ -238,6 +245,7 @@ run_stage() {
         fmt) stage_fmt ;;
         clippy) stage_clippy ;;
         lint) stage_lint ;;
+        doc) stage_doc ;;
         hot-path) stage_hot_path ;;
         sim-corun) stage_sim_corun ;;
         faults) stage_faults ;;
@@ -249,7 +257,7 @@ run_stage() {
         perf-gate) stage_perf_gate ;;
         *)
             echo "ci.sh: unknown stage '$1' (want build, test, fmt, clippy, lint," >&2
-            echo "       hot-path, sim-corun, faults, fault-recovery, serve," >&2
+            echo "       doc, hot-path, sim-corun, faults, fault-recovery, serve," >&2
             echo "       cluster-smoke, cluster-scale, chaos-smoke, perf-gate)" >&2
             exit 2
             ;;
@@ -268,6 +276,7 @@ else
     stage_fmt
     stage_clippy
     stage_lint
+    stage_doc
     stage_hot_path
     stage_sim_corun
     stage_faults

@@ -1,9 +1,8 @@
 //! The cluster scale-out sweep: fixed per-device workload, growing device
-//! count — the partitioned event scheduler's headline bench. With one
-//! global queue, per-device cost grows with cluster size (every watchdog
-//! tick of every device churns one ever-deeper heap); with per-device
-//! streams it should stay near-flat, so d=1024 lands within ~1.3× the
-//! d=8 per-device wall-clock.
+//! count — the epoch driver's headline bench. The epoch driver steps each
+//! device's own event stream up to the next cluster-level timestamp, so
+//! per-device cost should stay near-flat as the fleet grows: d=1024 lands
+//! within ~1.3× the d=8 per-device wall-clock.
 //!
 //! Each device count runs `FLEP_SCALE_JOBS` jobs per device, arriving in
 //! cluster-wide same-timestamp waves (wave `w` drops one job per device
@@ -101,7 +100,7 @@ impl ToJson for Row {
 
 fn main() {
     header(
-        "cluster_scale — partitioned per-device event scheduling",
+        "cluster_scale — epoch-driver scale-out over per-device event streams",
         "near-linear cluster scale-out over per-device event streams (DESIGN.md §13)",
         "per-device wall-clock at the largest device count stays within ~1.3x of the smallest; simulated makespan per point is deterministic",
     );

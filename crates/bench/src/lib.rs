@@ -122,20 +122,6 @@ pub fn header(name: &str, paper_ref: &str, expectation: &str) {
     println!("==============================================================");
 }
 
-/// Prints a simple aligned two-column table.
-pub fn table2(title_a: &str, title_b: &str, rows: &[(String, String)]) {
-    let w = rows
-        .iter()
-        .map(|(a, _)| a.len())
-        .chain([title_a.len()])
-        .max()
-        .unwrap_or(8);
-    println!("{title_a:<w$}  {title_b}");
-    for (a, b) in rows {
-        println!("{a:<w$}  {b}");
-    }
-}
-
 /// Formats a mean ± std pair.
 #[must_use]
 pub fn mean_std(mean: f64, std: f64) -> String {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use flep_perfmodel::{KernelFeatures, RidgeModel};
+use flep_perfmodel::RidgeModel;
 use flep_sim_core::{SimRng, SimTime};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -99,12 +99,6 @@ impl ModelStore {
         } else {
             total / n as f64
         }
-    }
-
-    /// One training-feature vector for documentation/tests.
-    #[must_use]
-    pub fn features_of(bench: &Benchmark, class: InputClass) -> KernelFeatures {
-        bench.features(class)
     }
 }
 

@@ -540,12 +540,6 @@ impl GpuCluster {
         (0..self.shards.len()).filter(|&d| self.eligible(d)).count() as u32
     }
 
-    /// A device's breaker position.
-    #[must_use]
-    pub fn breaker_state(&self, device: u32) -> BreakerState {
-        self.shards[device as usize].health.breaker
-    }
-
     /// The placement log `(time, job, device)` — recorded only when
     /// health is configured (the chaos suite's quarantine evidence).
     #[must_use]
@@ -1485,12 +1479,12 @@ impl ClusterRun {
     ///
     /// # Stepping modes
     ///
-    /// The default ([`StepMode::Auto`]) picks partitioned *epoch*
-    /// stepping for runs without device-level faults and the merged
-    /// driver (one flat [`Simulation`]) otherwise; epoch stepping replays
-    /// the flat queue's event order exactly (DESIGN.md §13 gives the
-    /// ordering argument; the `partition` test suite pins merged ==
-    /// epoch).
+    /// The default ([`StepMode::Auto`]) picks *epoch* stepping (one
+    /// event stream per device, barriers at cluster-level timestamps) for
+    /// runs without device-level faults and the merged driver (one flat
+    /// [`Simulation`]) otherwise; epoch stepping replays the flat queue's
+    /// event order exactly (DESIGN.md §13 gives the ordering argument;
+    /// the `partition` test suite pins merged == epoch).
     #[must_use]
     pub fn run(self) -> ClusterResult {
         if self.mode == StepMode::Auto && self.epoch_eligible() {

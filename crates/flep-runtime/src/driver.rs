@@ -119,8 +119,9 @@ impl CoRun {
 
     /// Records every CTA-residency interval as a [`Span`] in the result.
     /// Off by default so long runs (FFS horizons) don't grow an unbounded
-    /// span list; required for [`CoRunResult::gpu_share`] and timeline
-    /// rendering. Per-owner busy totals are collected either way.
+    /// span list; required for [`CoRunResult::gpu_share`], timeline
+    /// rendering and [`CoRunResult::busy_totals`], which is folded from
+    /// the spans.
     #[must_use]
     pub fn with_span_trace(mut self) -> Self {
         self.span_trace = true;
@@ -210,7 +211,8 @@ pub struct CoRunResult {
     /// CTA-residency spans (owner = job index) for GPU-share accounting.
     /// Empty unless the co-run opted in via [`CoRun::with_span_trace`].
     pub busy_spans: Vec<Span>,
-    /// Total busy GPU time per job index, collected on every run.
+    /// Total busy GPU time per job index, in first-exit order, folded
+    /// from `busy_spans`: empty unless [`CoRun::with_span_trace`] is set.
     pub busy_totals: Vec<(u64, SimTime)>,
     /// When the last event fired.
     pub end_time: SimTime,
@@ -258,16 +260,5 @@ impl CoRunResult {
     #[must_use]
     pub fn succeeded(&self) -> bool {
         self.errors.is_empty()
-    }
-
-    /// Total busy GPU time attributed to job `idx` over the whole run.
-    /// Backed by the always-on per-owner totals, so it works without span
-    /// tracing.
-    #[must_use]
-    pub fn busy_time(&self, idx: usize) -> SimTime {
-        self.busy_totals
-            .iter()
-            .find(|(owner, _)| *owner == idx as u64)
-            .map_or(SimTime::ZERO, |&(_, total)| total)
     }
 }

@@ -84,13 +84,6 @@ impl HealthConfig {
         self
     }
 
-    /// Sets the score decay constant (builder style).
-    #[must_use]
-    pub fn with_tau(mut self, tau: SimTime) -> Self {
-        self.ewma_tau = tau;
-        self
-    }
-
     /// Sets the probe cooldown (builder style).
     #[must_use]
     pub fn with_probe_cooldown(mut self, cooldown: SimTime) -> Self {

@@ -492,8 +492,8 @@ pub struct EvictedJob {
 }
 
 /// Everything a finished run hands back ([`SystemWorld::into_records`]):
-/// per-job records, device busy spans, per-SM `(sm, busy)` totals, and the
-/// robustness report.
+/// per-job records, device busy spans, per-owner `(tag, busy)` totals
+/// folded from those spans, and the robustness report.
 pub type RunRecords = (Vec<JobRecord>, Vec<Span>, Vec<(u64, SimTime)>, RunReport);
 
 /// Robustness telemetry extracted alongside the job records after a run.
@@ -603,10 +603,18 @@ impl SystemWorld {
     }
 
     /// Extracts the per-job records and robustness telemetry after the run.
+    /// Busy totals are folded from the device's spans, per owner in
+    /// first-exit order, so both are empty when span collection is off.
     #[must_use]
     pub fn into_records(self) -> RunRecords {
         let spans = self.device.busy_spans().to_vec();
-        let totals = self.device.busy_totals().to_vec();
+        let mut totals: Vec<(u64, SimTime)> = Vec::new();
+        for s in &spans {
+            match totals.iter_mut().find(|(owner, _)| *owner == s.owner) {
+                Some((_, total)) => *total += s.duration(),
+                None => totals.push((s.owner, s.duration())),
+            }
+        }
         let report = RunReport {
             errors: self.errors,
             recoveries: self.recoveries,

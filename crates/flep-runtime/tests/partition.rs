@@ -1,12 +1,11 @@
 //! Merged-vs-epoch event-order equivalence (DESIGN.md §13).
 //!
-//! `ClusterRun` steps a run one of two ways: the merged partitioned
-//! driver (per-device queues behind the sim-core cursor, exact for every
-//! run) or — under `StepMode::Auto`, for runs without device faults — the
-//! epoch driver (independent device streams with a barrier at every
-//! cluster-level timestamp). The merged cursor is proven against one flat
-//! `EventQueue` by the sim-core `merged_order_matches_flat_queue`
-//! property; this suite pins merged == `Auto` on fixed scenarios
+//! `ClusterRun` steps a run one of two ways: the merged driver (every
+//! device's events and the cluster-level ones in one flat sim-core
+//! `Simulation`, exact for every run by definition) or — under
+//! `StepMode::Auto`, for runs without device faults — the epoch driver
+//! (independent device streams with a barrier at every cluster-level
+//! timestamp). This suite pins merged == `Auto` on fixed scenarios
 //! (same-timestamp cross-device pileups, grid faults, a scripted death),
 //! N=1 `CoRun` replay in both modes, thread-count independence of the
 //! epoch fan-out, and drives merged == `Auto` through a flep-check

@@ -3,7 +3,7 @@
 
 use flep_gpu_sim::GpuConfig;
 use flep_runtime::{CoRun, JobSpec, KernelProfile, Policy};
-use flep_sim_core::SimTime;
+use flep_sim_core::{SimTime, Span};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
 fn profile(id: BenchmarkId, class: InputClass) -> KernelProfile {
@@ -52,6 +52,54 @@ fn hpf_preempts_low_priority_for_high_priority() {
     assert_eq!(lo_rec.preemptions, 1);
     assert!(lo_rec.completed.is_some());
     assert_eq!(lo_rec.completions, 1);
+}
+
+#[test]
+fn traced_runs_fold_spans_into_busy_totals_untraced_keep_none() {
+    // Busy totals are derived from the residency spans, so they exist
+    // exactly when span tracing is on, and tracing changes nothing else.
+    let run = |traced: bool| {
+        let corun = CoRun::new(k40(), Policy::hpf())
+            .job(
+                JobSpec::new(profile(BenchmarkId::Nn, InputClass::Large), SimTime::ZERO)
+                    .with_priority(1),
+            )
+            .job(
+                JobSpec::new(
+                    profile(BenchmarkId::Spmv, InputClass::Small),
+                    SimTime::from_us(10),
+                )
+                .with_priority(2),
+            );
+        if traced {
+            corun.with_span_trace().run()
+        } else {
+            corun.run()
+        }
+    };
+    let traced = run(true);
+    let spans = &traced.busy_spans;
+    let mut owners: Vec<u64> = Vec::new();
+    for s in spans {
+        if !owners.contains(&s.owner) {
+            owners.push(s.owner);
+        }
+    }
+    let want: Vec<(u64, SimTime)> = owners
+        .iter()
+        .map(|&o| {
+            let busy = spans.iter().filter(|s| s.owner == o).map(Span::duration);
+            (o, busy.sum())
+        })
+        .collect();
+    assert_eq!(owners, [0, 1], "the victim's CTAs exit first");
+    assert_eq!(traced.busy_totals, want);
+
+    let plain = run(false);
+    assert!(plain.busy_spans.is_empty());
+    assert!(plain.busy_totals.is_empty());
+    assert_eq!(plain.jobs, traced.jobs);
+    assert_eq!(plain.end_time, traced.end_time);
 }
 
 #[test]

@@ -22,19 +22,6 @@ pub struct LoadPoint {
     pub report: ServeReport,
 }
 
-impl LoadPoint {
-    /// Goodput rate in requests per second of simulated horizon.
-    #[must_use]
-    pub fn goodput_per_s(&self, horizon: SimTime) -> f64 {
-        let secs = horizon.as_us() / 1e6;
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.report.goodput() as f64 / secs
-        }
-    }
-}
-
 impl ToJson for LoadPoint {
     fn to_json(&self) -> JsonValue {
         JsonValue::object([

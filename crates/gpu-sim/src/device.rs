@@ -1,7 +1,7 @@
 //! The GPU device: launch intake, the non-preemptive hardware CTA
 //! dispatcher, and the persistent-threads batch engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -195,16 +195,8 @@ pub struct GpuDevice {
     /// Reusable phase-two placement buffer (see [`GpuDevice::dispatch`]).
     placed_buf: Vec<(GridId, u64, u32)>,
     busy_spans: Vec<Span>,
-    /// Whether per-span residency records are kept (totals always are).
+    /// Whether per-span residency records are kept.
     collect_spans: bool,
-    /// Total busy time per owner tag, maintained regardless of
-    /// `collect_spans` so long runs get accounting without unbounded spans.
-    /// Entries are in first-exit order.
-    busy_totals: Vec<(u64, SimTime)>,
-    /// Owner tag → its entry in `busy_totals`. Consulted once per grid,
-    /// at its first CTA exit (later exits use the grid's cached slot), so
-    /// an exit costs the same however many owners the device has seen.
-    busy_index: HashMap<u64, usize>,
     trace: TraceLog,
     /// Per-stream lanes (interned from the launches' stream ids): the live
     /// grid (head of the stream) and grids parked behind it, in launch
@@ -286,8 +278,6 @@ impl GpuDevice {
             placed_buf: Vec::new(),
             busy_spans: Vec::new(),
             collect_spans: true,
-            busy_totals: Vec::new(),
-            busy_index: HashMap::new(),
             trace: TraceLog::disabled(),
             streams: Vec::new(),
             fault: None,
@@ -338,26 +328,10 @@ impl GpuDevice {
     }
 
     /// Enables or disables per-span residency recording (on by default).
-    /// Per-owner busy totals ([`GpuDevice::busy_totals`]) are maintained
-    /// either way; disabling spans bounds memory on long runs that only
-    /// need totals.
+    /// With it off the device keeps no busy-time record at all, which
+    /// bounds memory on long runs that never read one.
     pub fn set_span_collection(&mut self, on: bool) {
         self.collect_spans = on;
-    }
-
-    /// Total CTA-residency time per owner tag, accumulated since device
-    /// creation. Always maintained, even with span collection off.
-    #[must_use]
-    pub fn busy_totals(&self) -> &[(u64, SimTime)] {
-        &self.busy_totals
-    }
-
-    /// True when no grid is queued, running, or in flight.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.grids
-            .values()
-            .all(|g| matches!(g.phase, GridPhase::Completed | GridPhase::Preempted))
     }
 
     /// The externally observable phase of a grid, if it exists.
@@ -389,12 +363,6 @@ impl GpuDevice {
     #[must_use]
     pub fn grid_dispatch_started(&self, grid: GridId) -> Option<SimTime> {
         self.grids.get(grid.0).and_then(|g| g.dispatch_started)
-    }
-
-    /// When the host issued the grid's launch call.
-    #[must_use]
-    pub fn grid_launched_at(&self, grid: GridId) -> Option<SimTime> {
-        self.grids.get(grid.0).map(|g| g.launched_at)
     }
 
     /// Grids the device still holds: launched and not yet
@@ -491,10 +459,8 @@ impl GpuDevice {
             signal: PreemptSignal::None,
             signal_visible_at: SimTime::ZERO,
             dispatch_started: None,
-            launched_at: now,
             planned_ctas,
             stream_lane,
-            busy_slot: None,
             threads_on_sm: vec![0; self.cfg.num_sms as usize],
             full_own_load: f64::from(occ * desc.resources.threads_per_cta)
                 / f64::from(self.cfg.threads_per_sm),
@@ -635,9 +601,9 @@ impl GpuDevice {
     /// batch boundaries regardless of the preemption flag, modelling the
     /// driver's kernel-slicing-style fallback (evict at instrumented slice
     /// boundaries below the flag poll). Effective even when the victim's
-    /// flag polls are broken ([`StuckMode::IgnoreFlag`]); a CTA wedged in
-    /// its exit path ([`StuckMode::WedgeOnExit`]) still survives this and
-    /// needs a kill.
+    /// flag polls are broken ([`crate::FaultKind::StuckVictim`]); a CTA
+    /// wedged in its exit path ([`crate::FaultKind::WedgedExit`]) still
+    /// survives this and needs a kill.
     ///
     /// No-op for retired, original-shape, or unknown grids.
     pub fn force_drain(&mut self, now: SimTime, grid: GridId) {
@@ -1259,27 +1225,18 @@ impl GpuDevice {
         }
     }
 
-    /// Accrues one CTA-residency interval of `gid` (owner = its tag):
-    /// always into the per-owner totals, and into the span list only when
-    /// span collection is on.
+    /// Records one CTA-residency interval of `gid` (owner = its tag) as a
+    /// span, when span collection is on.
     fn record_busy(&mut self, gid: GridId, start: SimTime, end: SimTime) {
-        let dur = end.saturating_sub(start);
-        let grid = self
-            .grids
-            .get_mut(gid.0)
-            .expect("invariant: a CTA exits only while its grid is held");
-        let owner = grid.tag;
-        let totals = &mut self.busy_totals;
-        let slot = *grid.busy_slot.get_or_insert_with(|| {
-            *self.busy_index.entry(owner).or_insert_with(|| {
-                totals.push((owner, SimTime::ZERO));
-                totals.len() - 1
-            })
-        });
-        totals[slot].1 += dur;
-        if self.collect_spans {
-            self.busy_spans.push(Span { start, end, owner });
+        if !self.collect_spans {
+            return;
         }
+        let owner = self
+            .grids
+            .get(gid.0)
+            .expect("invariant: a CTA exits only while its grid is held")
+            .tag;
+        self.busy_spans.push(Span { start, end, owner });
     }
 
     /// Retires a grid whose CTAs have all left the device, emitting the

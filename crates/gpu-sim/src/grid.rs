@@ -339,16 +339,11 @@ pub(crate) struct Grid {
     pub(crate) signal_visible_at: SimTime,
     /// When the first CTA was dispatched.
     pub(crate) dispatch_started: Option<SimTime>,
-    /// When the launch call happened on the host.
-    pub(crate) launched_at: SimTime,
     /// Total CTAs this grid will try to place.
     pub(crate) planned_ctas: u64,
     /// Index of the launch's interned stream lane on the device, if the
     /// launch named a stream.
     pub(crate) stream_lane: Option<u32>,
-    /// This grid's entry in the device's per-owner busy totals, resolved
-    /// at its first CTA exit so later exits skip the owner lookup.
-    pub(crate) busy_slot: Option<usize>,
     /// Resident thread total per SM, maintained on CTA place/remove so
     /// contention queries need not walk residents.
     pub(crate) threads_on_sm: Vec<u32>,

@@ -56,7 +56,6 @@ mod config;
 mod device;
 mod fault;
 mod grid;
-mod memory;
 mod placement;
 mod scenario;
 mod sm;
@@ -70,7 +69,6 @@ pub use fault::{
     FaultPlan, DEVICE_FAULT_STREAM, FAULT_STREAM,
 };
 pub use grid::{GridId, GridPhase, GridShape, LaunchDesc, PreemptSignal, TaskCost, TaskFn};
-pub use memory::{AllocId, DeviceMemory, MemoryError, TransferDir};
 pub use placement::PlacementIndex;
 pub use scenario::{
     run_single, CollectorHarness, LaunchRecord, PreemptionRecord, Scenario, ScenarioResult,

@@ -66,12 +66,6 @@ impl Sm {
         self.used_threads
     }
 
-    /// True when no CTAs are resident.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.resident.is_empty()
-    }
-
     /// Whether a CTA with `usage` fits on this SM right now.
     #[must_use]
     pub fn fits(&self, cfg: &GpuConfig, usage: &ResourceUsage) -> bool {

@@ -553,11 +553,6 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Finds a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Iterates over the `__global__` kernels.
     pub fn kernels(&self) -> impl Iterator<Item = &Function> {
         self.functions.iter().filter(|f| f.kind == FnKind::Global)

@@ -81,7 +81,7 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// payloads than fit in memory); both are asserted in
 /// [`EventQueue::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedKey(u128);
+pub(crate) struct PackedKey(u128);
 
 impl PackedKey {
     #[inline]
@@ -101,13 +101,6 @@ impl PackedKey {
     #[must_use]
     pub fn time(self) -> SimTime {
         SimTime::from_ns((self.0 >> 64) as u64)
-    }
-
-    /// The raw nanosecond timestamp.
-    #[inline]
-    #[must_use]
-    pub fn time_ns(self) -> u64 {
-        (self.0 >> 64) as u64
     }
 
     /// The tie-breaking sequence number.
@@ -134,7 +127,7 @@ const ARITY: usize = 4;
 /// ordering: [`HeapCore::pop_min`] returns keys in strictly increasing
 /// `u128` order among those pending.
 #[derive(Debug, Clone, Default)]
-pub struct HeapCore {
+pub(crate) struct HeapCore {
     /// The 4-ary min-heap of keys.
     heap: Vec<PackedKey>,
 }
@@ -166,18 +159,6 @@ impl HeapCore {
     #[must_use]
     pub fn min_key(&self) -> Option<PackedKey> {
         self.heap.first().copied()
-    }
-
-    /// Number of pending keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no keys are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Drops all pending keys, keeping the allocation for reuse.

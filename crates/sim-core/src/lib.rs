@@ -13,8 +13,8 @@
 //!   numbers are reported in microseconds; the [`SimTime::as_us`] accessor
 //!   converts for reporting.
 //! * [`EventQueue`] keeps small packed `(time, seq, slot)` keys in an
-//!   indexed 4-ary heap ([`HeapCore`]), with payloads parked in a
-//!   [`SoaSlab`] arena and a monotonically increasing sequence number as
+//!   indexed 4-ary heap, with payloads parked in a structure-of-arrays
+//!   slab arena and a monotonically increasing sequence number as
 //!   the tie-breaker, which makes simulations fully deterministic even
 //!   when many events share a timestamp.
 //! * [`Simulation`] drives a user-supplied [`World`]: each popped event is
@@ -80,9 +80,9 @@ mod time;
 mod trace;
 
 pub use engine::{RunOutcome, Scheduler, Simulation, StepOutcome, World};
-pub use event::{EventEntry, EventQueue, HeapCore, PackedKey};
+pub use event::{EventEntry, EventQueue};
 pub use partition::PartitionedSimulation;
 pub use rng::SimRng;
-pub use slab::{GenSlab, SoaSlab};
+pub use slab::GenSlab;
 pub use time::SimTime;
 pub use trace::{Span, TraceEvent, TraceLog};

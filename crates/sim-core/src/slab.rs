@@ -165,29 +165,6 @@ impl<T> GenSlab<T> {
         })
     }
 
-    /// Iterates the occupied payloads in slot order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// Keeps only the entries for which `keep` returns true, freeing the
-    /// rest (their keys become stale).
-    pub fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
-        for slot in 0..self.entries.len() as u32 {
-            let entry = &mut self.entries[slot as usize];
-            let retained = match &mut entry.state {
-                Entry::Occupied(value) => keep(Self::key(slot, entry.generation), value),
-                Entry::Vacant(_) => continue,
-            };
-            if !retained {
-                entry.state = Entry::Vacant(self.free_head);
-                entry.generation = entry.generation.wrapping_add(1);
-                self.free_head = slot;
-                self.len -= 1;
-            }
-        }
-    }
-
     /// Number of occupied slots.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -216,24 +193,12 @@ const OCCUPIED: u32 = u32::MAX - 1;
 /// out-of-line in their own array, touched exactly twice per event (the
 /// write at push, the move-out at pop).
 ///
-/// `insert` returns a `u32` slot valid until `remove`, slots recycle in LIFO order (steady-state churn touches the
-/// same few metadata words over and over), and removing a vacant slot
-/// panics — the queue's corruption tripwire.
-///
-/// # Example
-///
-/// ```
-/// use flep_sim_core::SoaSlab;
-/// let mut slab = SoaSlab::new();
-/// let a = slab.insert("first");
-/// let b = slab.insert("second");
-/// assert_eq!(slab.remove(a), "first");
-/// // Slot `a` is recycled by the next insert.
-/// assert_eq!(slab.insert("third"), a);
-/// assert_eq!(slab.remove(b), "second");
-/// ```
+/// `insert` returns a `u32` slot valid until `remove`, slots recycle in
+/// LIFO order (steady-state churn touches the same few metadata words
+/// over and over), and removing a vacant slot panics — the queue's
+/// corruption tripwire.
 #[derive(Debug, Clone)]
-pub struct SoaSlab<T> {
+pub(crate) struct SoaSlab<T> {
     /// Hot plane: per-slot free-list link, or [`OCCUPIED`].
     meta: Vec<u32>,
     /// Cold plane: the payloads, parallel to `meta`. `None` iff vacant.
@@ -343,7 +308,10 @@ mod tests {
             vec![10, 21, 30]
         );
         assert_eq!(slab.remove(b), Some(21));
-        assert_eq!(slab.values().copied().collect::<Vec<_>>(), vec![10, 30]);
+        assert_eq!(
+            slab.iter().map(|(_, &v)| v).collect::<Vec<_>>(),
+            vec![10, 30]
+        );
         assert_eq!(slab.remove(a), Some(10));
         assert_eq!(slab.remove(c), Some(30));
         assert!(slab.is_empty());
@@ -396,20 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn gen_slab_retain_frees_and_recycles() {
-        let mut slab = GenSlab::new();
-        let keys: Vec<u64> = (0..6).map(|i| slab.insert(i)).collect();
-        slab.retain(|_, &mut v| v % 2 == 0);
-        assert_eq!(slab.len(), 3);
-        assert_eq!(slab.values().copied().collect::<Vec<_>>(), vec![0, 2, 4]);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(slab.get(k).is_some(), i % 2 == 0, "key {i}");
-        }
-        // Freed slots are reused (LIFO: highest freed slot first) under
-        // fresh generations.
-        let n = slab.insert(9);
-        assert_eq!(n as u32, 5);
-        assert!(slab.get(keys[5]).is_none());
-        assert_eq!(slab.get(n), Some(&9));
+    fn soa_slab_recycles_slots_lifo() {
+        let mut slab = SoaSlab::new();
+        let a = slab.insert("first");
+        let b = slab.insert("second");
+        assert_eq!(slab.remove(a), "first");
+        // Slot `a` is recycled by the next insert.
+        assert_eq!(slab.insert("third"), a);
+        assert_eq!(slab.remove(b), "second");
     }
 }
