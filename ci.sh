@@ -79,15 +79,22 @@ stage_doc() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
-# Perf smoke: a handful of samples of the event-queue churn targets,
-# recorded to a JSON artifact so the hot-path perf trajectory is on file
-# for every CI run. Not a gate — timings on shared runners are noisy —
-# just a tripwire someone can diff when a simulation suddenly crawls.
+# Perf smoke: a handful of samples of the event-queue churn targets and
+# of the standalone device runs (original and persistent shape; the
+# original one is the non-preemptive dispatcher's CTA refill path,
+# DESIGN.md §8), each recorded to its own JSON artifact so the hot-path
+# perf trajectory is on file for every CI run. Not a gate — timings on
+# shared runners are noisy — just a tripwire someone can diff when a
+# simulation suddenly crawls.
 stage_hot_path() {
     echo "==> perf smoke: event_queue_churn -> BENCH_sim_hot_path.json"
     FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_sim_hot_path.json" \
         cargo bench -p flep-bench --offline -q -- event_queue
+    echo "==> perf smoke: gpu_sim standalone runs -> BENCH_sim_standalone.json"
+    FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
+        FLEP_BENCH_JSON="$ROOT/BENCH_sim_standalone.json" \
+        cargo bench -p flep-bench --offline -q -- gpu_sim/
 }
 
 # Perf smoke for the simulator world hot path: end-to-end co-runs that

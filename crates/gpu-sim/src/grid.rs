@@ -115,8 +115,8 @@ pub struct LaunchDesc {
     pub shape: GridShape,
     /// Task cost model.
     pub task_cost: TaskCost,
-    /// Contention-model slope for this kernel (see
-    /// [`crate::Sm::contention_factor`]).
+    /// Contention-model slope for this kernel (see the device's
+    /// `GpuDevice::effective_contention_factor`).
     pub mem_intensity: f64,
     /// Seed for this grid's private noise stream.
     pub seed: u64,

@@ -19,9 +19,10 @@
 //! * **Pinned-flag preemption** ([`PreemptSignal`]) — a single integer
 //!   encodes both temporal (yield all SMs) and spatial (yield SMs with
 //!   `%smid < n`) preemption, exactly as in Fig. 4(c).
-//! * **An intra-SM contention model** ([`Sm::contention_factor`]) — per-task
-//!   durations scale with SM thread load, giving spatial co-runs and
-//!   Fig. 16's SM-sweep their characteristic behaviour.
+//! * **An intra-SM contention model** (on [`GpuDevice`], driven by each
+//!   launch's `mem_intensity`) — per-task durations scale with SM thread
+//!   load, giving spatial co-runs and Fig. 16's SM-sweep their
+//!   characteristic behaviour.
 //!
 //! # Quickstart
 //!

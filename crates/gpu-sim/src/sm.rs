@@ -1,5 +1,6 @@
-//! The streaming-multiprocessor model: resource slots, residency, and the
-//! intra-SM contention model.
+//! The streaming-multiprocessor model: resource slots and residency. The
+//! contention model that reads an SM's thread load lives on the device
+//! (`GpuDevice::effective_contention_factor`).
 
 use flep_sim_core::SimTime;
 
@@ -15,8 +16,6 @@ pub struct ResidentCta {
     pub cta: u64,
     /// When the CTA was dispatched onto this SM.
     pub since: SimTime,
-    /// Thread count of this CTA (cached for load computation).
-    pub threads: u32,
 }
 
 /// A streaming multiprocessor: tracks resource usage and resident CTAs.
@@ -115,6 +114,31 @@ impl Sm {
         self.resident.swap_remove(pos)
     }
 
+    /// Hands the slot of finished CTA `cta` of `grid` to the grid's next
+    /// CTA `next`, dispatched at `now`, and returns the finished CTA's
+    /// dispatch time. Resource usage is unchanged (both CTAs belong to one
+    /// grid), and the resident list ends in the order [`Sm::remove`]
+    /// followed by [`Sm::place`] would leave it: the last record moves into
+    /// the finished CTA's position and the new CTA goes last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CTA is not resident — a device bookkeeping bug.
+    pub fn refill(&mut self, grid: GridId, cta: u64, next: u64, now: SimTime) -> SimTime {
+        let pos = self
+            .resident
+            .iter()
+            .position(|r| r.grid == grid && r.cta == cta)
+            .unwrap_or_else(|| panic!("CTA {cta} of grid {grid:?} not resident on SM {}", self.id));
+        let last = self.resident.len() - 1;
+        self.resident.swap(pos, last);
+        let slot = &mut self.resident[last];
+        let since = slot.since;
+        slot.cta = next;
+        slot.since = now;
+        since
+    }
+
     /// Forcibly removes every resident CTA of `grid`, returning their
     /// residency records (in no particular order). Used by the device's
     /// kill path: unlike [`Sm::remove`], absence is not an error — a kill
@@ -134,45 +158,6 @@ impl Sm {
         }
         evicted
     }
-
-    /// Fraction of the SM's thread slots currently occupied, in `[0, 1]`.
-    #[must_use]
-    pub fn thread_load(&self, cfg: &GpuConfig) -> f64 {
-        f64::from(self.used_threads) / f64::from(cfg.threads_per_sm)
-    }
-
-    /// The contention slowdown factor applied to work executing on this SM
-    /// for a kernel with the given resource usage and memory intensity.
-    ///
-    /// The model: per-task duration grows linearly with the SM's thread
-    /// load, with slope `mem_intensity` (memory-bound kernels suffer more
-    /// from co-residents than compute-bound ones). The factor is normalized
-    /// to `1.0` at the load the kernel would itself create at full
-    /// single-kernel occupancy, so that the standalone calibrated times of
-    /// Table 1 are invariant to `mem_intensity`:
-    ///
-    /// ```text
-    /// factor = (1 + c * load_now) / (1 + c * load_full_own)
-    /// ```
-    ///
-    /// Consequences the evaluation relies on:
-    /// * fewer co-resident CTAs than standalone ⇒ factor < 1 (tasks speed
-    ///   up) — the effect behind Fig. 16;
-    /// * an SM packed beyond the kernel's own standalone load by another
-    ///   kernel's CTAs ⇒ factor > 1 (cross-kernel interference).
-    #[must_use]
-    pub fn contention_factor(
-        &self,
-        cfg: &GpuConfig,
-        usage: &ResourceUsage,
-        mem_intensity: f64,
-    ) -> f64 {
-        let c = mem_intensity.max(0.0);
-        let occ = cfg.occupancy_per_sm(usage);
-        let full_own_load = f64::from(occ * usage.threads_per_cta) / f64::from(cfg.threads_per_sm);
-        let load = self.thread_load(cfg);
-        (1.0 + c * load) / (1.0 + c * full_own_load)
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +173,6 @@ mod tests {
             grid: GridId(grid),
             cta,
             since: SimTime::ZERO,
-            threads: 256,
         }
     }
 
@@ -235,40 +219,44 @@ mod tests {
     }
 
     #[test]
-    fn contention_factor_is_one_at_full_own_occupancy() {
+    fn refill_matches_remove_then_place() {
         let cfg = GpuConfig::k40();
-        let mut sm = Sm::new(0);
+        let mut generic = Sm::new(0);
         for i in 0..8 {
-            sm.place(&cfg, &usage(), resident(1, i));
+            let since = SimTime::from_ns(i);
+            generic.place(
+                &cfg,
+                &usage(),
+                ResidentCta {
+                    since,
+                    ..resident(1, i)
+                },
+            );
         }
-        let f = sm.contention_factor(&cfg, &usage(), 1.4);
-        assert!((f - 1.0).abs() < 1e-12, "{f}");
+        let mut refilled = generic.clone();
+        let now = SimTime::from_us(5);
+        let removed = generic.remove(&usage(), GridId(1), 2);
+        generic.place(
+            &cfg,
+            &usage(),
+            ResidentCta {
+                grid: GridId(1),
+                cta: 8,
+                since: now,
+            },
+        );
+        let since = refilled.refill(GridId(1), 2, 8, now);
+        assert_eq!(since, removed.since);
+        assert_eq!(since, SimTime::from_ns(2));
+        assert_eq!(refilled.resident(), generic.resident());
+        assert_eq!(refilled.used_threads(), generic.used_threads());
+        assert!(!refilled.fits(&cfg, &usage()));
     }
 
     #[test]
-    fn contention_factor_below_one_when_underloaded() {
-        let cfg = GpuConfig::k40();
+    #[should_panic(expected = "not resident")]
+    fn refill_missing_cta_panics() {
         let mut sm = Sm::new(0);
-        sm.place(&cfg, &usage(), resident(1, 0));
-        let f = sm.contention_factor(&cfg, &usage(), 1.4);
-        assert!(f < 1.0, "{f}");
-        // Max speedup from a dedicated SM is bounded by (1 + c) / (1 + c/8).
-        assert!(f > 1.0 / (1.0 + 1.4), "{f}");
-    }
-
-    #[test]
-    fn contention_factor_ignores_negative_intensity() {
-        let cfg = GpuConfig::k40();
-        let sm = Sm::new(0);
-        assert_eq!(sm.contention_factor(&cfg, &usage(), -3.0), 1.0);
-    }
-
-    #[test]
-    fn compute_bound_kernel_insensitive_to_load() {
-        let cfg = GpuConfig::k40();
-        let mut sm = Sm::new(0);
-        sm.place(&cfg, &usage(), resident(1, 0));
-        let f = sm.contention_factor(&cfg, &usage(), 0.0);
-        assert_eq!(f, 1.0);
+        sm.refill(GridId(9), 0, 1, SimTime::ZERO);
     }
 }

@@ -120,6 +120,185 @@ fn original_grid_runs_each_cta_once() {
     );
 }
 
+/// Per-CTA `(threads, regs/thread, smem bytes)` shapes for
+/// [`original_grid_mixes_run_each_cta_once`]: occupancies from 2 to 16
+/// CTAs per SM, limited by threads, registers, shared memory or the CTA
+/// cap, so a blocked head leaves room a later grid can backfill.
+const MIX_SHAPES: [(u32, u32, u32); 6] = [
+    (256, 32, 0),
+    (128, 64, 8 * 1024),
+    (512, 24, 0),
+    (64, 16, 12 * 1024),
+    (1024, 32, 2 * 1024),
+    (96, 40, 0),
+];
+
+/// Random mixes of one to four original grids — mixed per-CTA resources,
+/// 1 to 3000 CTAs each, staggered arrivals, some grids sharing one
+/// stream, noisy task times — run every CTA exactly once and complete
+/// every grid. After every device event, each SM's resident CTAs account
+/// for exactly its used threads. This drives the dispatcher's in-place
+/// slot refill (a finished CTA's slot handed to the FIFO head's next CTA)
+/// alongside the generic placement path it must agree with, across the
+/// head's last two pending CTAs where the two hand over.
+#[test]
+fn original_grid_mixes_run_each_cta_once() {
+    use std::sync::Mutex;
+
+    use flep_gpu_sim::{CollectorHarness, GpuDevice, GpuEvent, GridId, HostNotification};
+    use flep_sim_core::{Scheduler, Simulation, World};
+
+    enum MixEv {
+        Launch(usize),
+        Gpu(GpuEvent),
+    }
+    struct MixWorld {
+        device: GpuDevice,
+        descs: Vec<Option<LaunchDesc>>,
+        /// Threads per CTA of every launched grid.
+        threads: Vec<(GridId, u32)>,
+        completed: Vec<u64>,
+        /// The first event after which an SM's residents and its used
+        /// threads disagreed.
+        violation: Option<String>,
+    }
+    impl World for MixWorld {
+        type Event = MixEv;
+        fn handle(&mut self, now: SimTime, ev: MixEv, sched: &mut Scheduler<'_, MixEv>) {
+            let mut h = CollectorHarness::new();
+            match ev {
+                MixEv::Launch(i) => {
+                    let desc = self.descs[i].take().expect("each grid launches once");
+                    let threads = desc.resources.threads_per_cta;
+                    let gid = self.device.launch(now, desc, &mut h).expect("launchable");
+                    self.threads.push((gid, threads));
+                }
+                MixEv::Gpu(g) => self.device.handle(now, g, &mut h),
+            }
+            for (at, g) in h.gpu_events {
+                sched.schedule_at(at, MixEv::Gpu(g));
+            }
+            for (_, note) in h.notes {
+                if let HostNotification::Completed { tag, .. } = note {
+                    self.completed.push(tag);
+                }
+            }
+            if self.violation.is_some() {
+                return;
+            }
+            for sm in self.device.sms() {
+                let resident: u32 = sm
+                    .resident()
+                    .iter()
+                    .map(|r| {
+                        self.threads
+                            .iter()
+                            .find(|&&(g, _)| g == r.grid)
+                            .map_or(0, |&(_, t)| t)
+                    })
+                    .sum();
+                if resident != sm.used_threads() {
+                    self.violation = Some(format!(
+                        "at {now}: SM {} residents hold {resident} threads, used_threads {}",
+                        sm.id(),
+                        sm.used_threads()
+                    ));
+                }
+            }
+        }
+    }
+
+    check(
+        "original_grid_mixes_run_each_cta_once",
+        CheckConfig::default(),
+        |rng: &mut SimRng| {
+            let n = rng.uniform_u64(1, 4);
+            (0..n)
+                .map(|_| {
+                    // Tiny grids (the one- and two-CTA boundary) as often as
+                    // sub-wave and multi-wave ones.
+                    let ctas = match rng.uniform_u64(0, 2) {
+                        0 => rng.uniform_u64(1, 2),
+                        1 => rng.uniform_u64(3, 200),
+                        _ => rng.uniform_u64(1, 3_000),
+                    };
+                    (
+                        ctas,
+                        rng.uniform_u64(0, MIX_SHAPES.len() as u64 - 1), // shape
+                        rng.uniform_u64(0, 400),                         // arrival_us
+                        rng.uniform_u64(1, 30),                          // task_us
+                        rng.uniform_u64(0, 2) == 0,                      // on stream 0
+                    )
+                })
+                .collect::<Vec<_>>()
+        },
+        |grids: &Vec<(u64, u64, u64, u64, bool)>| {
+            assume!(!grids.is_empty() && grids.len() <= 4);
+            let total: u64 = grids.iter().map(|g| g.0).sum();
+            let runs = Arc::new(Mutex::new(vec![0u32; total as usize]));
+            let mut descs = Vec::new();
+            let mut offset = 0;
+            for (i, &(ctas, shape, _, task_us, on_stream)) in grids.iter().enumerate() {
+                assume!((1..=3_000).contains(&ctas) && task_us >= 1);
+                let (threads, regs, smem) = MIX_SHAPES[shape as usize % MIX_SHAPES.len()];
+                let r = runs.clone();
+                let mut desc = LaunchDesc::new(
+                    "mix",
+                    GridShape::Original { ctas },
+                    TaskCost {
+                        base: SimTime::from_us(task_us),
+                        rel_noise: 0.2,
+                    },
+                )
+                .with_tag(i as u64)
+                .with_seed(i as u64 + 1)
+                .with_mem_intensity(0.8)
+                .with_resources(ResourceUsage {
+                    threads_per_cta: threads,
+                    regs_per_thread: regs,
+                    smem_per_cta: smem,
+                })
+                .with_first_task(offset)
+                .with_task_fn(Box::new(move |t| {
+                    r.lock().unwrap()[t as usize] += 1;
+                }));
+                if on_stream {
+                    desc = desc.with_stream(0);
+                }
+                descs.push(Some(desc));
+                offset += ctas;
+            }
+            let world = MixWorld {
+                device: GpuDevice::new(GpuConfig::k40()),
+                descs,
+                threads: Vec::new(),
+                completed: Vec::new(),
+                violation: None,
+            };
+            let mut sim = Simulation::new(world);
+            for (i, g) in grids.iter().enumerate() {
+                sim.schedule_at(SimTime::from_us(g.2), MixEv::Launch(i));
+            }
+            sim.run();
+            let world = sim.into_world();
+            if let Some(v) = world.violation {
+                require!(false, "{v}");
+            }
+            let mut completed = world.completed;
+            completed.sort_unstable();
+            require_eq!(completed, (0..grids.len() as u64).collect::<Vec<_>>());
+            let runs = runs.lock().unwrap();
+            if let Some(t) = runs.iter().position(|&n| n != 1) {
+                require!(false, "task {t} ran {} times", runs[t]);
+            }
+            for sm in world.device.sms() {
+                require!(sm.resident().is_empty() && sm.used_threads() == 0);
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Two kernels launched in any order both eventually complete (no deadlock
 /// in the dispatcher), and tags never mix.
 #[test]
@@ -282,7 +461,6 @@ fn placement_index_matches_naive_scan() {
                                     grid: GridId(1),
                                     cta,
                                     since: SimTime::ZERO,
-                                    threads: usage.threads_per_cta,
                                 },
                             );
                             idx.on_place(sm);

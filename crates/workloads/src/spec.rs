@@ -115,7 +115,7 @@ pub struct Benchmark {
     /// Per-CTA resource usage.
     pub resources: ResourceUsage,
     /// Contention-model slope (memory intensity); see
-    /// `flep_gpu_sim::Sm::contention_factor`.
+    /// `flep_gpu_sim::GpuDevice::effective_contention_factor`.
     pub mem_intensity: f64,
     /// Input-dependence of runtime behaviour, driving both per-invocation
     /// duration variability and the Fig. 7 prediction error. Regular

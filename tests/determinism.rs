@@ -333,6 +333,44 @@ fn fig13_json_is_byte_identical_to_pre_fault_golden() {
     );
 }
 
+/// The standalone turnaround of every benchmark at every input class, one
+/// line each (`<benchmark> <class> <turnaround ns>`), with a fixed seed per
+/// cell. These are the unmodified original-shape grids behind every
+/// slowdown/NTT normalization, run under the non-preemptive baseline.
+fn standalone_turnarounds() -> String {
+    let mut out = String::new();
+    for (i, &id) in BenchmarkId::ALL.iter().enumerate() {
+        for (j, &class) in InputClass::ALL.iter().enumerate() {
+            let seed = 0x5A_0000 + (i * InputClass::ALL.len() + j) as u64;
+            let t = experiments::standalone(&GpuConfig::k40(), id, class, seed);
+            out.push_str(&format!("{id:?} {class:?} {}\n", t.as_ns()));
+        }
+    }
+    out
+}
+
+// The original-kernel path (the hardware dispatcher with no preemption)
+// pinned directly: the 24 standalone turnarounds and Fig. 1's MPS co-runs,
+// both generated before the dispatcher started refilling a finished CTA's
+// slot in place, so they prove that shortcut changes no decision.
+
+#[test]
+fn standalone_turnarounds_match_pinned_golden() {
+    assert_eq!(
+        standalone_turnarounds(),
+        include_str!("golden/standalone_turnarounds.txt"),
+    );
+}
+
+#[test]
+fn fig01_json_is_byte_identical_to_golden() {
+    let rows = experiments::fig01_mps_slowdown(&GpuConfig::k40(), golden_exp());
+    assert_eq!(
+        figure_doc("fig01_mps_slowdown", &rows),
+        include_str!("golden/fig01_mps_slowdown.json"),
+    );
+}
+
 #[test]
 fn scenario_event_trace_is_seed_deterministic() {
     let a = scenario_trace(7);
