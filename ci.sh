@@ -134,7 +134,11 @@ stage_fault_recovery() {
 # golden gate is the pinned serve trace
 # (crates/flep-serve/tests/golden_serve.rs, re-run here with a pinned
 # check seed): any drift in arrivals, admission, EDF order, batching, or
-# runtime scheduling fails this stage.
+# runtime scheduling fails this stage. The same pinned-seed pass replays
+# the held-state property `serving_holds_only_in_flight_jobs`
+# (crates/flep-serve/tests/props.rs, at least 64 cases whatever
+# FLEP_CHECK_CASES says): a serving run never holds a job beyond its
+# tenants' in-flight batches.
 stage_serve() {
     echo "==> serve smoke: slo sweep -> BENCH_serve_slo.json"
     FLEP_SEED=42 FLEP_REPEATS=1 FLEP_SERVE_HORIZON_MS=200 \

@@ -74,6 +74,12 @@ use crate::world::{
 /// treat this value specially.
 const PROBE: usize = usize::MAX;
 
+/// The slot of job `idx` in a table of `(index, ..)`-keyed entries kept in
+/// ascending index order, if it is there.
+fn find_by<T>(table: &[T], idx: usize, key: impl Fn(&T) -> usize) -> Option<usize> {
+    table.binary_search_by_key(&idx, key).ok()
+}
+
 /// Cluster-wide configuration: the per-device template plus the failure
 /// and migration policy.
 #[derive(Debug, Clone)]
@@ -265,9 +271,12 @@ enum CJobState {
     Failed,
 }
 
-/// Cluster-level per-job state.
+/// Cluster-level per-job state, held only until the job settles (done or
+/// failed).
 #[derive(Debug)]
 struct ClusterJob {
+    /// Cluster job index: registration order, never reused.
+    idx: usize,
     spec: JobSpec,
     state: CJobState,
     /// Absolute tasks completed across all incarnations.
@@ -276,8 +285,22 @@ struct ClusterJob {
     migrations: u32,
     /// Device of the last incarnation (for migration provenance).
     last_device: Option<u32>,
-    /// Records of dead incarnations, folded in migration order.
+    /// Records of finished incarnations, folded in the order they left
+    /// their devices.
     record: Option<JobRecord>,
+}
+
+impl ClusterJob {
+    /// The job's merged record as it leaves the cluster: a job that never
+    /// reached a device gets its bare identity.
+    fn into_record(self) -> JobRecord {
+        self.record.unwrap_or_else(|| JobRecord {
+            name: self.spec.profile.name,
+            priority: self.spec.priority,
+            arrival: self.spec.arrival,
+            ..JobRecord::default()
+        })
+    }
 }
 
 /// One device shard: a full runtime world plus its failure-domain state.
@@ -288,10 +311,49 @@ struct Shard {
     /// before a newer fault) carry an older generation and are dropped.
     gen: u64,
     plan: Option<DeviceFaultPlan>,
-    /// Shard job index → cluster job index ([`PROBE`] for probe grids).
-    map: Vec<usize>,
+    /// `(shard job, cluster job)` for every job the shard still holds, in
+    /// ascending shard-job order ([`PROBE`] for probe grids). An entry
+    /// leaves with its shard job's record or eviction.
+    map: Vec<(usize, usize)>,
+    /// The shard's structured errors and watchdog recoveries, remapped to
+    /// cluster job indices (probe entries dropped) while their jobs were
+    /// still mapped, in occurrence order.
+    errors: Vec<RuntimeError>,
+    recoveries: Vec<RecoveryEvent>,
     /// Health score + breaker position (untouched when health is off).
     health: DeviceHealth,
+}
+
+/// The cluster job behind shard job `sidx` in a shard's map ([`PROBE`]
+/// for a probe).
+fn mapped(map: &[(usize, usize)], sidx: usize) -> usize {
+    map[find_by(map, sidx, |&(s, _)| s).expect("shard job is mapped")].1
+}
+
+impl Shard {
+    /// Drops shard job `sidx`'s map entry, returning its cluster job.
+    fn unmap(&mut self, sidx: usize) -> usize {
+        let k = find_by(&self.map, sidx, |&(s, _)| s).expect("shard job is mapped");
+        self.map.remove(k).1
+    }
+
+    /// Takes the shard world's new errors and recoveries, remapping them
+    /// to cluster job indices while their jobs are still mapped.
+    fn remap_logs(&mut self) {
+        let (mut errors, mut recoveries) = (Vec::new(), Vec::new());
+        self.sys.drain_logs_into(&mut errors, &mut recoveries);
+        for mut e in errors {
+            if remap_error(&mut e, |sidx| mapped(&self.map, sidx)) {
+                self.errors.push(e);
+            }
+        }
+        for mut r in recoveries {
+            r.job = mapped(&self.map, r.job);
+            if r.job != PROBE {
+                self.recoveries.push(r);
+            }
+        }
+    }
 }
 
 /// The cluster: shards plus placement, migration, and accounting.
@@ -308,10 +370,18 @@ pub struct GpuCluster {
     corr_plan: Option<CorrelatedFaultPlan>,
     health_cfg: Option<HealthConfig>,
     placement: PlacementConfig,
+    /// The jobs not yet settled (future, placed or parked), in ascending
+    /// index order: the only per-job state the cluster holds. A settled
+    /// job leaves the table and its merged record moves to `records`.
     jobs: Vec<ClusterJob>,
-    /// Jobs in a terminal state (`Done` or `Failed`): bumped at every site
-    /// that settles a job, so the faulted early stop is one compare.
-    settled: usize,
+    /// Jobs registered so far: the next job's index.
+    registered: usize,
+    /// Jobs that finished all tasks, and jobs abandoned.
+    completed: u64,
+    failed: u64,
+    /// Merged records `(job, record)` of settled jobs, in settle order;
+    /// drained by a serving frontend, collected by [`Self::into_result`].
+    records: Vec<(usize, JobRecord)>,
     /// Jobs waiting for any eligible device, FIFO.
     parked: VecDeque<usize>,
     /// Cluster-level errors (device loss, migration failures).
@@ -329,6 +399,8 @@ pub struct GpuCluster {
     placements: Vec<(SimTime, usize, u32)>,
     pending: Vec<(SimTime, ClusterEvent)>,
     scratch: Vec<(SimTime, usize)>,
+    /// Scratch for the shard records [`Self::absorb_shard`] folds.
+    record_scratch: Vec<(usize, JobRecord)>,
     /// Scratch for placement-constraint tallies (one slot per device).
     tenant_scratch: Vec<u32>,
 }
@@ -397,6 +469,8 @@ impl GpuCluster {
                 gen: 0,
                 plan,
                 map: Vec::new(),
+                errors: Vec::new(),
+                recoveries: Vec::new(),
                 health: DeviceHealth::default(),
             });
         }
@@ -452,7 +526,10 @@ impl GpuCluster {
             health_cfg: cfg.health,
             placement: cfg.placement,
             jobs: Vec::new(),
-            settled: 0,
+            registered: 0,
+            completed: 0,
+            failed: 0,
+            records: Vec::new(),
             parked: VecDeque::new(),
             errors: Vec::new(),
             recoveries: Vec::new(),
@@ -463,6 +540,7 @@ impl GpuCluster {
             placements: Vec::new(),
             pending: Vec::new(),
             scratch: Vec::new(),
+            record_scratch: Vec::new(),
             tenant_scratch: Vec::new(),
         };
         (cluster, initial)
@@ -499,13 +577,55 @@ impl GpuCluster {
         self.migrated_log.len() as u64
     }
 
+    /// Jobs whose state the cluster still holds: every cluster-table entry
+    /// (future, placed or parked) plus every shard-table job with no
+    /// cluster entry behind it (breaker probes, or a job a shard failed
+    /// to retire). A placed job counts once. Settled jobs are held
+    /// nowhere, so a serving run holds at most its tenants' in-flight
+    /// batches plus in-flight probes, however long it runs.
+    #[must_use]
+    pub fn held_jobs(&self) -> usize {
+        let placed = self
+            .jobs
+            .iter()
+            .filter(|j| matches!(j.state, CJobState::Placed { .. }))
+            .count();
+        let sharded: usize = self.shards.iter().map(|s| s.sys.active_count()).sum();
+        self.jobs.len() + sharded.saturating_sub(placed)
+    }
+
+    /// The table slot of unsettled job `idx`, if it is still held.
+    fn find(&self, idx: usize) -> Option<usize> {
+        find_by(&self.jobs, idx, |j| j.idx)
+    }
+
+    /// The table slot of job `idx`, which must be unsettled.
+    fn slot(&self, idx: usize) -> usize {
+        self.find(idx).expect("cluster job is unsettled")
+    }
+
+    /// Settles the job in slot `k` as done or failed: it leaves the table
+    /// and its merged record moves to the settled log.
+    fn settle(&mut self, k: usize, state: CJobState) {
+        match state {
+            CJobState::Done => self.completed += 1,
+            CJobState::Failed => self.failed += 1,
+            _ => unreachable!("settling into a live state"),
+        }
+        let job = self.jobs.remove(k);
+        self.records.push((job.idx, job.into_record()));
+    }
+
     /// Pre-registers a job without placing it; an
     /// [`ClusterEvent::Arrival`] with the returned index places it at its
     /// arrival time. Used by the [`ClusterRun`] driver so cluster job
     /// indices match spec order regardless of arrival times.
     pub fn register(&mut self, spec: JobSpec) -> usize {
-        let idx = self.jobs.len();
+        let idx = self.registered;
+        self.registered += 1;
+        // The highest index yet, so the table stays ascending.
         self.jobs.push(ClusterJob {
+            idx,
             spec,
             state: CJobState::Future,
             done: 0,
@@ -559,7 +679,8 @@ impl GpuCluster {
             (self.placement.anti_affinity || self.placement.spread) && tenant.is_some();
         let mut tenant_scratch = std::mem::take(&mut self.tenant_scratch);
         if constrained {
-            // Same-tenant active-job tally per device, one O(jobs) pass.
+            // Same-tenant placed-job tally per device, one pass over the
+            // unsettled jobs (settled ones are placed nowhere).
             tenant_scratch.clear();
             tenant_scratch.resize(self.shards.len(), 0);
             for job in &self.jobs {
@@ -609,12 +730,13 @@ impl GpuCluster {
     /// counter. Emits the [`RecoveryAction::Migrated`] record when this
     /// placement completes a migration.
     fn place(&mut self, now: SimTime, idx: usize) {
+        let k = self.slot(idx);
         debug_assert!(matches!(
-            self.jobs[idx].state,
+            self.jobs[k].state,
             CJobState::Future | CJobState::Parked
         ));
-        let Some(device) = self.pick_device(self.jobs[idx].spec.tenant) else {
-            self.jobs[idx].state = CJobState::Parked;
+        let Some(device) = self.pick_device(self.jobs[k].spec.tenant) else {
+            self.jobs[k].state = CJobState::Parked;
             if !self.parked.contains(&idx) {
                 self.parked.push_back(idx);
             }
@@ -623,15 +745,15 @@ impl GpuCluster {
         if self.health_cfg.is_some() {
             self.placements.push((now, idx, device));
         }
-        let job = &mut self.jobs[idx];
+        let job = &mut self.jobs[k];
         let spec = job.spec.clone().resuming_from(job.done);
         let from = job.last_device;
         job.last_device = Some(device);
         let shard = &mut self.shards[device as usize];
         let shard_job = shard.sys.submit(now, spec);
-        debug_assert_eq!(shard_job, shard.map.len());
-        shard.map.push(idx);
-        self.jobs[idx].state = CJobState::Placed { device, shard_job };
+        // The shard's highest index yet, so the map stays ascending.
+        shard.map.push((shard_job, idx));
+        self.jobs[k].state = CJobState::Placed { device, shard_job };
         if let Some(from) = from {
             self.recoveries.push(RecoveryEvent {
                 at: now,
@@ -643,50 +765,12 @@ impl GpuCluster {
         self.absorb_shard(now, device);
     }
 
-    /// Pulls a shard's completion/failure logs and buffered follow-up
-    /// events into the cluster after any interaction with it.
+    /// Pulls a shard's logs and buffered follow-up events into the cluster
+    /// after any interaction with it.
     fn absorb_shard(&mut self, now: SimTime, device: u32) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let shard = &mut self.shards[device as usize];
-        let mut probe_done = false;
-        let mut probe_failed = false;
-
-        scratch.clear();
-        shard.sys.drain_completions_into(&mut scratch);
-        for &(t, sidx) in &scratch {
-            let cidx = shard.map[sidx];
-            if cidx == PROBE {
-                probe_done = true;
-                continue;
-            }
-            let job = &mut self.jobs[cidx];
-            job.done = job.spec.profile.total_tasks;
-            job.state = CJobState::Done;
-            self.settled += 1;
-            self.completed_log.push((t, cidx));
-        }
-
-        scratch.clear();
-        let shard = &mut self.shards[device as usize];
-        shard.sys.drain_failures_into(&mut scratch);
-        for &(t, sidx) in &scratch {
-            let cidx = shard.map[sidx];
-            if cidx == PROBE {
-                probe_failed = true;
-                continue;
-            }
-            self.jobs[cidx].state = CJobState::Failed;
-            self.settled += 1;
-            self.failed_log.push((t, cidx));
-        }
-
-        scratch.clear();
-        self.scratch = scratch;
-        if probe_done {
-            self.on_probe_done(now, device);
-        }
-        if probe_failed {
-            self.on_probe_failed(now, device);
+        // Most shard events (a batch of tasks finishing) log nothing.
+        if self.shards[device as usize].sys.has_logs() {
+            self.absorb_logs(now, device);
         }
 
         let mut pending = std::mem::take(&mut self.pending);
@@ -705,6 +789,73 @@ impl GpuCluster {
                 device,
                 kind: DeviceEventKind::Deregistered,
             });
+        }
+    }
+
+    /// Drains a shard's logs into the cluster: errors and recoveries
+    /// (remapped first, while every job they name is still mapped),
+    /// completions and failures, then the records of the shard jobs that
+    /// settled, which fold into their cluster jobs and settle them.
+    fn absorb_logs(&mut self, now: SimTime, device: u32) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let shard = &mut self.shards[device as usize];
+        shard.remap_logs();
+        let mut probe_done = false;
+        let mut probe_failed = false;
+
+        scratch.clear();
+        shard.sys.drain_completions_into(&mut scratch);
+        for &(t, sidx) in &scratch {
+            let cidx = mapped(&shard.map, sidx);
+            if cidx == PROBE {
+                probe_done = true;
+                continue;
+            }
+            let k = find_by(&self.jobs, cidx, |j| j.idx).expect("completed job is unsettled");
+            let job = &mut self.jobs[k];
+            job.done = job.spec.profile.total_tasks;
+            job.state = CJobState::Done;
+            self.completed_log.push((t, cidx));
+        }
+
+        scratch.clear();
+        shard.sys.drain_failures_into(&mut scratch);
+        for &(t, sidx) in &scratch {
+            let cidx = mapped(&shard.map, sidx);
+            if cidx == PROBE {
+                probe_failed = true;
+                continue;
+            }
+            let k = find_by(&self.jobs, cidx, |j| j.idx).expect("failed job is unsettled");
+            self.jobs[k].state = CJobState::Failed;
+            self.failed_log.push((t, cidx));
+        }
+        scratch.clear();
+        self.scratch = scratch;
+
+        // A shard job's record leaves its world exactly when it settles
+        // there, which settles its cluster job as done or failed above.
+        let mut records = std::mem::take(&mut self.record_scratch);
+        self.shards[device as usize]
+            .sys
+            .drain_records_into(&mut records);
+        for (sidx, record) in records.drain(..) {
+            let cidx = self.shards[device as usize].unmap(sidx);
+            if cidx == PROBE {
+                continue;
+            }
+            let k = self.slot(cidx);
+            fold_record(&mut self.jobs[k].record, record);
+            let state = self.jobs[k].state;
+            debug_assert!(matches!(state, CJobState::Done | CJobState::Failed));
+            self.settle(k, state);
+        }
+        self.record_scratch = records;
+        if probe_done {
+            self.on_probe_done(now, device);
+        }
+        if probe_failed {
+            self.on_probe_failed(now, device);
         }
     }
 
@@ -944,8 +1095,7 @@ impl GpuCluster {
                 let spec = probe_spec(now, &hc);
                 let shard = &mut self.shards[d];
                 let shard_job = shard.sys.submit(now, spec);
-                debug_assert_eq!(shard_job, shard.map.len());
-                shard.map.push(PROBE);
+                shard.map.push((shard_job, PROBE));
                 self.absorb_shard(now, device);
             }
             // Hung / resetting / draining: not probe-worthy yet.
@@ -997,10 +1147,14 @@ impl GpuCluster {
 
     /// Lands parked jobs FIFO while capacity lasts.
     fn land_parked(&mut self, now: SimTime) {
+        let parked = |c: &Self, idx| {
+            c.find(idx)
+                .is_some_and(|k| c.jobs[k].state == CJobState::Parked)
+        };
         while let Some(idx) = self.parked.pop_front() {
-            if self.jobs[idx].state == CJobState::Parked {
+            if parked(self, idx) {
                 self.place(now, idx);
-                if self.jobs[idx].state == CJobState::Parked {
+                if parked(self, idx) {
                     break; // Re-parked: still no capacity; stop trying.
                 }
             }
@@ -1016,19 +1170,20 @@ impl GpuCluster {
         self.absorb_shard(now, device);
         let evicted = self.shards[device as usize].sys.decommission(now);
         for e in evicted {
-            let cidx = self.shards[device as usize].map[e.idx];
+            let cidx = self.shards[device as usize].unmap(e.idx);
             if cidx == PROBE {
                 // The probe grid died with its device: a failed probation.
                 self.on_probe_failed(now, device);
                 continue;
             }
+            let k = self.slot(cidx);
             // Each job actually forced off this device (not merely
             // finished with a lost notification) is one more strike —
             // flapping devices accumulate migration weight.
-            if e.tasks_done < self.jobs[cidx].spec.profile.total_tasks {
+            if e.tasks_done < self.jobs[k].spec.profile.total_tasks {
                 self.note_fault(now, device, |hc| hc.migration_weight);
             }
-            let job = &mut self.jobs[cidx];
+            let job = &mut self.jobs[k];
             debug_assert!(matches!(job.state, CJobState::Placed { .. }));
             job.done = e.tasks_done;
             fold_record(&mut job.record, e.record);
@@ -1036,21 +1191,19 @@ impl GpuCluster {
             if job.done >= total {
                 // The grid had in fact finished; only its notification was
                 // lost with the device. Count the completion here.
-                job.state = CJobState::Done;
-                self.settled += 1;
                 self.completed_log.push((now, cidx));
+                self.settle(k, CJobState::Done);
                 continue;
             }
             job.migrations += 1;
             if job.migrations > self.max_migrations {
                 let attempts = job.migrations - 1;
-                job.state = CJobState::Failed;
-                self.settled += 1;
                 self.errors.push(RuntimeError::MigrationFailed {
                     job: cidx,
                     attempts,
                 });
                 self.failed_log.push((now, cidx));
+                self.settle(k, CJobState::Failed);
                 continue;
             }
             job.state = CJobState::Parked;
@@ -1099,7 +1252,10 @@ impl GpuCluster {
                 self.absorb_shard(now, device);
             }
             ClusterEvent::Arrival(idx) => {
-                if self.jobs[idx].state == CJobState::Future {
+                if self
+                    .find(idx)
+                    .is_some_and(|k| self.jobs[k].state == CJobState::Future)
+                {
                     self.place(now, idx);
                 }
             }
@@ -1142,35 +1298,37 @@ impl GpuCluster {
         out.append(&mut self.migrated_log);
     }
 
-    /// Extracts the merged per-job records and cluster telemetry.
+    /// Appends and clears the settled-record log: the merged `(job,
+    /// record)` of every job settled since the last drain, in settle
+    /// order. A drained record is gone from the cluster; the
+    /// [`ClusterResult::jobs`] of [`Self::into_result`] no longer holds it.
+    pub fn drain_records_into(&mut self, out: &mut Vec<(usize, JobRecord)>) {
+        out.append(&mut self.records);
+    }
+
+    /// Extracts the merged per-job records and cluster telemetry. The
+    /// records are those of every job whose record was not drained
+    /// earlier ([`Self::drain_records_into`]), in registration order.
     #[must_use]
-    pub fn into_result(self, end_time: SimTime) -> ClusterResult {
-        let mut jobs: Vec<ClusterJob> = self.jobs;
+    pub fn into_result(mut self, end_time: SimTime) -> ClusterResult {
         let mut errors = Vec::new();
         let mut recoveries = Vec::new();
         let mut escalations = [0u64; 3];
         let mut faults_fired = 0u64;
         // Shard telemetry first (device order, matching a single-device
-        // run's layout), then the cluster's own entries.
-        for shard in self.shards {
-            let map = shard.map;
-            let (records, _, _, report) = shard.sys.into_records();
-            for (sidx, record) in records.into_iter().enumerate() {
-                if map[sidx] != PROBE {
-                    fold_record(&mut jobs[map[sidx]].record, record);
+        // run's layout), then the cluster's own entries. A shard still
+        // holds only its unsettled jobs' records (a budget abort's
+        // stranded work): fold them into their cluster jobs.
+        for mut shard in std::mem::take(&mut self.shards) {
+            shard.remap_logs();
+            let (records, _, report) = shard.sys.finish();
+            for (sidx, record) in records {
+                if let Some(k) = self.find(mapped(&shard.map, sidx)) {
+                    fold_record(&mut self.jobs[k].record, record);
                 }
             }
-            for mut e in report.errors {
-                if remap_error(&mut e, &map) {
-                    errors.push(e);
-                }
-            }
-            for mut r in report.recoveries {
-                r.job = map[r.job];
-                if r.job != PROBE {
-                    recoveries.push(r);
-                }
-            }
+            errors.append(&mut shard.errors);
+            recoveries.append(&mut shard.recoveries);
             for (i, n) in report.escalations.iter().enumerate() {
                 escalations[i] += n;
             }
@@ -1188,27 +1346,12 @@ impl GpuCluster {
             }
         }
         let migrations = summary.migrations;
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        let mut stranded = 0u64;
-        let records = jobs
-            .iter_mut()
-            .map(|j| {
-                match j.state {
-                    CJobState::Done => completed += 1,
-                    CJobState::Failed => failed += 1,
-                    _ => stranded += 1,
-                }
-                j.record.take().unwrap_or_else(|| JobRecord {
-                    name: j.spec.profile.name.clone(),
-                    priority: j.spec.priority,
-                    arrival: j.spec.arrival,
-                    ..JobRecord::default()
-                })
-            })
-            .collect();
+        let stranded = self.jobs.len() as u64;
+        let mut records = self.records;
+        records.extend(self.jobs.into_iter().map(|j| (j.idx, j.into_record())));
+        records.sort_unstable_by_key(|&(idx, _)| idx);
         ClusterResult {
-            jobs: records,
+            jobs: records.into_iter().map(|(_, r)| r).collect(),
             end_time,
             errors,
             recoveries,
@@ -1216,8 +1359,8 @@ impl GpuCluster {
             faults_fired,
             device_events: self.device_events,
             migrations,
-            completed,
-            failed,
+            completed: self.completed,
+            failed: self.failed,
             stranded,
             summary,
             placements: self.placements,
@@ -1265,13 +1408,13 @@ fn fold_record(acc: &mut Option<JobRecord>, mut inc: JobRecord) {
 /// Rewrites a shard-local job index inside an error to the cluster index.
 /// Returns `false` for errors belonging to probe grids (which have no
 /// cluster job to charge; the breaker already accounted the failure).
-fn remap_error(e: &mut RuntimeError, map: &[usize]) -> bool {
+fn remap_error(e: &mut RuntimeError, map: impl Fn(usize) -> usize) -> bool {
     match e {
         RuntimeError::LaunchFailed { job, .. }
         | RuntimeError::LaunchRetriesExhausted { job, .. }
         | RuntimeError::SwapUnsatisfiable { job }
         | RuntimeError::MigrationFailed { job, .. } => {
-            *job = map[*job];
+            *job = map(*job);
             *job != PROBE
         }
         RuntimeError::EventBudgetExhausted { .. } | RuntimeError::DeviceLost { .. } => true,
@@ -1310,12 +1453,9 @@ impl World for GpuCluster {
             sched.schedule_at(at, ev);
         }
         debug_assert_eq!(
-            self.settled,
-            self.jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Done | CJobState::Failed))
-                .count(),
-            "settled-job count drifted from the job states"
+            self.completed + self.failed + self.jobs.len() as u64,
+            self.registered as u64,
+            "settled-job count drifted from the job table"
         );
         // A seeded device-fault plan re-arms itself after every draw, so
         // it outlives the workload: left alone, the run would only end
@@ -1323,8 +1463,8 @@ impl World for GpuCluster {
         // nothing left for faults to hit — stop instead of simulating the
         // cluster's slow death by injection. (Faults-off runs never take
         // this path, preserving exact CoRun equivalence.)
-        if self.settled == self.jobs.len()
-            && !self.jobs.is_empty()
+        if self.jobs.is_empty()
+            && self.registered > 0
             && (self.corr_plan.is_some() || self.shards.iter().any(|s| s.plan.is_some()))
         {
             sched.stop();
@@ -1629,7 +1769,8 @@ fn finish(cluster: GpuCluster, outcome: RunOutcome) -> ClusterResult {
 pub struct ClusterResult {
     /// Per-job records in registration order, merged across incarnations
     /// (a migrated job's counters accumulate over every device it ran
-    /// on).
+    /// on). Every registered job has one, stranded jobs included, unless
+    /// its record was drained with [`GpuCluster::drain_records_into`].
     pub jobs: Vec<JobRecord>,
     /// When the last event fired.
     pub end_time: SimTime,

@@ -4,18 +4,20 @@
 //! The wheel tracks exactly the jobs currently holding a live grid — the
 //! only jobs a watchdog tick can act on. Registration happens when a
 //! grid launches, deregistration when it retires (completion, preemption,
-//! eviction), both O(1); a tick then visits only registered pollers
-//! instead of walking the full active-job list that a long-lived serving
-//! frontend accumulates.
+//! eviction); a tick then visits only registered pollers instead of
+//! walking every job the runtime holds. The wheel is a sorted list of
+//! job indices, so its size and a tick's scan are both O(live grids):
+//! job indices grow with every submission and are never reused, and a
+//! structure sized by the highest index would grow with the number of
+//! retired jobs.
 //!
 //! # Contract
 //!
 //! * **Fan-out order is ascending job index.** [`PollWheel::next_after`]
-//!   is a successor scan over a word bitset, so iteration visits
-//!   registered indices in exactly the order the old full active-list
-//!   scan visited jobs with live grids — escalation decisions and lost
-//!   -note reconciliation fire in an identical sequence, keeping every
-//!   golden trace byte-identical.
+//!   is a successor search, so iteration visits registered indices in
+//!   exactly the order the old full active-list scan visited jobs with
+//!   live grids — escalation decisions and lost-note reconciliation fire
+//!   in an identical sequence, keeping every golden trace byte-identical.
 //! * **Same-tick churn is safe.** Iteration holds no cursor into the
 //!   set: each step asks for the successor of the last *visited* index,
 //!   so a poller registered mid-tick at a lower index is simply not
@@ -26,77 +28,52 @@
 //!   re-arming, and disarm-when-idle stay with the watchdog itself; the
 //!   wheel only answers *who* a tick visits.
 
-/// Membership bitset over job indices with O(1) register/deregister and
-/// an ascending successor scan for iteration.
+/// Membership set over job indices, kept sorted: O(log n) membership and
+/// successor search, O(n) register/deregister over the n live grids.
 #[derive(Debug, Default)]
 pub(crate) struct PollWheel {
-    /// One bit per job index, LSB-first within each 64-bit word.
-    words: Vec<u64>,
-    /// Registered pollers (kept so emptiness checks are O(1)).
-    len: usize,
+    /// Registered job indices, ascending.
+    jobs: Vec<usize>,
 }
 
 impl PollWheel {
     /// Registers job `idx` (no-op if already registered).
     pub(crate) fn register(&mut self, idx: usize) {
-        let (w, b) = (idx / 64, idx % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        if self.words[w] & (1 << b) == 0 {
-            self.words[w] |= 1 << b;
-            self.len += 1;
+        if let Err(pos) = self.jobs.binary_search(&idx) {
+            self.jobs.insert(pos, idx);
         }
     }
 
     /// Deregisters job `idx` (no-op if not registered).
     pub(crate) fn deregister(&mut self, idx: usize) {
-        let (w, b) = (idx / 64, idx % 64);
-        if let Some(word) = self.words.get_mut(w) {
-            if *word & (1 << b) != 0 {
-                *word &= !(1 << b);
-                self.len -= 1;
-            }
+        if let Ok(pos) = self.jobs.binary_search(&idx) {
+            self.jobs.remove(pos);
         }
     }
 
     /// Whether job `idx` is registered.
     #[cfg(test)]
     pub(crate) fn contains(&self, idx: usize) -> bool {
-        self.words
-            .get(idx / 64)
-            .is_some_and(|w| w & (1 << (idx % 64)) != 0)
+        self.jobs.binary_search(&idx).is_ok()
     }
 
     /// Number of registered pollers.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.jobs.len()
     }
 
     /// The smallest registered index strictly greater than `after`
     /// (or the smallest overall when `after` is `None`). The tick
     /// fan-out loop: `while let Some(i) = wheel.next_after(cur) { ... }`.
     pub(crate) fn next_after(&self, after: Option<usize>) -> Option<usize> {
-        let start = after.map_or(0, |i| i + 1);
-        let (mut w, b) = (start / 64, start % 64);
-        let mut masked = self.words.get(w).copied().unwrap_or(0) & (!0u64 << b);
-        loop {
-            if masked != 0 {
-                return Some(w * 64 + masked.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return None;
-            }
-            masked = self.words[w];
-        }
+        let pos = after.map_or(0, |a| self.jobs.partition_point(|&i| i <= a));
+        self.jobs.get(pos).copied()
     }
 
     /// Deregisters everything (device decommission).
     pub(crate) fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
+        self.jobs.clear();
     }
 }
 

@@ -261,14 +261,15 @@ enum JobState {
     /// A spatial victim: keeps running on its remaining SMs while another
     /// job uses the yielded ones.
     SharedVictim,
-    /// All invocations finished.
-    Done,
 }
 
 /// Internal per-job state: the §5.1 execution-logging triplet plus launch
-/// bookkeeping.
+/// bookkeeping. It lives only while the job is unsettled: a job that
+/// finishes, fails or is evicted leaves the world's table.
 #[derive(Debug)]
 struct Job {
+    /// The job's index: assigned in submission order, never reused.
+    idx: usize,
     spec: JobSpec,
     state: JobState,
     /// `T_e`: predicted duration, set once at arrival.
@@ -291,7 +292,11 @@ struct Job {
     completions: u64,
     /// Relaunch counter (perturbs the seed per resume).
     launches: u64,
+    /// The observable outcome so far; its `name` stays empty until the
+    /// record leaves the world ([`Job::into_record`]).
     record: JobRecord,
+    /// Observed preemption drain latencies (§4.2).
+    profiler: OverheadProfiler,
     /// FFS: epoch generation, to ignore stale epoch-expiry events.
     epoch_gen: u64,
     /// Current escalation level of the in-flight preemption:
@@ -309,12 +314,11 @@ struct Job {
 impl Job {
     /// Fresh runtime state for a spec (`T_e` from the prediction or the
     /// wave model; everything else at its arrival defaults).
-    fn from_spec(spec: JobSpec, config: &flep_gpu_sim::GpuConfig) -> Job {
+    fn from_spec(idx: usize, spec: JobSpec, config: &flep_gpu_sim::GpuConfig) -> Job {
         let te = spec
             .predicted
             .unwrap_or_else(|| spec.profile.estimate_duration(config));
         let record = JobRecord {
-            name: spec.profile.name.clone(),
             priority: spec.priority,
             arrival: spec.arrival,
             ..JobRecord::default()
@@ -330,6 +334,7 @@ impl Job {
             te.scale(frac)
         };
         Job {
+            idx,
             spec,
             state: JobState::Future,
             te,
@@ -343,6 +348,7 @@ impl Job {
             launches: 0,
             granted_at: None,
             record,
+            profiler: OverheadProfiler::new(),
             epoch_gen: 0,
             escalation: 0,
             signal_sms: 0,
@@ -371,6 +377,14 @@ impl Job {
             let waited = now.saturating_sub(since);
             self.tw += waited;
             self.record.waiting += waited;
+        }
+    }
+
+    /// The job's record as it leaves the world, named from its spec.
+    fn into_record(self) -> JobRecord {
+        JobRecord {
+            name: self.spec.profile.name,
+            ..self.record
         }
     }
 }
@@ -408,17 +422,32 @@ pub enum SystemEvent {
 pub struct SystemWorld {
     device: GpuDevice,
     policy: Policy,
+    /// The jobs not yet settled (future, waiting, running or draining), in
+    /// ascending index order: the only per-job state the world holds. A
+    /// job that completes its last invocation or fails leaves the table
+    /// and its record moves to `records`; an evicted job leaves through
+    /// [`Self::decommission`]. The scheduling and watchdog scans iterate
+    /// this table, so a serving frontend that submits tens of thousands
+    /// of batch jobs over a run pays O(unsettled) per decision, in memory
+    /// and time, rather than O(ever submitted). Ascending order keeps
+    /// every index-order tie-break identical to a scan over all jobs.
     jobs: Vec<Job>,
+    /// Jobs registered so far: the next job's index.
+    registered: usize,
     /// Index of the job currently granted the GPU (exclusively).
     gpu_job: Option<usize>,
     /// Spatial victims still running alongside `gpu_job`.
     shared_victims: Vec<usize>,
     /// True while a temporal preemption drain is in flight.
     draining: bool,
-    /// Per-job preemption-overhead profiles (§4.2).
-    profilers: Vec<OverheadProfiler>,
     /// FFS rotation cursor.
     ffs_cursor: usize,
+    /// FFS epoch terms of every job that has left the table: the sums of
+    /// their preemption-overhead estimates and of their weights. An FFS
+    /// epoch is sized over every registered job, settled ones included,
+    /// and a settled job's terms never change again.
+    retired_overhead: SimTime,
+    retired_weight: u64,
     /// Experiment horizon for looping jobs.
     horizon: Option<SimTime>,
     /// Optional GPUSwap-style working-set manager (§8 integration).
@@ -439,13 +468,9 @@ pub struct SystemWorld {
     /// event type can embed the runtime; drain order equals push order, so
     /// `(time, seq)` tie-breaks — and every golden trace — are unchanged.
     pending: Vec<(SimTime, SystemEvent)>,
-    /// Indices of jobs not yet `Done`, in ascending order. The scheduling
-    /// and watchdog scans iterate this instead of the full job vector, so
-    /// a serving frontend that submits tens of thousands of batch jobs
-    /// over a run pays O(active) per decision rather than O(ever
-    /// submitted). Ascending order keeps every index-order tie-break
-    /// identical to the full-vector loops this replaced.
-    active: Vec<usize>,
+    /// Records of settled jobs `(job, record)`, in settle order; drained
+    /// by an embedding cluster, collected by [`Self::into_records`].
+    records: Vec<(usize, JobRecord)>,
     /// Completion log `(time, job)`, appended on every completed
     /// invocation; drained by embedding frontends to observe batch
     /// completions without scanning the records.
@@ -461,8 +486,7 @@ pub struct SystemWorld {
     /// Jobs currently holding a live grid — the coalesced poll wheel a
     /// watchdog tick fans out over (DESIGN.md §12). Registered on grid
     /// launch, deregistered on retire/evict; ascending-index iteration
-    /// replays exactly the order of the full active-list scan it
-    /// replaced.
+    /// replays exactly the order of a full job-table scan.
     poll_wheel: PollWheel,
     /// Reusable event-collection harness for [`Self::dispatch`] /
     /// [`Self::submit`] — taken at entry, restored after routing, so the
@@ -521,18 +545,20 @@ impl SystemWorld {
     ) -> Self {
         let jobs: Vec<Job> = specs
             .into_iter()
-            .map(|spec| Job::from_spec(spec, device.config()))
+            .enumerate()
+            .map(|(idx, spec)| Job::from_spec(idx, spec, device.config()))
             .collect();
-        let n = jobs.len();
         SystemWorld {
             device,
             policy,
+            registered: jobs.len(),
             jobs,
             gpu_job: None,
             shared_victims: Vec::new(),
             draining: false,
-            profilers: (0..n).map(|_| OverheadProfiler::new()).collect(),
             ffs_cursor: 0,
+            retired_overhead: SimTime::ZERO,
+            retired_weight: 0,
             horizon,
             swap: None,
             watchdog: None,
@@ -540,7 +566,7 @@ impl SystemWorld {
             recoveries: Vec::new(),
             escalations: [0; 3],
             pending: Vec::new(),
-            active: (0..n).collect(),
+            records: Vec::new(),
             completed_log: Vec::new(),
             failed_log: Vec::new(),
             watchdog_armed: false,
@@ -569,13 +595,13 @@ impl SystemWorld {
     /// Follow-up events land in the pending buffer; the embedding world
     /// must drain them via [`Self::for_each_pending`].
     pub fn submit(&mut self, now: SimTime, spec: JobSpec) -> usize {
-        let idx = self.jobs.len();
-        let mut job = Job::from_spec(spec, self.device.config());
+        let idx = self.registered;
+        self.registered += 1;
+        let mut job = Job::from_spec(idx, spec, self.device.config());
         job.state = JobState::Queued;
         job.begin_wait(now);
+        // The highest index yet, so the table stays ascending.
         self.jobs.push(job);
-        self.profilers.push(OverheadProfiler::new());
-        self.active.push(idx);
         if let Some(wd) = self.watchdog {
             if !self.watchdog_armed {
                 self.watchdog_armed = true;
@@ -603,11 +629,14 @@ impl SystemWorld {
     }
 
     /// Extracts the per-job records and robustness telemetry after the run.
-    /// Busy totals are folded from the device's spans, per owner in
-    /// first-exit order, so both are empty when span collection is off.
+    /// The records are those of every job, settled or not, in job order,
+    /// except jobs [`Self::decommission`] evicted and settled jobs whose
+    /// records an embedding cluster already drained. Busy totals are
+    /// folded from the device's spans, per owner in first-exit order, so
+    /// both are empty when span collection is off.
     #[must_use]
     pub fn into_records(self) -> RunRecords {
-        let spans = self.device.busy_spans().to_vec();
+        let (records, spans, report) = self.finish();
         let mut totals: Vec<(u64, SimTime)> = Vec::new();
         for s in &spans {
             match totals.iter_mut().find(|(owner, _)| *owner == s.owner) {
@@ -615,18 +644,24 @@ impl SystemWorld {
                 None => totals.push((s.owner, s.duration())),
             }
         }
+        let records = records.into_iter().map(|(_, r)| r).collect();
+        (records, spans, totals, report)
+    }
+
+    /// Ends the run: every record the world still holds — the undrained
+    /// settled log and the unsettled jobs — as `(job, record)` in job
+    /// order, the device's busy spans, and the robustness report.
+    pub(crate) fn finish(self) -> (Vec<(usize, JobRecord)>, Vec<Span>, RunReport) {
+        let mut records = self.records;
+        records.extend(self.jobs.into_iter().map(|j| (j.idx, j.into_record())));
+        records.sort_unstable_by_key(|&(idx, _)| idx);
         let report = RunReport {
             errors: self.errors,
             recoveries: self.recoveries,
             faults: self.device.fault_log().to_vec(),
             escalations: self.escalations,
         };
-        (
-            self.jobs.into_iter().map(|j| j.record).collect(),
-            spans,
-            totals,
-            report,
-        )
+        (records, self.device.busy_spans().to_vec(), report)
     }
 
     /// The device (for span/trace inspection mid-run).
@@ -650,11 +685,12 @@ impl SystemWorld {
         self.jobs.iter().filter(|j| j.grid.is_some()).count()
     }
 
-    /// Jobs not yet done or failed — the cluster placement layer's
+    /// Jobs not yet settled (done, failed or evicted) — the only jobs the
+    /// world holds state for, and the cluster placement layer's
     /// same-instant load tie-breaker.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.jobs.len()
     }
 
     /// Device-level failure: resets the device (evicting every resident
@@ -675,15 +711,14 @@ impl SystemWorld {
         // the stale-note guard once the job's grid link is cleared here):
         // their progress lives only in device state, and missing it would
         // re-run completed tasks after migration.
-        for k in 0..self.active.len() {
-            let idx = self.active[k];
-            let Some(grid) = self.jobs[idx].grid else {
+        for k in 0..self.jobs.len() {
+            let Some(grid) = self.jobs[k].grid else {
                 continue;
             };
             if let Some(GridPhase::Completed | GridPhase::Preempted) = self.device.grid_phase(grid)
             {
                 let done = self.device.grid_tasks_done(grid).unwrap_or(0);
-                let job = &mut self.jobs[idx];
+                let job = &mut self.jobs[k];
                 job.grid = None;
                 job.tasks_done += done;
                 job.record.tasks_completed += done;
@@ -692,10 +727,10 @@ impl SystemWorld {
             }
         }
         for reset in self.device.reset(now) {
-            let idx = reset.tag as usize;
-            let Some(job) = self.jobs.get_mut(idx) else {
+            let Some(k) = self.find(reset.tag as usize) else {
                 continue;
             };
+            let job = &mut self.jobs[k];
             // Only fold the eviction snapshot of the job's *live* grid; a
             // stale retired grid of the same job was already accounted.
             if job.grid != Some(reset.grid) {
@@ -709,22 +744,22 @@ impl SystemWorld {
             job.signalled_at = None;
             job.escalation = 0;
         }
-        let evicted_indices: Vec<usize> = self.active.clone();
-        let mut out = Vec::with_capacity(evicted_indices.len());
-        for idx in evicted_indices {
-            let job = &mut self.jobs[idx];
+        let jobs = std::mem::take(&mut self.jobs);
+        let mut out = Vec::with_capacity(jobs.len());
+        for mut job in jobs {
             job.end_wait(now);
-            job.grid = None;
-            job.retry_after = None;
+            self.fold_retired_terms(&job);
+            let record = JobRecord {
+                name: job.spec.profile.name.clone(),
+                ..job.record
+            };
             out.push(EvictedJob {
-                idx,
-                spec: job.spec.clone(),
+                idx: job.idx,
+                spec: job.spec,
                 tasks_done: job.tasks_done,
-                record: std::mem::take(&mut job.record),
+                record,
             });
-            job.state = JobState::Done;
         }
-        self.active.clear();
         self.poll_wheel.clear();
         self.gpu_job = None;
         self.draining = false;
@@ -760,12 +795,68 @@ impl SystemWorld {
         out.append(&mut self.failed_log);
     }
 
-    /// Marks a job `Done` and retires it from the active-index scans.
+    /// Appends and clears the settled-record log: the `(job, record)` of
+    /// every job that completed its last invocation or failed since the
+    /// last drain, in settle order. A drained record is gone from the
+    /// world; [`Self::into_records`] no longer returns it.
+    pub(crate) fn drain_records_into(&mut self, out: &mut Vec<(usize, JobRecord)>) {
+        out.append(&mut self.records);
+    }
+
+    /// Whether any log an embedding cluster drains — completions,
+    /// failures, settled records, errors, recoveries — holds an entry.
+    pub(crate) fn has_logs(&self) -> bool {
+        !(self.completed_log.is_empty()
+            && self.failed_log.is_empty()
+            && self.records.is_empty()
+            && self.errors.is_empty()
+            && self.recoveries.is_empty())
+    }
+
+    /// Moves the structured errors and watchdog recoveries logged since
+    /// the last call onto `errors` and `recoveries`, job indices still
+    /// local to this world: the cluster remaps them while the jobs they
+    /// name are still in its shard map.
+    pub(crate) fn drain_logs_into(
+        &mut self,
+        errors: &mut Vec<RuntimeError>,
+        recoveries: &mut Vec<RecoveryEvent>,
+    ) {
+        errors.append(&mut self.errors);
+        recoveries.append(&mut self.recoveries);
+    }
+
+    /// The table slot of unsettled job `idx`, if it is still held.
+    fn find(&self, idx: usize) -> Option<usize> {
+        self.jobs.binary_search_by_key(&idx, |j| j.idx).ok()
+    }
+
+    /// The table slot of job `idx`, which must be unsettled.
+    fn slot(&self, idx: usize) -> usize {
+        self.find(idx).expect("job is unsettled")
+    }
+
+    fn job(&self, idx: usize) -> &Job {
+        &self.jobs[self.slot(idx)]
+    }
+
+    fn job_mut(&mut self, idx: usize) -> &mut Job {
+        let k = self.slot(idx);
+        &mut self.jobs[k]
+    }
+
+    /// Adds a job leaving the table to the FFS running totals.
+    fn fold_retired_terms(&mut self, job: &Job) {
+        self.retired_overhead += self.preempt_overhead_estimate(job);
+        self.retired_weight += u64::from(job.spec.priority.max(1));
+    }
+
+    /// Settles a job: it leaves the table and its record moves to the
+    /// settled log.
     fn retire(&mut self, idx: usize) {
-        self.jobs[idx].state = JobState::Done;
-        if let Ok(pos) = self.active.binary_search(&idx) {
-            self.active.remove(pos);
-        }
+        let job = self.jobs.remove(self.slot(idx));
+        self.fold_retired_terms(&job);
+        self.records.push((idx, job.into_record()));
     }
 
     /// Retires a job that will never complete and logs the failure for
@@ -783,7 +874,8 @@ impl SystemWorld {
     /// marked failed and a [`RuntimeError`] recorded) — both former panic
     /// sites.
     fn launch_job(&mut self, now: SimTime, idx: usize, harness: &mut CollectorHarness) -> bool {
-        let job = &mut self.jobs[idx];
+        let k = self.slot(idx);
+        let job = &mut self.jobs[k];
         job.end_wait(now);
         if job.record.first_granted.is_none() {
             job.record.first_granted = Some(now);
@@ -824,7 +916,7 @@ impl SystemWorld {
         match self.device.launch(now, desc, harness) {
             Ok(grid) => {
                 self.poll_wheel.register(idx);
-                let job = &mut self.jobs[idx];
+                let job = &mut self.jobs[k];
                 job.grid = Some(grid);
                 job.granted_at = Some(now);
                 job.retry_attempts = 0;
@@ -834,7 +926,7 @@ impl SystemWorld {
             }
             Err(e) if e.is_transient() => {
                 let wd = self.watchdog.unwrap_or_default();
-                let job = &mut self.jobs[idx];
+                let job = &mut self.jobs[k];
                 job.retry_attempts += 1;
                 let attempt = job.retry_attempts;
                 if attempt > wd.max_launch_retries {
@@ -871,7 +963,7 @@ impl SystemWorld {
     /// The running job's live `T_r`: the prediction at grant minus the
     /// time it has been running since (§5.1: `T_r` decreases on the GPU).
     fn live_tr(&self, idx: usize, now: SimTime) -> SimTime {
-        let job = &self.jobs[idx];
+        let job = self.job(idx);
         match job.granted_at {
             Some(at) => job.tr.saturating_sub(now.saturating_sub(at)),
             None => job.tr,
@@ -880,7 +972,8 @@ impl SystemWorld {
 
     /// Signals the currently granted job to yield `sms` SMs.
     fn signal_preempt(&mut self, now: SimTime, idx: usize, sms: u32) {
-        let job = &mut self.jobs[idx];
+        let k = self.slot(idx);
+        let job = &mut self.jobs[k];
         if let Some(grid) = job.grid {
             job.signalled_at = Some(now);
             job.signal_sms = sms;
@@ -889,33 +982,32 @@ impl SystemWorld {
         }
     }
 
-    fn preempt_overhead_estimate(&self, idx: usize) -> SimTime {
-        let fallback = self.jobs[idx]
+    fn preempt_overhead_estimate(&self, job: &Job) -> SimTime {
+        let fallback = job
             .spec
             .profile
             .estimate_preempt_overhead(self.device.config());
-        self.profilers[idx].mean_or(fallback)
+        job.profiler.mean_or(fallback)
     }
 
     // -- Scheduling core ----------------------------------------------------
 
     /// The best waiting job: highest priority first, then shortest
     /// remaining predicted time (queues are ordered by `T_r`, §5.2.1).
-    /// Scans only the active index; the comparator's final index
-    /// tie-break makes the result independent of scan order.
+    /// The comparator's final index tie-break makes the result
+    /// independent of scan order.
     fn best_waiting(&self, now: SimTime) -> Option<usize> {
-        self.active
+        self.jobs
             .iter()
-            .map(|&i| (i, &self.jobs[i]))
-            .filter(|(_, j)| j.is_ready(now))
-            .min_by(|(ai, a), (bi, b)| {
+            .filter(|j| j.is_ready(now))
+            .min_by(|a, b| {
                 b.spec
                     .priority
                     .cmp(&a.spec.priority)
                     .then(a.tr.cmp(&b.tr))
-                    .then(ai.cmp(bi))
+                    .then(a.idx.cmp(&b.idx))
             })
-            .map(|(i, _)| i)
+            .map(|j| j.idx)
     }
 
     /// The central HPF decision procedure (Fig. 6): called on every
@@ -941,17 +1033,18 @@ impl SystemWorld {
                 }
             }
             Some(running) => {
-                let bp = self.jobs[best].spec.priority;
-                let rp = self.jobs[running].spec.priority;
+                let bp = self.job(best).spec.priority;
+                let rp = self.job(running).spec.priority;
                 if bp > rp {
                     // Priority preemption: yield just enough SMs when the
                     // waiting kernel underfills the device and spatial mode
                     // is on; otherwise yield everything.
                     let cfg_sms = self.device.config().num_sms;
-                    let fit = self.jobs[best]
+                    let waiting = self.job(best);
+                    let fit = waiting
                         .spec
                         .profile
-                        .sms_needed(self.device.config(), self.jobs[best].remaining_tasks());
+                        .sms_needed(self.device.config(), waiting.remaining_tasks());
                     let needed = forced_yield.unwrap_or(fit).max(fit).min(cfg_sms);
                     if spatial && needed < cfg_sms {
                         // Launch the borrower first: if its launch is
@@ -962,27 +1055,27 @@ impl SystemWorld {
                         // fault-free runs.
                         if self.launch_job(now, best, harness) {
                             self.signal_preempt(now, running, needed);
-                            self.jobs[running].state = JobState::SharedVictim;
+                            self.job_mut(running).state = JobState::SharedVictim;
                             self.shared_victims.push(running);
-                            self.jobs[best].state = JobState::RunningShared;
+                            self.job_mut(best).state = JobState::RunningShared;
                             self.gpu_job = Some(best);
                         }
                     } else {
                         self.signal_preempt(now, running, cfg_sms);
-                        self.jobs[running].state = JobState::Draining;
+                        self.job_mut(running).state = JobState::Draining;
                         self.draining = true;
                     }
                 } else if bp == rp {
                     // Same priority: shortest-remaining-time, counting the
                     // preemption overhead against the switch (§5.2.1).
                     let overhead = if overhead_aware {
-                        self.preempt_overhead_estimate(running)
+                        self.preempt_overhead_estimate(self.job(running))
                     } else {
                         SimTime::ZERO
                     };
-                    if self.jobs[best].tr + overhead < self.live_tr(running, now) {
+                    if self.job(best).tr + overhead < self.live_tr(running, now) {
                         self.signal_preempt(now, running, self.device.config().num_sms);
-                        self.jobs[running].state = JobState::Draining;
+                        self.job_mut(running).state = JobState::Draining;
                         self.draining = true;
                     }
                 }
@@ -996,33 +1089,44 @@ impl SystemWorld {
         if self.gpu_job.is_some() || self.past_horizon(now) {
             return;
         }
-        let n = self.jobs.len();
-        let Some(pick) = (0..n)
-            .map(|k| (self.ffs_cursor + k) % n)
-            .find(|&i| self.jobs[i].is_ready(now))
-        else {
+        // The rotation runs over every registered index from the cursor
+        // on, wrapping. Settled jobs are never ready, so the pick is the
+        // first ready unsettled job at or after the cursor, else the
+        // first ready one.
+        let cursor = self.ffs_cursor;
+        let ready = || self.jobs.iter().filter(|j| j.is_ready(now)).map(|j| j.idx);
+        let Some(pick) = ready().find(|&i| i >= cursor).or_else(|| ready().next()) else {
             return;
         };
-        self.ffs_cursor = (pick + 1) % n;
+        self.ffs_cursor = (pick + 1) % self.registered;
         if !self.launch_job(now, pick, harness) {
             return; // Rotation already advanced; a retry re-enters here.
         }
         self.gpu_job = Some(pick);
 
         // Epoch length: T * W_i with T from the §5.2.2 constraint
-        //   sum(O_i) / (T * sum(W_i)) <= max_overhead.
-        let total_overhead: SimTime = (0..n).map(|i| self.preempt_overhead_estimate(i)).sum();
-        let total_weight: u64 = self
-            .jobs
-            .iter()
-            .map(|j| u64::from(j.spec.priority.max(1)))
-            .sum();
+        //   sum(O_i) / (T * sum(W_i)) <= max_overhead,
+        // over every registered job: settled ones through the running
+        // totals, the rest here.
+        let total_overhead: SimTime = self.retired_overhead
+            + self
+                .jobs
+                .iter()
+                .map(|j| self.preempt_overhead_estimate(j))
+                .sum::<SimTime>();
+        let total_weight: u64 = self.retired_weight
+            + self
+                .jobs
+                .iter()
+                .map(|j| u64::from(j.spec.priority.max(1)))
+                .sum::<u64>();
         let t = SimTime::from_us_f64(
             total_overhead.as_us() / (max_overhead * total_weight as f64).max(1e-9),
         );
-        let epoch = t * u64::from(self.jobs[pick].spec.priority.max(1));
-        self.jobs[pick].epoch_gen += 1;
-        let gen = self.jobs[pick].epoch_gen;
+        let job = self.job_mut(pick);
+        let epoch = t * u64::from(job.spec.priority.max(1));
+        job.epoch_gen += 1;
+        let gen = job.epoch_gen;
         self.pending
             .push((now + epoch, SystemEvent::EpochEnd { idx: pick, gen }));
     }
@@ -1038,13 +1142,12 @@ impl SystemWorld {
             Policy::MpsBaseline => {
                 // Launch everything that has arrived, immediately; the
                 // device FIFO provides the (non-preemptive) ordering. The
-                // active list is ascending, so launch order matches the
-                // old full-vector scan.
+                // job table is ascending, so launch order is index order.
                 let arrived: Vec<usize> = self
-                    .active
+                    .jobs
                     .iter()
-                    .copied()
-                    .filter(|&i| self.jobs[i].is_ready(now))
+                    .filter(|j| j.is_ready(now))
+                    .map(|j| j.idx)
                     .collect();
                 for idx in arrived {
                     self.launch_job(now, idx, harness);
@@ -1076,22 +1179,24 @@ impl SystemWorld {
         let Some(wd) = self.watchdog else { return };
         // Fan out over the poll wheel: exactly the jobs holding a live
         // grid, in ascending index order — the same jobs, in the same
-        // order, the full active-list scan this replaced acted on (it
-        // skipped grid-less jobs). The successor scan tolerates mid-tick
-        // register/deregister; states do not change during this loop
-        // (device probes buffer their notifications).
+        // order, a full job-table scan would act on (it would skip
+        // grid-less jobs). The successor scan tolerates mid-tick
+        // register/deregister; states do not change and no job leaves the
+        // table during this loop (device probes buffer their
+        // notifications).
         let mut cur = None;
         while let Some(idx) = self.poll_wheel.next_after(cur) {
             cur = Some(idx);
-            let Some(grid) = self.jobs[idx].grid else {
+            let k = self.slot(idx);
+            let Some(grid) = self.jobs[k].grid else {
                 debug_assert!(false, "poll wheel holds only jobs with live grids");
                 continue;
             };
             // A lost DispatchStarted only affects the record; patch it from
             // the device's own timestamp.
-            if self.jobs[idx].record.first_dispatched.is_none() {
+            if self.jobs[k].record.first_dispatched.is_none() {
                 if let Some(t) = self.device.grid_dispatch_started(grid) {
-                    self.jobs[idx].record.first_dispatched = Some(t);
+                    self.jobs[k].record.first_dispatched = Some(t);
                 }
             }
             match self.device.grid_phase(grid) {
@@ -1113,7 +1218,7 @@ impl SystemWorld {
                             grid,
                             tag,
                             tasks_done: done,
-                            remaining_tasks: self.jobs[idx].remaining_tasks() - done,
+                            remaining_tasks: self.jobs[k].remaining_tasks() - done,
                         }
                     };
                     self.recoveries.push(RecoveryEvent {
@@ -1124,7 +1229,7 @@ impl SystemWorld {
                     harness.notify_host(now, note);
                 }
                 Some(_) => {
-                    let job = &self.jobs[idx];
+                    let job = &self.jobs[k];
                     let Some(signalled) = job.signalled_at else {
                         continue;
                     };
@@ -1136,7 +1241,7 @@ impl SystemWorld {
                         continue;
                     }
                     if job.escalation == 0 && now >= signalled + wd.drain_deadline {
-                        self.jobs[idx].escalation = 1;
+                        self.jobs[k].escalation = 1;
                         self.recoveries.push(RecoveryEvent {
                             at: now,
                             job: idx,
@@ -1144,7 +1249,7 @@ impl SystemWorld {
                         });
                         self.device.force_drain(now, grid);
                     } else if job.escalation == 1 && now >= signalled + wd.drain_deadline * 2 {
-                        self.jobs[idx].escalation = 2;
+                        self.jobs[k].escalation = 2;
                         self.recoveries.push(RecoveryEvent {
                             at: now,
                             job: idx,
@@ -1159,7 +1264,7 @@ impl SystemWorld {
         // Backed-off retries and grants stalled by earlier failures resume
         // here even when no other event would trigger a decision.
         self.reschedule(now, harness);
-        if self.active.is_empty() {
+        if self.jobs.is_empty() {
             self.watchdog_armed = false;
         } else {
             self.pending
@@ -1179,13 +1284,11 @@ impl SystemWorld {
         // Stale-note guard: a kill or watchdog reconciliation may already
         // have resolved this grid on the runtime side while a delayed (or
         // in-flight) copy of its notification was still travelling. Only
-        // the note matching the job's live grid is acted on; fault-free
-        // runs never take this path (grids outlive their notifications).
-        if self
-            .jobs
-            .get(idx)
-            .is_none_or(|j| j.grid != Some(note.grid()))
-        {
+        // the note matching the job's live grid is acted on, and a settled
+        // job has none; fault-free runs never take this path (grids
+        // outlive their notifications).
+        let Some(k) = self.find(idx) else { return };
+        if self.jobs[k].grid != Some(note.grid()) {
             return;
         }
         // A terminal note on the live grid is the last time the host needs
@@ -1198,7 +1301,7 @@ impl SystemWorld {
         }
         match note {
             HostNotification::DispatchStarted { .. } => {
-                let job = &mut self.jobs[idx];
+                let job = &mut self.jobs[k];
                 if job.record.first_dispatched.is_none() {
                     job.record.first_dispatched = Some(now);
                 }
@@ -1208,19 +1311,18 @@ impl SystemWorld {
                 // re-registers through `launch_job`.
                 self.poll_wheel.deregister(idx);
                 self.completed_log.push((now, idx));
-                let finished_state = self.jobs[idx].state;
+                let job = &mut self.jobs[k];
+                let finished_state = job.state;
                 // A kernel signalled for preemption may complete before any
                 // CTA observes the flag; the drain is then over without a
                 // Preempted event.
                 if finished_state == JobState::Draining {
                     self.draining = false;
                 }
-                if self.jobs[idx].signalled_at.take().is_some() {
-                    let lvl = usize::from(self.jobs[idx].escalation.min(2));
-                    self.escalations[lvl] += 1;
-                    self.jobs[idx].escalation = 0;
+                if job.signalled_at.take().is_some() {
+                    self.escalations[usize::from(job.escalation.min(2))] += 1;
+                    job.escalation = 0;
                 }
-                let job = &mut self.jobs[idx];
                 job.tasks_done += tasks_done;
                 job.record.tasks_completed += tasks_done;
                 debug_assert_eq!(job.tasks_done, job.spec.profile.total_tasks);
@@ -1236,7 +1338,7 @@ impl SystemWorld {
                 let repeat = job.spec.repeat;
                 if repeat == RepeatMode::Loop && !self.past_horizon(now) {
                     // The host process immediately re-invokes the kernel.
-                    let job = &mut self.jobs[idx];
+                    let job = &mut self.jobs[k];
                     job.tasks_done = 0;
                     job.tr = job.te;
                     // Under FFS a job owns the GPU for its whole epoch: if
@@ -1253,10 +1355,10 @@ impl SystemWorld {
                         return;
                     }
                     // (A failed relaunch falls through: the job already
-                    // re-queued or failed inside `launch_job`; give the GPU
-                    // up either way.)
-                    let job = &mut self.jobs[idx];
-                    if job.state != JobState::Done {
+                    // re-queued, or failed and left the table, inside
+                    // `launch_job`; give the GPU up either way.)
+                    if let Some(k) = self.find(idx) {
+                        let job = &mut self.jobs[k];
                         job.state = JobState::Queued;
                         job.begin_wait(now);
                     }
@@ -1280,9 +1382,9 @@ impl SystemWorld {
                     if finished_state == JobState::RunningShared {
                         let victims: Vec<usize> = self.shared_victims.clone();
                         for v in victims {
-                            if let Some(grid) = self.jobs[v].grid {
+                            if let Some(grid) = self.job(v).grid {
                                 self.device.restore_grid(now, grid, harness);
-                                self.jobs[v].state = JobState::Running;
+                                self.job_mut(v).state = JobState::Running;
                                 if self.gpu_job.is_none() {
                                     self.gpu_job = Some(v);
                                 }
@@ -1299,7 +1401,7 @@ impl SystemWorld {
                 ..
             } => {
                 self.poll_wheel.deregister(idx);
-                let job = &mut self.jobs[idx];
+                let job = &mut self.jobs[k];
                 job.tasks_done += tasks_done;
                 job.record.tasks_completed += tasks_done;
                 debug_assert_eq!(job.remaining_tasks(), remaining_tasks);
@@ -1308,7 +1410,7 @@ impl SystemWorld {
                 if let Some(at) = job.signalled_at.take() {
                     let drain = now.saturating_sub(at);
                     job.record.drain_samples.push(drain);
-                    self.profilers[idx].record(drain);
+                    job.profiler.record(drain);
                     self.escalations[usize::from(job.escalation.min(2))] += 1;
                     job.escalation = 0;
                 }
@@ -1348,7 +1450,7 @@ impl SystemWorld {
                 self.device.handle(now, ev, &mut harness);
             }
             SystemEvent::Arrival(idx) => {
-                let job = &mut self.jobs[idx];
+                let job = self.job_mut(idx);
                 debug_assert_eq!(job.state, JobState::Future);
                 job.state = JobState::Queued;
                 job.begin_wait(now);
@@ -1356,14 +1458,15 @@ impl SystemWorld {
             }
             SystemEvent::EpochEnd { idx, gen } => {
                 // Only act on the current epoch, and only if the job is
-                // still the one on the GPU.
-                if self.jobs[idx].epoch_gen == gen
-                    && self.gpu_job == Some(idx)
-                    && self.jobs[idx].state == JobState::Running
+                // still the one on the GPU (a settled job never is).
+                if self.gpu_job == Some(idx)
+                    && self.find(idx).is_some_and(|k| {
+                        self.jobs[k].epoch_gen == gen && self.jobs[k].state == JobState::Running
+                    })
                 {
                     let sms = self.device.config().num_sms;
                     self.signal_preempt(now, idx, sms);
-                    self.jobs[idx].state = JobState::Draining;
+                    self.job_mut(idx).state = JobState::Draining;
                     self.draining = true;
                 }
             }
@@ -1374,7 +1477,10 @@ impl SystemWorld {
                 // The backoff expired; re-run the scheduling decision if
                 // the job is still waiting (it may have launched, finished,
                 // or failed in the meantime).
-                if self.jobs[idx].state == JobState::Queued {
+                if self
+                    .find(idx)
+                    .is_some_and(|k| self.jobs[k].state == JobState::Queued)
+                {
                     self.reschedule(now, &mut harness);
                 }
             }

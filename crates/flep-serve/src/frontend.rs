@@ -18,6 +18,8 @@
 //! wrapper: event streams — and therefore golden traces — are
 //! byte-identical to the previous direct-embedding frontend.
 
+use std::fmt::Write;
+
 use crate::arrivals::ArrivalProcess;
 use crate::brownout::BrownoutConfig;
 use crate::queue::{AdmissionControl, DropReason, EdfQueue};
@@ -27,8 +29,8 @@ use flep_gpu_sim::{
 };
 use flep_metrics::{tail_triple_ns, Percentiles, RecoverySummary};
 use flep_runtime::{
-    ClusterConfig, ClusterEvent, GpuCluster, HealthConfig, JobSpec, KernelProfile, PlacementConfig,
-    Policy, RecoveryAction, WatchdogConfig,
+    ClusterConfig, ClusterEvent, GpuCluster, HealthConfig, JobRecord, JobSpec, KernelProfile,
+    PlacementConfig, Policy, RecoveryAction, WatchdogConfig,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
 use flep_sim_core::{RunOutcome, SimRng, SimTime, Simulation, World};
@@ -215,15 +217,18 @@ struct Tenant {
     queue: EdfQueue<Request>,
     rng: SimRng,
     next_seq: u64,
-    /// Runtime job index of the in-flight batch, if any.
-    inflight: Option<usize>,
+    /// The tenant's one in-flight batch, if any.
+    inflight: Option<BatchMeta>,
     stats: TenantStats,
     /// Completed-request latencies, ns.
     latencies: Vec<u64>,
 }
 
+/// An in-flight batch: the frontend holds it only until the batch
+/// settles.
 struct BatchMeta {
-    tenant: usize,
+    /// Cluster job index (stable across migrations).
+    job: usize,
     requests: Vec<Request>,
 }
 
@@ -231,9 +236,6 @@ struct BatchMeta {
 pub struct ServeWorld {
     cluster: GpuCluster,
     tenants: Vec<Tenant>,
-    /// Batch metadata indexed by cluster job index (stable across
-    /// migrations).
-    batches: Vec<Option<BatchMeta>>,
     horizon: SimTime,
     seed: u64,
     /// Fleet size (denominator of the brownout capacity fraction).
@@ -243,6 +245,9 @@ pub struct ServeWorld {
     /// Scratch buffers (kept allocated across events).
     done_scratch: Vec<(SimTime, usize)>,
     expired_scratch: Vec<Request>,
+    /// Settled batches' job records, drained from the cluster and
+    /// dropped: the report is built from the request ledger instead.
+    record_scratch: Vec<(usize, JobRecord)>,
 }
 
 impl ServeWorld {
@@ -306,13 +311,13 @@ impl ServeWorld {
         let world = ServeWorld {
             cluster,
             tenants,
-            batches: Vec::new(),
             horizon: cfg.horizon,
             seed: cfg.seed,
             fleet: cfg.devices.max(1),
             brownout: cfg.brownout.clone().filter(|b| !b.is_empty()),
             done_scratch: Vec::new(),
             expired_scratch: Vec::new(),
+            record_scratch: Vec::new(),
         };
         (world, initial)
     }
@@ -369,6 +374,13 @@ impl ServeWorld {
         }
     }
 
+    /// The tenant whose in-flight batch is cluster job `job`, if any.
+    fn batch_owner(&mut self, job: usize) -> Option<&mut Tenant> {
+        self.tenants
+            .iter_mut()
+            .find(|t| t.inflight.as_ref().is_some_and(|b| b.job == job))
+    }
+
     /// Settles finished cluster jobs back into request-level accounting.
     fn reap(&mut self) {
         let mut done = std::mem::take(&mut self.done_scratch);
@@ -378,8 +390,8 @@ impl ServeWorld {
         done.clear();
         self.cluster.drain_migrations_into(&mut done);
         for &(_, job) in &done {
-            if let Some(meta) = self.batches.get(job).and_then(Option::as_ref) {
-                self.tenants[meta.tenant].stats.migrated += 1;
+            if let Some(t) = self.batch_owner(job) {
+                t.stats.migrated += 1;
             }
         }
         done.clear();
@@ -393,16 +405,15 @@ impl ServeWorld {
             self.settle_batch(at, job, false);
         }
         self.done_scratch = done;
+        self.cluster.drain_records_into(&mut self.record_scratch);
+        self.record_scratch.clear();
     }
 
     fn settle_batch(&mut self, at: SimTime, job: usize, completed: bool) {
-        let Some(meta) = self.batches.get_mut(job).and_then(Option::take) else {
+        let Some(t) = self.batch_owner(job) else {
             return;
         };
-        let t = &mut self.tenants[meta.tenant];
-        if t.inflight == Some(job) {
-            t.inflight = None;
-        }
+        let meta = t.inflight.take().expect("the owner has a batch in flight");
         for req in &meta.requests {
             if completed {
                 t.stats.completed += 1;
@@ -454,19 +465,25 @@ impl ServeWorld {
     fn submit_batch(&mut self, now: SimTime, idx: usize) {
         let t = &mut self.tenants[idx];
         let model = InferenceModel::get(t.spec.model);
-        let mut requests = Vec::new();
-        while (requests.len() as u64) < t.spec.max_batch {
-            let Some((_, req)) = t.queue.pop() else { break };
-            requests.push(req);
-        }
+        let size = (t.queue.len() as u64).min(t.spec.max_batch) as usize;
+        let mut requests = Vec::with_capacity(size);
+        requests.extend(
+            std::iter::from_fn(|| t.queue.pop())
+                .take(size)
+                .map(|(_, r)| r),
+        );
         debug_assert!(!requests.is_empty(), "dispatch picked an empty queue");
         let batch_no = t.stats.batches;
         t.stats.batches += 1;
         // A fresh noise seed per batch, derived from the root seed so the
         // trace replays bit-identically.
         let noise_seed = SimRng::stream(self.seed, ((idx as u64) << 40) | batch_no).u64();
+        // Sized for the tenant name, '#' and any u64 up front: `format!`
+        // would allocate twice growing the string.
+        let mut name = String::with_capacity(t.spec.name.len() + 21);
+        write!(name, "{}#{batch_no}", t.spec.name).expect("a String accepts every write");
         let profile = KernelProfile {
-            name: format!("{}#{batch_no}", t.spec.name),
+            name,
             resources: model.resources,
             total_tasks: requests.len() as u64,
             task_cost: TaskCost {
@@ -481,14 +498,7 @@ impl ServeWorld {
             .with_seed(noise_seed)
             .with_tenant(idx as u32);
         let job = self.cluster.submit(now, spec);
-        self.tenants[idx].inflight = Some(job);
-        if self.batches.len() <= job {
-            self.batches.resize_with(job + 1, || None);
-        }
-        self.batches[job] = Some(BatchMeta {
-            tenant: idx,
-            requests,
-        });
+        self.tenants[idx].inflight = Some(BatchMeta { job, requests });
     }
 
     /// Read access to the embedded cluster (for tests).
@@ -497,14 +507,19 @@ impl ServeWorld {
         &self.cluster
     }
 
-    fn into_report(self, end_time: SimTime, outcome: ServeOutcome, events: u64) -> ServeReport {
+    /// Builds the report of a run that ended at `end_time` after
+    /// `events` dispatches: what [`run_serve`] returns, for a caller that
+    /// stepped the [`Simulation`] itself.
+    #[must_use]
+    pub fn into_report(self, end_time: SimTime, outcome: ServeOutcome, events: u64) -> ServeReport {
         // A budget abort strands in-flight batches; their requests are
         // neither completed nor failed, so count them explicitly to keep
         // the ledger exact.
-        let mut inflight_by_tenant = vec![0u64; self.tenants.len()];
-        for meta in self.batches.iter().flatten() {
-            inflight_by_tenant[meta.tenant] += meta.requests.len() as u64;
-        }
+        let inflight_by_tenant: Vec<u64> = self
+            .tenants
+            .iter()
+            .map(|t| t.inflight.as_ref().map_or(0, |b| b.requests.len() as u64))
+            .collect();
         let mut leftover = 0u64;
         let mut all_latencies: Vec<u64> = self
             .tenants

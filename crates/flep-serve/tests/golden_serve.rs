@@ -3,10 +3,14 @@
 //! fault-injected variant checking the watchdog recovery taxonomy still
 //! reconciles and goodput degrades monotonically with the fault rate.
 
-use flep_gpu_sim::FaultConfig;
-use flep_serve::{run_serve, sweep_offered_load, ArrivalProcess, ServeConfig, TenantSpec};
+use flep_gpu_sim::{FailureTopology, FaultConfig};
+use flep_runtime::{HealthConfig, PlacementConfig};
+use flep_serve::{
+    reference_tenants, run_serve, sweep_offered_load, ArrivalProcess, ServeConfig, ServeWorld,
+    TenantSpec,
+};
 use flep_sim_core::json::{JsonValue, ToJson};
-use flep_sim_core::{runner, SimTime};
+use flep_sim_core::{runner, SimTime, Simulation, StepOutcome};
 use flep_workloads::ModelId;
 
 /// A small, Poisson-only two-tenant config: a tight-SLO recommendation
@@ -75,6 +79,59 @@ fn regen_golden() {
     let doc = runner::with_threads(1, sweep_doc);
     let dest = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/serve_small.json");
     std::fs::write(dest, doc).expect("write golden");
+    let dest = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/serve_constrained.txt"
+    );
+    std::fs::write(dest, constrained_doc()).expect("write golden");
+}
+
+/// The reference tenants on four devices in two racks, with tenant
+/// anti-affinity, rack spread and health scoring on, so every placement
+/// runs the constrained same-tenant tally and lands in the placement log.
+fn constrained_cfg() -> ServeConfig {
+    let mut cfg = ServeConfig::new(11, SimTime::from_ms(30), reference_tenants());
+    cfg.devices = 4;
+    cfg.topology = Some(FailureTopology::new(1, 2, 2));
+    cfg.health = Some(HealthConfig::default());
+    cfg.placement = PlacementConfig {
+        anti_affinity: true,
+        spread: true,
+    };
+    cfg
+}
+
+/// The constrained run's report JSON, then its placement log, one
+/// `time_ns job device` line per placement.
+fn constrained_doc() -> String {
+    let cfg = constrained_cfg();
+    let mut doc = run_serve(&cfg).to_json().render() + "\n";
+    let (world, initial) = ServeWorld::new(&cfg);
+    let mut sim = Simulation::new(world);
+    for (at, ev) in initial {
+        sim.schedule_at(at, ev);
+    }
+    while sim.step() == StepOutcome::Dispatched {}
+    for &(at, job, device) in sim.world().cluster().placements() {
+        doc += &format!("{} {job} {device}\n", at.as_ns());
+    }
+    doc
+}
+
+/// The pinned constrained-placement golden: any drift in which device a
+/// constrained placement picks, or in the report, shows up here.
+/// Regenerate deliberately with
+/// `cargo test -p flep-serve --test golden_serve -- --ignored regen`.
+#[test]
+fn constrained_placement_matches_pinned_golden() {
+    let doc = constrained_doc();
+    let placed = doc.lines().count() - 1;
+    assert!(placed > 100, "only {placed} placements logged");
+    assert_eq!(
+        doc,
+        include_str!("golden/serve_constrained.txt"),
+        "constrained placement drifted from the pinned golden"
+    );
 }
 
 /// Runs the small config — scaled up to near-saturation load, where

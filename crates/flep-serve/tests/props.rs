@@ -1,9 +1,14 @@
 //! Property tests for the serving frontend's EDF queue and admission
-//! control, on the in-tree `flep-check` harness (64+ seeded cases each).
+//! control, and for the serving world's held state over whole runs, on
+//! the in-tree `flep-check` harness (64+ seeded cases each).
 
-use flep_serve::{AdmissionControl, DropReason, EdfQueue};
+use flep_serve::{
+    reference_tenants, run_serve, AdmissionControl, DropReason, EdfQueue, ServeConfig,
+    ServeOutcome, ServeWorld,
+};
 use flep_sim_core::check::{check, CheckConfig};
-use flep_sim_core::{require, require_eq, SimRng, SimTime};
+use flep_sim_core::json::ToJson;
+use flep_sim_core::{assume, require, require_eq, SimRng, SimTime, Simulation, StepOutcome};
 
 /// A naive reference model of an EDF queue: a plain vector popped by
 /// linear scan for the `(deadline, seq)` minimum. Obviously correct,
@@ -181,6 +186,73 @@ fn admission_never_admits_past_deadlines() {
                     require!(len >= cap);
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// One serving case: reference tenants used, offered load in permille of
+/// the reference rates, horizon in ms, devices, and the root seed. Plain
+/// scalars so the harness shrinks toward the smallest failing run.
+type ServeCase = (u64, u64, u64, u64, u64);
+
+fn gen_serve_case(rng: &mut SimRng) -> ServeCase {
+    (
+        rng.uniform_u64(1, 4),      // tenants
+        rng.uniform_u64(500, 3000), // load, permille
+        rng.uniform_u64(20, 300),   // horizon, ms
+        rng.uniform_u64(1, 3),      // devices
+        rng.u64(),                  // seed
+    )
+}
+
+/// Serving state is O(in-flight): stepped event by event over random
+/// tenant mixes, loads, horizons and fleet sizes, the cluster never holds
+/// a job beyond the tenants' in-flight batches (at most one each; no
+/// faults or breaker are configured, so no probe is ever in flight),
+/// however many batches the run has settled. At the end the stepped run
+/// reconciles and reports the same bytes as `run_serve`.
+#[test]
+fn serving_holds_only_in_flight_jobs() {
+    let mut cfg = CheckConfig::default();
+    cfg.cases = cfg.cases.max(64);
+    check(
+        "serving_holds_only_in_flight_jobs",
+        cfg,
+        gen_serve_case,
+        |&(tenants, load, horizon_ms, devices, seed)| {
+            assume!((1..=4).contains(&tenants) && load > 0 && horizon_ms > 0 && devices > 0);
+            let mut mix = reference_tenants();
+            mix.truncate(tenants as usize);
+            for t in &mut mix {
+                t.arrivals = t.arrivals.scaled(load as f64 / 1000.0);
+            }
+            let mut serve = ServeConfig::new(seed, SimTime::from_ms(horizon_ms), mix);
+            serve.devices = devices as u32;
+
+            let (world, initial) = ServeWorld::new(&serve);
+            let mut sim = Simulation::new(world);
+            for (at, ev) in initial {
+                sim.schedule_at(at, ev);
+            }
+            while sim.step() == StepOutcome::Dispatched {
+                let held = sim.world().cluster().held_jobs();
+                require!(
+                    held <= tenants as usize,
+                    "{held} jobs held for {tenants} tenants after {} events",
+                    sim.dispatched()
+                );
+            }
+            let (now, events) = (sim.now(), sim.dispatched());
+            let report = sim
+                .into_world()
+                .into_report(now, ServeOutcome::Drained, events);
+            require!(report.reconciles(), "stepped ledger does not reconcile");
+            require_eq!(
+                report.to_json().render(),
+                run_serve(&serve).to_json().render(),
+                "stepped run diverged from run_serve"
+            );
             Ok(())
         },
     );

@@ -5,10 +5,14 @@
 use flep_sim_core::SimTime;
 
 /// Accumulates preemption-overhead samples and produces the running
-/// estimate the scheduler consults.
+/// estimate the scheduler consults. Keeps a running sum, count and
+/// maximum rather than the samples, so its state is O(1) however many
+/// preemptions it sees.
 #[derive(Debug, Clone, Default)]
 pub struct OverheadProfiler {
-    samples: Vec<SimTime>,
+    sum_ns: u64,
+    count: u64,
+    max: Option<SimTime>,
 }
 
 impl OverheadProfiler {
@@ -20,29 +24,27 @@ impl OverheadProfiler {
 
     /// Records one measured preemption overhead.
     pub fn record(&mut self, overhead: SimTime) {
-        self.samples.push(overhead);
+        self.sum_ns += overhead.as_ns();
+        self.count += 1;
+        self.max = self.max.max(Some(overhead));
     }
 
     /// Number of samples recorded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count as usize
     }
 
     /// True when no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
     /// The mean overhead, or `None` before any sample exists.
     #[must_use]
     pub fn mean(&self) -> Option<SimTime> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let total_ns: u64 = self.samples.iter().map(|s| s.as_ns()).sum();
-        Some(SimTime::from_ns(total_ns / self.samples.len() as u64))
+        (self.count > 0).then(|| SimTime::from_ns(self.sum_ns / self.count))
     }
 
     /// The mean overhead, or `fallback` before any sample exists. The
@@ -56,7 +58,7 @@ impl OverheadProfiler {
     /// its epoch computation conservatively.
     #[must_use]
     pub fn max(&self) -> Option<SimTime> {
-        self.samples.iter().copied().max()
+        self.max
     }
 }
 
@@ -81,6 +83,28 @@ mod tests {
         assert_eq!(p.mean(), Some(SimTime::from_us(20)));
         assert_eq!(p.len(), 3);
         assert_eq!(p.max(), Some(SimTime::from_us(30)));
+    }
+
+    #[test]
+    fn running_totals_match_a_naive_fold() {
+        for seed in 0..64 {
+            let mut rng = flep_sim_core::SimRng::stream(0x0F1E, seed);
+            let n = rng.uniform_u64(0, 200) as usize;
+            let samples: Vec<SimTime> = (0..n)
+                .map(|_| SimTime::from_ns(rng.uniform_u64(0, 5_000_000)))
+                .collect();
+            let mut p = OverheadProfiler::new();
+            for &s in &samples {
+                p.record(s);
+            }
+            let total: u64 = samples.iter().map(|s| s.as_ns()).sum();
+            let naive_mean = (!samples.is_empty()).then(|| SimTime::from_ns(total / n as u64));
+            assert_eq!(p.mean(), naive_mean, "seed {seed}");
+            assert_eq!(p.max(), samples.iter().copied().max(), "seed {seed}");
+            assert_eq!(p.len(), n, "seed {seed}");
+            let fallback = SimTime::from_us(9);
+            assert_eq!(p.mean_or(fallback), naive_mean.unwrap_or(fallback));
+        }
     }
 
     #[test]
