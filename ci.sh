@@ -10,7 +10,7 @@
 # With no argument every stage runs in order. With a stage name only that
 # stage runs (after whatever build it needs): build, test, fmt, clippy,
 # lint, doc, hot-path, sim-corun, faults, fault-recovery, serve,
-# cluster-smoke, cluster-scale, chaos-smoke, perf-gate.
+# cluster-smoke, cluster-scale, chaos-smoke, bench-smoke, perf-gate.
 set -eu
 
 cd "$(dirname "$0")"
@@ -229,6 +229,31 @@ stage_chaos_smoke() {
     echo "chaos smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
 }
 
+# Benchmark smoke: builds flepbench (a package of its own, with path
+# dependencies on crates/*) against the working tree and runs each of its
+# three workloads traced for a short slice. The traced mode replays every
+# cell through flepbench's timing shims and compares the result with the
+# crates' own drivers, so this stage fails when flepbench no longer
+# builds, when a replay diverges, or when any cell fails its check. It
+# writes only gitignored paths (.bench_build/, flepbench/spans/).
+stage_bench_smoke() {
+    for w in corun_pairs serve_overload fleet_chaos; do
+        echo "==> bench smoke: flepbench --workload $w --seed 1 --seconds 2 --trace 1"
+        last=$(CARGO_TARGET_DIR="$ROOT/.bench_build" \
+            cargo run --release --offline --locked -q \
+            --manifest-path "$ROOT/flepbench/Cargo.toml" -- \
+            --workload "$w" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+        case "$last" in
+            '{"correct": true, '*'"failed": 0, '*) ;;
+            *)
+                echo "bench smoke: $w did not check out: $last" >&2
+                exit 1
+                ;;
+        esac
+    done
+    echo "bench smoke: flepbench builds and every workload replays correct"
+}
+
 # Perf-regression gate: fails if the medians recorded by the sim-corun,
 # serve, fault-recovery, cluster-smoke, cluster-scale, or chaos-smoke
 # stages regressed more than FLEP_PERF_TOLERANCE percent (default 15)
@@ -265,11 +290,13 @@ run_stage() {
         cluster-smoke) stage_cluster_smoke ;;
         cluster-scale) stage_cluster_scale ;;
         chaos-smoke) stage_chaos_smoke ;;
+        bench-smoke) stage_bench_smoke ;;
         perf-gate) stage_perf_gate ;;
         *)
             echo "ci.sh: unknown stage '$1' (want build, test, fmt, clippy, lint," >&2
             echo "       doc, hot-path, sim-corun, faults, fault-recovery, serve," >&2
-            echo "       cluster-smoke, cluster-scale, chaos-smoke, perf-gate)" >&2
+            echo "       cluster-smoke, cluster-scale, chaos-smoke, bench-smoke," >&2
+            echo "       perf-gate)" >&2
             exit 2
             ;;
     esac
@@ -296,6 +323,7 @@ else
     stage_cluster_smoke
     stage_cluster_scale
     stage_chaos_smoke
+    stage_bench_smoke
     stage_perf_gate
     echo "ci.sh: all checks passed"
 fi

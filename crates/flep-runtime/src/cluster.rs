@@ -64,21 +64,14 @@ use flep_sim_core::{EventQueue, RunOutcome, Scheduler, SimTime, Simulation, Worl
 
 use crate::driver::{settle_budget, DEFAULT_EVENT_BUDGET};
 use crate::health::{BreakerState, DeviceHealth, HealthConfig};
-use crate::job::{JobRecord, JobSpec, KernelProfile};
+use crate::job::{JobRecord, JobSpec, KernelProfile, Settled};
 use crate::world::{
     Policy, RecoveryAction, RecoveryEvent, RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
 
-/// Shard-job sentinel marking a breaker probe grid: probes live in the
-/// shard's job table but have no cluster job, so every `map` lookup must
-/// treat this value specially.
+/// Owner index of a breaker probe grid: probes live in a shard's job
+/// table but have no cluster job, so no registered index equals it.
 const PROBE: usize = usize::MAX;
-
-/// The slot of job `idx` in a table of `(index, ..)`-keyed entries kept in
-/// ascending index order, if it is there.
-fn find_by<T>(table: &[T], idx: usize, key: impl Fn(&T) -> usize) -> Option<usize> {
-    table.binary_search_by_key(&idx, key).ok()
-}
 
 /// Cluster-wide configuration: the per-device template plus the failure
 /// and migration policy.
@@ -261,14 +254,10 @@ pub enum ClusterEvent {
 enum CJobState {
     /// Registered, waiting for its arrival event.
     Future,
-    /// Placed on a device (shard job index inside).
-    Placed { device: u32, shard_job: usize },
+    /// Placed on a device.
+    Placed { device: u32 },
     /// Evicted (or arrived) with no eligible device; waiting for one.
     Parked,
-    /// Finished all tasks.
-    Done,
-    /// Abandoned (launch failure or migration budget exhausted).
-    Failed,
 }
 
 /// Cluster-level per-job state, held only until the job settles (done or
@@ -311,49 +300,8 @@ struct Shard {
     /// before a newer fault) carry an older generation and are dropped.
     gen: u64,
     plan: Option<DeviceFaultPlan>,
-    /// `(shard job, cluster job)` for every job the shard still holds, in
-    /// ascending shard-job order ([`PROBE`] for probe grids). An entry
-    /// leaves with its shard job's record or eviction.
-    map: Vec<(usize, usize)>,
-    /// The shard's structured errors and watchdog recoveries, remapped to
-    /// cluster job indices (probe entries dropped) while their jobs were
-    /// still mapped, in occurrence order.
-    errors: Vec<RuntimeError>,
-    recoveries: Vec<RecoveryEvent>,
     /// Health score + breaker position (untouched when health is off).
     health: DeviceHealth,
-}
-
-/// The cluster job behind shard job `sidx` in a shard's map ([`PROBE`]
-/// for a probe).
-fn mapped(map: &[(usize, usize)], sidx: usize) -> usize {
-    map[find_by(map, sidx, |&(s, _)| s).expect("shard job is mapped")].1
-}
-
-impl Shard {
-    /// Drops shard job `sidx`'s map entry, returning its cluster job.
-    fn unmap(&mut self, sidx: usize) -> usize {
-        let k = find_by(&self.map, sidx, |&(s, _)| s).expect("shard job is mapped");
-        self.map.remove(k).1
-    }
-
-    /// Takes the shard world's new errors and recoveries, remapping them
-    /// to cluster job indices while their jobs are still mapped.
-    fn remap_logs(&mut self) {
-        let (mut errors, mut recoveries) = (Vec::new(), Vec::new());
-        self.sys.drain_logs_into(&mut errors, &mut recoveries);
-        for mut e in errors {
-            if remap_error(&mut e, |sidx| mapped(&self.map, sidx)) {
-                self.errors.push(e);
-            }
-        }
-        for mut r in recoveries {
-            r.job = mapped(&self.map, r.job);
-            if r.job != PROBE {
-                self.recoveries.push(r);
-            }
-        }
-    }
 }
 
 /// The cluster: shards plus placement, migration, and accounting.
@@ -372,16 +320,16 @@ pub struct GpuCluster {
     placement: PlacementConfig,
     /// The jobs not yet settled (future, placed or parked), in ascending
     /// index order: the only per-job state the cluster holds. A settled
-    /// job leaves the table and its merged record moves to `records`.
+    /// job leaves the table through `settled`.
     jobs: Vec<ClusterJob>,
     /// Jobs registered so far: the next job's index.
     registered: usize,
     /// Jobs that finished all tasks, and jobs abandoned.
     completed: u64,
     failed: u64,
-    /// Merged records `(job, record)` of settled jobs, in settle order;
-    /// drained by a serving frontend, collected by [`Self::into_result`].
-    records: Vec<(usize, JobRecord)>,
+    /// Settled jobs with their merged records, in settle order; drained
+    /// by a serving frontend, collected by [`Self::into_result`].
+    settled: Vec<Settled>,
     /// Jobs waiting for any eligible device, FIFO.
     parked: VecDeque<usize>,
     /// Cluster-level errors (device loss, migration failures).
@@ -389,8 +337,6 @@ pub struct GpuCluster {
     /// Cluster-level recoveries (migrations).
     recoveries: Vec<RecoveryEvent>,
     device_events: Vec<DeviceEvent>,
-    completed_log: Vec<(SimTime, usize)>,
-    failed_log: Vec<(SimTime, usize)>,
     /// `(time, job)` per completed migration, for frontend accounting.
     migrated_log: Vec<(SimTime, usize)>,
     /// `(time, job, device)` per placement — the evidence trail the
@@ -398,9 +344,8 @@ pub struct GpuCluster {
     /// serving-scale runs without a breaker pay nothing.
     placements: Vec<(SimTime, usize, u32)>,
     pending: Vec<(SimTime, ClusterEvent)>,
-    scratch: Vec<(SimTime, usize)>,
-    /// Scratch for the shard records [`Self::absorb_shard`] folds.
-    record_scratch: Vec<(usize, JobRecord)>,
+    /// Scratch for the shard entries [`Self::absorb_shard`] settles.
+    settled_scratch: Vec<Settled>,
     /// Scratch for placement-constraint tallies (one slot per device).
     tenant_scratch: Vec<u32>,
 }
@@ -468,9 +413,6 @@ impl GpuCluster {
                 state: DeviceState::Healthy,
                 gen: 0,
                 plan,
-                map: Vec::new(),
-                errors: Vec::new(),
-                recoveries: Vec::new(),
                 health: DeviceHealth::default(),
             });
         }
@@ -529,18 +471,15 @@ impl GpuCluster {
             registered: 0,
             completed: 0,
             failed: 0,
-            records: Vec::new(),
+            settled: Vec::new(),
             parked: VecDeque::new(),
             errors: Vec::new(),
             recoveries: Vec::new(),
             device_events: Vec::new(),
-            completed_log: Vec::new(),
-            failed_log: Vec::new(),
             migrated_log: Vec::new(),
             placements: Vec::new(),
             pending: Vec::new(),
-            scratch: Vec::new(),
-            record_scratch: Vec::new(),
+            settled_scratch: Vec::new(),
             tenant_scratch: Vec::new(),
         };
         (cluster, initial)
@@ -571,12 +510,6 @@ impl GpuCluster {
         &self.device_events
     }
 
-    /// Completed migrations so far.
-    #[must_use]
-    pub fn migrations(&self) -> u64 {
-        self.migrated_log.len() as u64
-    }
-
     /// Jobs whose state the cluster still holds: every cluster-table entry
     /// (future, placed or parked) plus every shard-table job with no
     /// cluster entry behind it (breaker probes, or a job a shard failed
@@ -596,7 +529,7 @@ impl GpuCluster {
 
     /// The table slot of unsettled job `idx`, if it is still held.
     fn find(&self, idx: usize) -> Option<usize> {
-        find_by(&self.jobs, idx, |j| j.idx)
+        self.jobs.binary_search_by_key(&idx, |j| j.idx).ok()
     }
 
     /// The table slot of job `idx`, which must be unsettled.
@@ -604,16 +537,21 @@ impl GpuCluster {
         self.find(idx).expect("cluster job is unsettled")
     }
 
-    /// Settles the job in slot `k` as done or failed: it leaves the table
-    /// and its merged record moves to the settled log.
-    fn settle(&mut self, k: usize, state: CJobState) {
-        match state {
-            CJobState::Done => self.completed += 1,
-            CJobState::Failed => self.failed += 1,
-            _ => unreachable!("settling into a live state"),
+    /// Settles the job in slot `k` as completed or failed: it leaves the
+    /// table for the settled log with its merged record.
+    fn settle(&mut self, at: SimTime, k: usize, completed: bool) {
+        if completed {
+            self.completed += 1;
+        } else {
+            self.failed += 1;
         }
         let job = self.jobs.remove(k);
-        self.records.push((job.idx, job.into_record()));
+        self.settled.push(Settled {
+            at,
+            job: job.idx,
+            completed,
+            record: job.into_record(),
+        });
     }
 
     /// Pre-registers a job without placing it; an
@@ -684,7 +622,7 @@ impl GpuCluster {
             tenant_scratch.clear();
             tenant_scratch.resize(self.shards.len(), 0);
             for job in &self.jobs {
-                if let CJobState::Placed { device, .. } = job.state {
+                if let CJobState::Placed { device } = job.state {
                     if job.spec.tenant == tenant {
                         tenant_scratch[device as usize] += 1;
                     }
@@ -749,11 +687,8 @@ impl GpuCluster {
         let spec = job.spec.clone().resuming_from(job.done);
         let from = job.last_device;
         job.last_device = Some(device);
-        let shard = &mut self.shards[device as usize];
-        let shard_job = shard.sys.submit(now, spec);
-        // The shard's highest index yet, so the map stays ascending.
-        shard.map.push((shard_job, idx));
-        self.jobs[k].state = CJobState::Placed { device, shard_job };
+        self.shards[device as usize].sys.submit(now, spec, idx);
+        self.jobs[k].state = CJobState::Placed { device };
         if let Some(from) = from {
             self.recoveries.push(RecoveryEvent {
                 at: now,
@@ -765,12 +700,32 @@ impl GpuCluster {
         self.absorb_shard(now, device);
     }
 
-    /// Pulls a shard's logs and buffered follow-up events into the cluster
-    /// after any interaction with it.
+    /// Pulls a shard's settled jobs and buffered follow-up events into
+    /// the cluster after any interaction with it. A job leaves its shard
+    /// exactly when it settles there, which settles its cluster job with
+    /// the folded record; a settled probe closes or re-opens the breaker.
     fn absorb_shard(&mut self, now: SimTime, device: u32) {
-        // Most shard events (a batch of tasks finishing) log nothing.
-        if self.shards[device as usize].sys.has_logs() {
-            self.absorb_logs(now, device);
+        let mut settled = std::mem::take(&mut self.settled_scratch);
+        self.shards[device as usize]
+            .sys
+            .drain_settled_into(&mut settled);
+        let (mut probe_done, mut probe_failed) = (false, false);
+        for s in settled.drain(..) {
+            if s.job == PROBE {
+                probe_done |= s.completed;
+                probe_failed |= !s.completed;
+                continue;
+            }
+            let k = self.slot(s.job);
+            fold_record(&mut self.jobs[k].record, s.record);
+            self.settle(s.at, k, s.completed);
+        }
+        self.settled_scratch = settled;
+        if probe_done {
+            self.on_probe_done(now, device);
+        }
+        if probe_failed {
+            self.on_probe_failed(now, device);
         }
 
         let mut pending = std::mem::take(&mut self.pending);
@@ -789,73 +744,6 @@ impl GpuCluster {
                 device,
                 kind: DeviceEventKind::Deregistered,
             });
-        }
-    }
-
-    /// Drains a shard's logs into the cluster: errors and recoveries
-    /// (remapped first, while every job they name is still mapped),
-    /// completions and failures, then the records of the shard jobs that
-    /// settled, which fold into their cluster jobs and settle them.
-    fn absorb_logs(&mut self, now: SimTime, device: u32) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let shard = &mut self.shards[device as usize];
-        shard.remap_logs();
-        let mut probe_done = false;
-        let mut probe_failed = false;
-
-        scratch.clear();
-        shard.sys.drain_completions_into(&mut scratch);
-        for &(t, sidx) in &scratch {
-            let cidx = mapped(&shard.map, sidx);
-            if cidx == PROBE {
-                probe_done = true;
-                continue;
-            }
-            let k = find_by(&self.jobs, cidx, |j| j.idx).expect("completed job is unsettled");
-            let job = &mut self.jobs[k];
-            job.done = job.spec.profile.total_tasks;
-            job.state = CJobState::Done;
-            self.completed_log.push((t, cidx));
-        }
-
-        scratch.clear();
-        shard.sys.drain_failures_into(&mut scratch);
-        for &(t, sidx) in &scratch {
-            let cidx = mapped(&shard.map, sidx);
-            if cidx == PROBE {
-                probe_failed = true;
-                continue;
-            }
-            let k = find_by(&self.jobs, cidx, |j| j.idx).expect("failed job is unsettled");
-            self.jobs[k].state = CJobState::Failed;
-            self.failed_log.push((t, cidx));
-        }
-        scratch.clear();
-        self.scratch = scratch;
-
-        // A shard job's record leaves its world exactly when it settles
-        // there, which settles its cluster job as done or failed above.
-        let mut records = std::mem::take(&mut self.record_scratch);
-        self.shards[device as usize]
-            .sys
-            .drain_records_into(&mut records);
-        for (sidx, record) in records.drain(..) {
-            let cidx = self.shards[device as usize].unmap(sidx);
-            if cidx == PROBE {
-                continue;
-            }
-            let k = self.slot(cidx);
-            fold_record(&mut self.jobs[k].record, record);
-            let state = self.jobs[k].state;
-            debug_assert!(matches!(state, CJobState::Done | CJobState::Failed));
-            self.settle(k, state);
-        }
-        self.record_scratch = records;
-        if probe_done {
-            self.on_probe_done(now, device);
-        }
-        if probe_failed {
-            self.on_probe_failed(now, device);
         }
     }
 
@@ -1092,10 +980,7 @@ impl GpuCluster {
                     device,
                     kind: DeviceEventKind::ProbeLaunched,
                 });
-                let spec = probe_spec(now, &hc);
-                let shard = &mut self.shards[d];
-                let shard_job = shard.sys.submit(now, spec);
-                shard.map.push((shard_job, PROBE));
+                self.shards[d].sys.submit(now, probe_spec(now, &hc), PROBE);
                 self.absorb_shard(now, device);
             }
             // Hung / resetting / draining: not probe-worthy yet.
@@ -1170,7 +1055,7 @@ impl GpuCluster {
         self.absorb_shard(now, device);
         let evicted = self.shards[device as usize].sys.decommission(now);
         for e in evicted {
-            let cidx = self.shards[device as usize].unmap(e.idx);
+            let cidx = e.owner;
             if cidx == PROBE {
                 // The probe grid died with its device: a failed probation.
                 self.on_probe_failed(now, device);
@@ -1191,8 +1076,7 @@ impl GpuCluster {
             if job.done >= total {
                 // The grid had in fact finished; only its notification was
                 // lost with the device. Count the completion here.
-                self.completed_log.push((now, cidx));
-                self.settle(k, CJobState::Done);
+                self.settle(now, k, true);
                 continue;
             }
             job.migrations += 1;
@@ -1202,8 +1086,7 @@ impl GpuCluster {
                     job: cidx,
                     attempts,
                 });
-                self.failed_log.push((now, cidx));
-                self.settle(k, CJobState::Failed);
+                self.settle(now, k, false);
                 continue;
             }
             job.state = CJobState::Parked;
@@ -1283,32 +1166,23 @@ impl GpuCluster {
         }
     }
 
-    /// Appends and clears the cluster completion log (`(time, job)`).
-    pub fn drain_completions_into(&mut self, out: &mut Vec<(SimTime, usize)>) {
-        out.append(&mut self.completed_log);
-    }
-
-    /// Appends and clears the cluster failure log (`(time, job)`).
-    pub fn drain_failures_into(&mut self, out: &mut Vec<(SimTime, usize)>) {
-        out.append(&mut self.failed_log);
-    }
-
     /// Appends and clears the migration log (`(time, job)`).
     pub fn drain_migrations_into(&mut self, out: &mut Vec<(SimTime, usize)>) {
         out.append(&mut self.migrated_log);
     }
 
-    /// Appends and clears the settled-record log: the merged `(job,
-    /// record)` of every job settled since the last drain, in settle
-    /// order. A drained record is gone from the cluster; the
-    /// [`ClusterResult::jobs`] of [`Self::into_result`] no longer holds it.
-    pub fn drain_records_into(&mut self, out: &mut Vec<(usize, JobRecord)>) {
-        out.append(&mut self.records);
+    /// Appends and clears the settled log: every job that completed or
+    /// failed since the last drain, with its merged record, in settle
+    /// order. A drained job is gone from the cluster; the
+    /// [`ClusterResult::jobs`] of [`Self::into_result`] no longer holds
+    /// its record.
+    pub fn drain_settled_into(&mut self, out: &mut Vec<Settled>) {
+        out.append(&mut self.settled);
     }
 
     /// Extracts the merged per-job records and cluster telemetry. The
-    /// records are those of every job whose record was not drained
-    /// earlier ([`Self::drain_records_into`]), in registration order.
+    /// records are those of every job not drained earlier
+    /// ([`Self::drain_settled_into`]), in registration order.
     #[must_use]
     pub fn into_result(mut self, end_time: SimTime) -> ClusterResult {
         let mut errors = Vec::new();
@@ -1316,19 +1190,18 @@ impl GpuCluster {
         let mut escalations = [0u64; 3];
         let mut faults_fired = 0u64;
         // Shard telemetry first (device order, matching a single-device
-        // run's layout), then the cluster's own entries. A shard still
-        // holds only its unsettled jobs' records (a budget abort's
-        // stranded work): fold them into their cluster jobs.
-        for mut shard in std::mem::take(&mut self.shards) {
-            shard.remap_logs();
+        // run's layout; probe entries dropped), then the cluster's own
+        // entries. A shard still holds only its unsettled jobs' records (a
+        // budget abort's stranded work): fold them into their cluster jobs.
+        for shard in std::mem::take(&mut self.shards) {
             let (records, _, report) = shard.sys.finish();
-            for (sidx, record) in records {
-                if let Some(k) = self.find(mapped(&shard.map, sidx)) {
+            for (owner, record) in records {
+                if let Some(k) = self.find(owner) {
                     fold_record(&mut self.jobs[k].record, record);
                 }
             }
-            errors.append(&mut shard.errors);
-            recoveries.append(&mut shard.recoveries);
+            errors.extend(report.errors.into_iter().filter(|e| !is_probe_error(e)));
+            recoveries.extend(report.recoveries.into_iter().filter(|r| r.job != PROBE));
             for (i, n) in report.escalations.iter().enumerate() {
                 escalations[i] += n;
             }
@@ -1347,7 +1220,11 @@ impl GpuCluster {
         }
         let migrations = summary.migrations;
         let stranded = self.jobs.len() as u64;
-        let mut records = self.records;
+        let mut records: Vec<_> = self
+            .settled
+            .into_iter()
+            .map(|s| (s.job, s.record))
+            .collect();
         records.extend(self.jobs.into_iter().map(|j| (j.idx, j.into_record())));
         records.sort_unstable_by_key(|&(idx, _)| idx);
         ClusterResult {
@@ -1405,19 +1282,15 @@ fn fold_record(acc: &mut Option<JobRecord>, mut inc: JobRecord) {
     }
 }
 
-/// Rewrites a shard-local job index inside an error to the cluster index.
-/// Returns `false` for errors belonging to probe grids (which have no
-/// cluster job to charge; the breaker already accounted the failure).
-fn remap_error(e: &mut RuntimeError, map: impl Fn(usize) -> usize) -> bool {
-    match e {
+/// Whether an error belongs to a probe grid, which has no cluster job to
+/// charge (the breaker already accounted the failure).
+fn is_probe_error(e: &RuntimeError) -> bool {
+    match *e {
         RuntimeError::LaunchFailed { job, .. }
         | RuntimeError::LaunchRetriesExhausted { job, .. }
         | RuntimeError::SwapUnsatisfiable { job }
-        | RuntimeError::MigrationFailed { job, .. } => {
-            *job = map(*job);
-            *job != PROBE
-        }
-        RuntimeError::EventBudgetExhausted { .. } | RuntimeError::DeviceLost { .. } => true,
+        | RuntimeError::MigrationFailed { job, .. } => job == PROBE,
+        RuntimeError::EventBudgetExhausted { .. } | RuntimeError::DeviceLost { .. } => false,
     }
 }
 
@@ -1770,12 +1643,12 @@ pub struct ClusterResult {
     /// Per-job records in registration order, merged across incarnations
     /// (a migrated job's counters accumulate over every device it ran
     /// on). Every registered job has one, stranded jobs included, unless
-    /// its record was drained with [`GpuCluster::drain_records_into`].
+    /// it was drained with [`GpuCluster::drain_settled_into`].
     pub jobs: Vec<JobRecord>,
     /// When the last event fired.
     pub end_time: SimTime,
-    /// Structured failures: per-shard errors (job indices remapped to
-    /// cluster indices) then cluster-level ones.
+    /// Structured failures: per-shard errors (probe grids' dropped) then
+    /// cluster-level ones, naming cluster job indices.
     pub errors: Vec<RuntimeError>,
     /// Recovery actions: per-shard ladders then cluster migrations.
     pub recoveries: Vec<RecoveryEvent>,

@@ -255,6 +255,20 @@ impl JobRecord {
     }
 }
 
+/// A job's final record as it leaves a layer (a device's runtime world or
+/// the cluster): the one entry it gets in that layer's settled log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Settled {
+    /// When it settled.
+    pub at: SimTime,
+    /// The job's owner index: the index its submitter knows it by.
+    pub job: usize,
+    /// Finished all tasks (`true`) or failed (`false`).
+    pub completed: bool,
+    /// The job's record.
+    pub record: JobRecord,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ pub use cluster::{
 };
 pub use driver::{CoRun, CoRunResult, DEFAULT_EVENT_BUDGET};
 pub use health::{BreakerState, DeviceHealth, HealthConfig};
-pub use job::{JobRecord, JobSpec, KernelProfile, RepeatMode};
+pub use job::{JobRecord, JobSpec, KernelProfile, RepeatMode, Settled};
 pub use world::{
     EvictedJob, Policy, RecoveryAction, RecoveryEvent, RunRecords, RunReport, RuntimeError,
     SystemEvent, SystemWorld, WatchdogConfig,

@@ -11,7 +11,7 @@ use flep_gpu_sim::{
 use flep_perfmodel::OverheadProfiler;
 use flep_sim_core::{Scheduler, SimTime, Span, World};
 
-use crate::job::{JobRecord, JobSpec, RepeatMode};
+use crate::job::{JobRecord, JobSpec, RepeatMode, Settled};
 use crate::poll::PollWheel;
 
 /// Watchdog configuration: how long a preempt request may go unanswered
@@ -59,14 +59,14 @@ pub enum RuntimeError {
     /// The device permanently rejected a job's launch (invalid shape for
     /// this device); the job is marked failed and never completes.
     LaunchFailed {
-        /// Job index.
+        /// The job's owner index.
         job: usize,
         /// The device's rejection.
         error: LaunchError,
     },
     /// A transiently rejected launch exhausted its bounded retries.
     LaunchRetriesExhausted {
-        /// Job index.
+        /// The job's owner index.
         job: usize,
         /// Attempts made before giving up.
         attempts: u32,
@@ -74,7 +74,7 @@ pub enum RuntimeError {
     /// A job's declared working set can never fit in device memory, so
     /// swapping cannot make the launch possible.
     SwapUnsatisfiable {
-        /// Job index.
+        /// The job's owner index.
         job: usize,
     },
     /// The co-run exceeded its event budget — a runaway event feedback
@@ -173,7 +173,7 @@ pub enum RecoveryAction {
 pub struct RecoveryEvent {
     /// When the recovery action was taken.
     pub at: SimTime,
-    /// The job it acted for.
+    /// The job it acted for, by owner index.
     pub job: usize,
     /// What was done.
     pub action: RecoveryAction,
@@ -268,8 +268,13 @@ enum JobState {
 /// finishes, fails or is evicted leaves the world's table.
 #[derive(Debug)]
 struct Job {
-    /// The job's index: assigned in submission order, never reused.
+    /// The job's index: assigned in submission order, never reused. The
+    /// world's own key (table order, poll wheel, device tags, events).
     idx: usize,
+    /// The index the job's submitter knows it by, carried by everything
+    /// that leaves the world about it: records, errors, recoveries,
+    /// evictions. Equal to `idx` for jobs built by [`SystemWorld::new`].
+    owner: usize,
     spec: JobSpec,
     state: JobState,
     /// `T_e`: predicted duration, set once at arrival.
@@ -314,7 +319,7 @@ struct Job {
 impl Job {
     /// Fresh runtime state for a spec (`T_e` from the prediction or the
     /// wave model; everything else at its arrival defaults).
-    fn from_spec(idx: usize, spec: JobSpec, config: &flep_gpu_sim::GpuConfig) -> Job {
+    fn from_spec(idx: usize, owner: usize, spec: JobSpec, config: &flep_gpu_sim::GpuConfig) -> Job {
         let te = spec
             .predicted
             .unwrap_or_else(|| spec.profile.estimate_duration(config));
@@ -335,6 +340,7 @@ impl Job {
         };
         Job {
             idx,
+            owner,
             spec,
             state: JobState::Future,
             te,
@@ -425,7 +431,7 @@ pub struct SystemWorld {
     /// The jobs not yet settled (future, waiting, running or draining), in
     /// ascending index order: the only per-job state the world holds. A
     /// job that completes its last invocation or fails leaves the table
-    /// and its record moves to `records`; an evicted job leaves through
+    /// through `settled`; an evicted job leaves through
     /// [`Self::decommission`]. The scheduling and watchdog scans iterate
     /// this table, so a serving frontend that submits tens of thousands
     /// of batch jobs over a run pays O(unsettled) per decision, in memory
@@ -454,9 +460,9 @@ pub struct SystemWorld {
     swap: Option<SwapManager>,
     /// Preemption watchdog, when enabled (always under fault injection).
     watchdog: Option<WatchdogConfig>,
-    /// Structured runtime failures, in occurrence order.
+    /// Structured runtime failures, in occurrence order, naming owners.
     errors: Vec<RuntimeError>,
-    /// Watchdog recoveries, in occurrence order.
+    /// Watchdog recoveries, in occurrence order, naming owners.
     recoveries: Vec<RecoveryEvent>,
     /// Preemption-drain outcomes by escalation level reached:
     /// `[flag, forced drain, kill]`.
@@ -468,18 +474,11 @@ pub struct SystemWorld {
     /// event type can embed the runtime; drain order equals push order, so
     /// `(time, seq)` tie-breaks — and every golden trace — are unchanged.
     pending: Vec<(SimTime, SystemEvent)>,
-    /// Records of settled jobs `(job, record)`, in settle order; drained
-    /// by an embedding cluster, collected by [`Self::into_records`].
-    records: Vec<(usize, JobRecord)>,
-    /// Completion log `(time, job)`, appended on every completed
-    /// invocation; drained by embedding frontends to observe batch
-    /// completions without scanning the records.
-    completed_log: Vec<(SimTime, usize)>,
-    /// Terminal failures `(time, job)` — jobs retired without completing
-    /// (permanent launch rejection, exhausted retries, unsatisfiable
-    /// working set). Frontends must see these or a failed batch would
-    /// leave its tenant waiting forever.
-    failed_log: Vec<(SimTime, usize)>,
+    /// Jobs that completed their last invocation or failed (permanent
+    /// launch rejection, exhausted retries, unsatisfiable working set),
+    /// one entry each in settle order, naming owners; drained by an
+    /// embedding cluster, collected by [`Self::into_records`].
+    settled: Vec<Settled>,
     /// Whether a watchdog tick is currently scheduled (the ladder must be
     /// re-armed when a job is submitted after the last one finished).
     watchdog_armed: bool,
@@ -503,9 +502,8 @@ pub struct SystemWorld {
 /// cluster layer needs to relaunch it on a surviving device.
 #[derive(Debug)]
 pub struct EvictedJob {
-    /// The job's index in *this* world (the cluster maps it back to its
-    /// own job table).
-    pub idx: usize,
+    /// The job's owner index (the cluster's own job index).
+    pub owner: usize,
     /// The spec as submitted to this world.
     pub spec: JobSpec,
     /// Absolute tasks completed so far (including any earlier
@@ -546,7 +544,7 @@ impl SystemWorld {
         let jobs: Vec<Job> = specs
             .into_iter()
             .enumerate()
-            .map(|(idx, spec)| Job::from_spec(idx, spec, device.config()))
+            .map(|(idx, spec)| Job::from_spec(idx, idx, spec, device.config()))
             .collect();
         SystemWorld {
             device,
@@ -566,9 +564,7 @@ impl SystemWorld {
             recoveries: Vec::new(),
             escalations: [0; 3],
             pending: Vec::new(),
-            records: Vec::new(),
-            completed_log: Vec::new(),
-            failed_log: Vec::new(),
+            settled: Vec::new(),
             watchdog_armed: false,
             poll_wheel: PollWheel::default(),
             scratch: CollectorHarness::new(),
@@ -590,14 +586,15 @@ impl SystemWorld {
     /// immediately (no [`SystemEvent::Arrival`] needed), a scheduling
     /// decision runs — so a higher-priority submission preempts the
     /// running grid through the normal HPF path — and the watchdog is
-    /// re-armed if its ladder had wound down. Returns the job's index.
+    /// re-armed if its ladder had wound down. Everything that leaves the
+    /// world about the job names it by `owner`.
     ///
     /// Follow-up events land in the pending buffer; the embedding world
     /// must drain them via [`Self::for_each_pending`].
-    pub fn submit(&mut self, now: SimTime, spec: JobSpec) -> usize {
+    pub fn submit(&mut self, now: SimTime, spec: JobSpec, owner: usize) {
         let idx = self.registered;
         self.registered += 1;
-        let mut job = Job::from_spec(idx, spec, self.device.config());
+        let mut job = Job::from_spec(idx, owner, spec, self.device.config());
         job.state = JobState::Queued;
         job.begin_wait(now);
         // The highest index yet, so the table stays ascending.
@@ -613,7 +610,6 @@ impl SystemWorld {
         self.reschedule(now, &mut harness);
         self.route_harness(now, &mut harness);
         self.scratch = harness;
-        idx
     }
 
     /// Enables working-set swapping: launches whose declared working set
@@ -629,9 +625,9 @@ impl SystemWorld {
     }
 
     /// Extracts the per-job records and robustness telemetry after the run.
-    /// The records are those of every job, settled or not, in job order,
-    /// except jobs [`Self::decommission`] evicted and settled jobs whose
-    /// records an embedding cluster already drained. Busy totals are
+    /// The records are those of every job, settled or not, in owner order,
+    /// except jobs [`Self::decommission`] evicted and settled jobs an
+    /// embedding cluster already drained. Busy totals are
     /// folded from the device's spans, per owner in first-exit order, so
     /// both are empty when span collection is off.
     #[must_use]
@@ -649,12 +645,16 @@ impl SystemWorld {
     }
 
     /// Ends the run: every record the world still holds — the undrained
-    /// settled log and the unsettled jobs — as `(job, record)` in job
+    /// settled log and the unsettled jobs — as `(owner, record)` in owner
     /// order, the device's busy spans, and the robustness report.
     pub(crate) fn finish(self) -> (Vec<(usize, JobRecord)>, Vec<Span>, RunReport) {
-        let mut records = self.records;
-        records.extend(self.jobs.into_iter().map(|j| (j.idx, j.into_record())));
-        records.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut records: Vec<_> = self
+            .settled
+            .into_iter()
+            .map(|s| (s.job, s.record))
+            .collect();
+        records.extend(self.jobs.into_iter().map(|j| (j.owner, j.into_record())));
+        records.sort_unstable_by_key(|&(owner, _)| owner);
         let report = RunReport {
             errors: self.errors,
             recoveries: self.recoveries,
@@ -698,8 +698,8 @@ impl SystemWorld {
     /// interrupt the host), folds each live grid's completed-task counter
     /// into its job, and retires every unfinished job, returning their
     /// resume snapshots in ascending job order for the cluster's
-    /// migration path. Completions that already reached the logs are
-    /// untouched; the caller should drain them first.
+    /// migration path. Jobs that already settled are untouched; the
+    /// caller should drain them first.
     ///
     /// After this call the world is inert: no grids, no active jobs, and
     /// any stale in-flight events (GPU completions, launch arrivals,
@@ -754,7 +754,7 @@ impl SystemWorld {
                 ..job.record
             };
             out.push(EvictedJob {
-                idx: job.idx,
+                owner: job.owner,
                 spec: job.spec,
                 tasks_done: job.tasks_done,
                 record,
@@ -783,47 +783,12 @@ impl SystemWorld {
         }
     }
 
-    /// Appends and clears the completion log: every `(time, job)`
-    /// invocation completion since the last drain.
-    pub fn drain_completions_into(&mut self, out: &mut Vec<(SimTime, usize)>) {
-        out.append(&mut self.completed_log);
-    }
-
-    /// Appends and clears the failure log: every `(time, job)` terminal
-    /// failure since the last drain.
-    pub fn drain_failures_into(&mut self, out: &mut Vec<(SimTime, usize)>) {
-        out.append(&mut self.failed_log);
-    }
-
-    /// Appends and clears the settled-record log: the `(job, record)` of
-    /// every job that completed its last invocation or failed since the
-    /// last drain, in settle order. A drained record is gone from the
-    /// world; [`Self::into_records`] no longer returns it.
-    pub(crate) fn drain_records_into(&mut self, out: &mut Vec<(usize, JobRecord)>) {
-        out.append(&mut self.records);
-    }
-
-    /// Whether any log an embedding cluster drains — completions,
-    /// failures, settled records, errors, recoveries — holds an entry.
-    pub(crate) fn has_logs(&self) -> bool {
-        !(self.completed_log.is_empty()
-            && self.failed_log.is_empty()
-            && self.records.is_empty()
-            && self.errors.is_empty()
-            && self.recoveries.is_empty())
-    }
-
-    /// Moves the structured errors and watchdog recoveries logged since
-    /// the last call onto `errors` and `recoveries`, job indices still
-    /// local to this world: the cluster remaps them while the jobs they
-    /// name are still in its shard map.
-    pub(crate) fn drain_logs_into(
-        &mut self,
-        errors: &mut Vec<RuntimeError>,
-        recoveries: &mut Vec<RecoveryEvent>,
-    ) {
-        errors.append(&mut self.errors);
-        recoveries.append(&mut self.recoveries);
+    /// Appends and clears the settled log: every job that completed its
+    /// last invocation or failed since the last drain, in settle order.
+    /// A drained job is gone from the world; [`Self::into_records`] no
+    /// longer returns it.
+    pub(crate) fn drain_settled_into(&mut self, out: &mut Vec<Settled>) {
+        out.append(&mut self.settled);
     }
 
     /// The table slot of unsettled job `idx`, if it is still held.
@@ -851,19 +816,22 @@ impl SystemWorld {
         self.retired_weight += u64::from(job.spec.priority.max(1));
     }
 
-    /// Settles a job: it leaves the table and its record moves to the
+    /// Settles a job, completed or failed: it leaves the table for the
     /// settled log.
-    fn retire(&mut self, idx: usize) {
+    fn retire(&mut self, now: SimTime, idx: usize, completed: bool) {
         let job = self.jobs.remove(self.slot(idx));
         self.fold_retired_terms(&job);
-        self.records.push((idx, job.into_record()));
+        self.settled.push(Settled {
+            at: now,
+            job: job.owner,
+            completed,
+            record: job.into_record(),
+        });
     }
 
-    /// Retires a job that will never complete and logs the failure for
-    /// embedding frontends.
+    /// Retires a job that will never complete.
     fn fail_job(&mut self, now: SimTime, idx: usize) {
-        self.retire(idx);
-        self.failed_log.push((now, idx));
+        self.retire(now, idx, false);
     }
 
     // -- Launch helpers ---------------------------------------------------
@@ -887,6 +855,7 @@ impl SystemWorld {
             .wrapping_add(job.completions << 32);
         job.launches += 1;
         let working_set = job.spec.working_set_bytes;
+        let owner = job.owner;
         let mut desc = match self.policy {
             Policy::MpsBaseline | Policy::Reordering => {
                 job.spec.profile.original_desc(idx as u64, seed)
@@ -906,7 +875,7 @@ impl SystemWorld {
                         // No amount of eviction makes this working set fit:
                         // fail the job instead of poisoning the experiment.
                         self.errors
-                            .push(RuntimeError::SwapUnsatisfiable { job: idx });
+                            .push(RuntimeError::SwapUnsatisfiable { job: owner });
                         self.fail_job(now, idx);
                         return false;
                     }
@@ -931,7 +900,7 @@ impl SystemWorld {
                 let attempt = job.retry_attempts;
                 if attempt > wd.max_launch_retries {
                     self.errors.push(RuntimeError::LaunchRetriesExhausted {
-                        job: idx,
+                        job: owner,
                         attempts: attempt - 1,
                     });
                     self.fail_job(now, idx);
@@ -944,7 +913,7 @@ impl SystemWorld {
                 job.retry_after = Some(now + backoff);
                 self.recoveries.push(RecoveryEvent {
                     at: now,
-                    job: idx,
+                    job: owner,
                     action: RecoveryAction::LaunchRetry(attempt),
                 });
                 self.pending
@@ -953,7 +922,7 @@ impl SystemWorld {
             }
             Err(error) => {
                 self.errors
-                    .push(RuntimeError::LaunchFailed { job: idx, error });
+                    .push(RuntimeError::LaunchFailed { job: owner, error });
                 self.fail_job(now, idx);
                 false
             }
@@ -1188,6 +1157,7 @@ impl SystemWorld {
         while let Some(idx) = self.poll_wheel.next_after(cur) {
             cur = Some(idx);
             let k = self.slot(idx);
+            let owner = self.jobs[k].owner;
             let Some(grid) = self.jobs[k].grid else {
                 debug_assert!(false, "poll wheel holds only jobs with live grids");
                 continue;
@@ -1223,7 +1193,7 @@ impl SystemWorld {
                     };
                     self.recoveries.push(RecoveryEvent {
                         at: now,
-                        job: idx,
+                        job: owner,
                         action: RecoveryAction::LostNotification,
                     });
                     harness.notify_host(now, note);
@@ -1244,7 +1214,7 @@ impl SystemWorld {
                         self.jobs[k].escalation = 1;
                         self.recoveries.push(RecoveryEvent {
                             at: now,
-                            job: idx,
+                            job: owner,
                             action: RecoveryAction::ForcedDrain,
                         });
                         self.device.force_drain(now, grid);
@@ -1252,7 +1222,7 @@ impl SystemWorld {
                         self.jobs[k].escalation = 2;
                         self.recoveries.push(RecoveryEvent {
                             at: now,
-                            job: idx,
+                            job: owner,
                             action: RecoveryAction::Killed,
                         });
                         self.device.kill_grid(now, grid, harness);
@@ -1310,7 +1280,6 @@ impl SystemWorld {
                 // The grid is retiring below; a looping FFS relaunch
                 // re-registers through `launch_job`.
                 self.poll_wheel.deregister(idx);
-                self.completed_log.push((now, idx));
                 let job = &mut self.jobs[k];
                 let finished_state = job.state;
                 // A kernel signalled for preemption may complete before any
@@ -1366,7 +1335,7 @@ impl SystemWorld {
                         self.gpu_job = None;
                     }
                 } else {
-                    self.retire(idx);
+                    self.retire(now, idx, true);
                     if self.gpu_job == Some(idx) {
                         self.gpu_job = None;
                     }

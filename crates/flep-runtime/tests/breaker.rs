@@ -1,13 +1,14 @@
 //! Directed circuit-breaker edge cases: the closed → open → half-open
 //! machine under precisely staged fault timelines — a probe racing a
-//! fresh fault, quarantine landing mid-migration, and permanent death
-//! never earning re-admission. All timings are scripted, so every
+//! fresh fault, quarantine landing mid-migration, permanent death
+//! never earning re-admission, and a probe rejected at launch whose
+//! errors never reach the result. All timings are scripted, so every
 //! scenario replays exactly.
 
-use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, GpuConfig};
+use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, FaultConfig, GpuConfig};
 use flep_runtime::{
     ClusterConfig, ClusterResult, ClusterRun, DeviceEventKind, HealthConfig, JobSpec,
-    KernelProfile, Policy,
+    KernelProfile, Policy, RuntimeError,
 };
 use flep_sim_core::SimTime;
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
@@ -253,4 +254,50 @@ fn permanent_death_is_never_readmitted() {
             "job {job} placed on dead device 0 at {at}"
         );
     }
+}
+
+/// A probe grid rejected at launch: every launch on the fleet is
+/// transiently rejected, so the probe (launched on device 0 once it heals
+/// from the breaker-tripping loss) retries until its budget runs out, as
+/// do the real jobs. The probe has no cluster job, so none of its
+/// retries or its exhausted-retries error may reach the result: every
+/// error and recovery there names a registered job.
+#[test]
+fn rejected_probe_leaves_no_errors_or_recoveries_in_the_result() {
+    let mut cfg = edge_cfg(5);
+    cfg.grid_faults = Some(FaultConfig::quiet(5).with_launch_reject(1.0));
+    cfg.scripted_faults = vec![(SimTime::from_us(100), 0, DeviceFaultKind::TransientLoss)];
+    let mut run = ClusterRun::new(cfg);
+    // The second job arrives late enough to outlive the probe's whole
+    // retry ladder, so the run is still going when the probe fails.
+    for arrival in [SimTime::ZERO, SimTime::from_ms(2)] {
+        run = run.job(JobSpec::new(
+            profile(BenchmarkId::Spmv, InputClass::Small),
+            arrival,
+        ));
+    }
+    let r = run.run();
+    assert!(r.reconciles());
+    assert_eq!(r.failed, 2, "jobs: {:?}", r.jobs);
+    assert!(r.summary.probes > 0, "events: {:?}", r.device_events);
+    let registered = r.jobs.len();
+    for e in &r.errors {
+        match *e {
+            RuntimeError::LaunchFailed { job, .. }
+            | RuntimeError::LaunchRetriesExhausted { job, .. }
+            | RuntimeError::SwapUnsatisfiable { job }
+            | RuntimeError::MigrationFailed { job, .. } => {
+                assert!(job < registered, "error names no registered job: {e:?}");
+            }
+            RuntimeError::EventBudgetExhausted { .. } | RuntimeError::DeviceLost { .. } => {}
+        }
+    }
+    for rec in &r.recoveries {
+        assert!(
+            rec.job < registered,
+            "recovery names no registered job: {rec:?}"
+        );
+    }
+    // The real jobs' own retries do reach the result.
+    assert!(r.summary.launch_retries > 0);
 }

@@ -352,7 +352,9 @@ fn drain_removes_device_from_rotation() {
     );
     assert_eq!(idx, 0);
     assert_eq!(cluster.device_state(1), DeviceState::Healthy);
-    assert_eq!(cluster.migrations(), 0);
+    let mut migrated = Vec::new();
+    cluster.drain_migrations_into(&mut migrated);
+    assert!(migrated.is_empty());
 }
 
 #[test]

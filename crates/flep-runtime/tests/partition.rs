@@ -10,16 +10,18 @@
 //! N=1 `CoRun` replay in both modes, thread-count independence of the
 //! epoch fan-out, and drives merged == `Auto` through a flep-check
 //! property covering migration storms, scripted faults, and grid-fault
-//! injection.
+//! injection. The same generated clusters, stepped one event at a time,
+//! check the settled log: each job leaves the cluster once, under its
+//! registered index.
 
 use flep_gpu_sim::{DeviceFaultConfig, DeviceFaultKind, FaultConfig, GpuConfig};
 use flep_runtime::{
-    ClusterConfig, ClusterResult, ClusterRun, CoRun, JobSpec, KernelProfile, Policy, RuntimeError,
-    StepMode, WatchdogConfig,
+    ClusterConfig, ClusterEvent, ClusterResult, ClusterRun, CoRun, GpuCluster, HealthConfig,
+    JobSpec, KernelProfile, Policy, RuntimeError, Settled, StepMode, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
 use flep_sim_core::runner::with_threads;
-use flep_sim_core::{require, require_eq, SimRng, SimTime};
+use flep_sim_core::{require, require_eq, Scheduler, SimRng, SimTime, Simulation, World};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
 fn profile(id: BenchmarkId, class: InputClass) -> KernelProfile {
@@ -255,7 +257,7 @@ fn gen_cluster_case(rng: &mut SimRng) -> (u64, u64, Vec<JobTuple>, u64) {
     (devices, rng.uniform_u64(0, 3), jobs, rng.u64())
 }
 
-fn build_case(devices: u64, fault_class: u64, jobs: &[JobTuple], seed: u64) -> ClusterRun {
+fn case_config(devices: u64, fault_class: u64, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(devices as u32, GpuConfig::k40(), Policy::hpf());
     cfg.max_migrations = 4;
     match fault_class {
@@ -287,18 +289,25 @@ fn build_case(devices: u64, fault_class: u64, jobs: &[JobTuple], seed: u64) -> C
         }
         _ => {}
     }
-    let mut run = ClusterRun::new(cfg);
-    for &(bidx, arrival_us, priority, jseed) in jobs {
-        run = run.job(
-            JobSpec::new(
-                profile(bench_of(bidx), InputClass::Small),
-                SimTime::from_us(arrival_us),
-            )
-            .with_priority(priority as u32)
-            .with_seed(jseed),
-        );
-    }
-    run
+    cfg
+}
+
+fn case_specs(jobs: &[JobTuple]) -> impl Iterator<Item = JobSpec> + '_ {
+    jobs.iter().map(|&(bidx, arrival_us, priority, jseed)| {
+        JobSpec::new(
+            profile(bench_of(bidx), InputClass::Small),
+            SimTime::from_us(arrival_us),
+        )
+        .with_priority(priority as u32)
+        .with_seed(jseed)
+    })
+}
+
+fn build_case(devices: u64, fault_class: u64, jobs: &[JobTuple], seed: u64) -> ClusterRun {
+    case_specs(jobs).fold(
+        ClusterRun::new(case_config(devices, fault_class, seed)),
+        ClusterRun::job,
+    )
 }
 
 /// The two drivers agree for *any* cluster: `Auto` takes the epoch
@@ -320,6 +329,90 @@ fn partitioned_and_global_event_orders_are_equivalent() {
             let auto = render(&build_case(devices, fault_class, jobs, seed).run());
             require_eq!(merged, auto, "auto vs merged (fault class {fault_class})");
             require!(!merged.is_empty());
+            Ok(())
+        },
+    );
+}
+
+/// A cluster whose settled log is drained after every event it handles.
+struct Drained {
+    cluster: GpuCluster,
+    settled: Vec<Settled>,
+}
+
+impl World for Drained {
+    type Event = ClusterEvent;
+
+    fn handle(&mut self, now: SimTime, ev: ClusterEvent, sched: &mut Scheduler<'_, ClusterEvent>) {
+        self.cluster.handle(now, ev, sched);
+        self.cluster.drain_settled_into(&mut self.settled);
+    }
+}
+
+/// Every job leaves the cluster's settled log at most once, under the
+/// index it was registered with — never a shard-local index, never the
+/// probe sentinel — and the drained log agrees with the result's
+/// completed and failed counts. Health is on, so storms trip breakers and
+/// launch probes, whose entries must stay inside the cluster.
+#[test]
+fn settled_log_names_each_registered_job_once() {
+    check(
+        "settled_log_names_each_registered_job_once",
+        CheckConfig::with_cases(64),
+        gen_cluster_case,
+        |&(devices, fault_class, ref jobs, seed)| {
+            let mut cfg = case_config(devices, fault_class, seed);
+            cfg.health = Some(HealthConfig::default().with_threshold(1.0));
+            // A tight migration budget makes storms fail jobs too.
+            cfg.max_migrations = 1;
+            let (mut cluster, initial) = GpuCluster::new(&cfg);
+            let specs: Vec<JobSpec> = case_specs(jobs).collect();
+            for spec in &specs {
+                cluster.register(spec.clone());
+            }
+            let mut sim = Simulation::new(Drained {
+                cluster,
+                settled: Vec::new(),
+            });
+            for (idx, spec) in specs.iter().enumerate() {
+                sim.schedule_at(spec.arrival, ClusterEvent::Arrival(idx));
+            }
+            for (at, ev) in initial {
+                sim.schedule_at(at, ev);
+            }
+            let end = sim.run();
+            let Drained { cluster, settled } = sim.into_world();
+            let n = specs.len();
+            let mut seen = vec![false; n];
+            for s in &settled {
+                require!(
+                    s.job < n,
+                    "settled entry names no registered job: {}",
+                    s.job
+                );
+                require!(!seen[s.job], "job {} settled twice", s.job);
+                seen[s.job] = true;
+            }
+            let r = cluster.into_result(end);
+            let completed = settled.iter().filter(|s| s.completed).count() as u64;
+            require_eq!(completed, r.completed, "drained completions");
+            require_eq!(
+                settled.len() as u64 - completed,
+                r.failed,
+                "drained failures"
+            );
+            for e in &r.errors {
+                if let RuntimeError::LaunchFailed { job, .. }
+                | RuntimeError::LaunchRetriesExhausted { job, .. }
+                | RuntimeError::SwapUnsatisfiable { job }
+                | RuntimeError::MigrationFailed { job, .. } = *e
+                {
+                    require!(job < n, "error names no registered job: {e:?}");
+                }
+            }
+            for rec in &r.recoveries {
+                require!(rec.job < n, "recovery names no registered job: {rec:?}");
+            }
             Ok(())
         },
     );

@@ -29,8 +29,8 @@ use flep_gpu_sim::{
 };
 use flep_metrics::{tail_triple_ns, Percentiles, RecoverySummary};
 use flep_runtime::{
-    ClusterConfig, ClusterEvent, GpuCluster, HealthConfig, JobRecord, JobSpec, KernelProfile,
-    PlacementConfig, Policy, RecoveryAction, WatchdogConfig,
+    ClusterConfig, ClusterEvent, GpuCluster, HealthConfig, JobSpec, KernelProfile, PlacementConfig,
+    Policy, RecoveryAction, Settled, WatchdogConfig,
 };
 use flep_sim_core::json::{JsonValue, ToJson};
 use flep_sim_core::{RunOutcome, SimRng, SimTime, Simulation, World};
@@ -243,11 +243,11 @@ pub struct ServeWorld {
     /// Graceful-degradation policy, if any.
     brownout: Option<BrownoutConfig>,
     /// Scratch buffers (kept allocated across events).
-    done_scratch: Vec<(SimTime, usize)>,
+    migrated_scratch: Vec<(SimTime, usize)>,
     expired_scratch: Vec<Request>,
-    /// Settled batches' job records, drained from the cluster and
-    /// dropped: the report is built from the request ledger instead.
-    record_scratch: Vec<(usize, JobRecord)>,
+    /// Settled batches drained from the cluster; their job records are
+    /// dropped, as the report is built from the request ledger instead.
+    settled_scratch: Vec<Settled>,
 }
 
 impl ServeWorld {
@@ -315,9 +315,9 @@ impl ServeWorld {
             seed: cfg.seed,
             fleet: cfg.devices.max(1),
             brownout: cfg.brownout.clone().filter(|b| !b.is_empty()),
-            done_scratch: Vec::new(),
+            migrated_scratch: Vec::new(),
             expired_scratch: Vec::new(),
-            record_scratch: Vec::new(),
+            settled_scratch: Vec::new(),
         };
         (world, initial)
     }
@@ -383,30 +383,23 @@ impl ServeWorld {
 
     /// Settles finished cluster jobs back into request-level accounting.
     fn reap(&mut self) {
-        let mut done = std::mem::take(&mut self.done_scratch);
-        // Migrations first (they precede any completion of the same batch
+        // Migrations first (they precede any settling of the same batch
         // and don't settle requests — the batch is still in flight on its
         // new device); counted per tenant for visibility.
-        done.clear();
-        self.cluster.drain_migrations_into(&mut done);
-        for &(_, job) in &done {
+        let mut migrated = std::mem::take(&mut self.migrated_scratch);
+        self.cluster.drain_migrations_into(&mut migrated);
+        for (_, job) in migrated.drain(..) {
             if let Some(t) = self.batch_owner(job) {
                 t.stats.migrated += 1;
             }
         }
-        done.clear();
-        self.cluster.drain_completions_into(&mut done);
-        for &(at, job) in &done {
-            self.settle_batch(at, job, true);
+        self.migrated_scratch = migrated;
+        let mut settled = std::mem::take(&mut self.settled_scratch);
+        self.cluster.drain_settled_into(&mut settled);
+        for s in settled.drain(..) {
+            self.settle_batch(s.at, s.job, s.completed);
         }
-        done.clear();
-        self.cluster.drain_failures_into(&mut done);
-        for &(at, job) in &done {
-            self.settle_batch(at, job, false);
-        }
-        self.done_scratch = done;
-        self.cluster.drain_records_into(&mut self.record_scratch);
-        self.record_scratch.clear();
+        self.settled_scratch = settled;
     }
 
     fn settle_batch(&mut self, at: SimTime, job: usize, completed: bool) {
@@ -521,29 +514,30 @@ impl ServeWorld {
             .map(|t| t.inflight.as_ref().map_or(0, |b| b.requests.len() as u64))
             .collect();
         let mut leftover = 0u64;
-        let mut all_latencies: Vec<u64> = self
-            .tenants
-            .iter()
-            .flat_map(|t| t.latencies.iter().copied())
-            .collect();
-        let latency = Percentiles::of_ns(&mut all_latencies);
+        // Each tenant's samples move into the pool once its own
+        // percentiles are taken, so no sample is held twice.
+        let total: usize = self.tenants.iter().map(|t| t.latencies.len()).sum();
+        let mut pooled: Vec<u64> = Vec::with_capacity(total);
         let tenants: Vec<TenantReport> = self
             .tenants
             .into_iter()
             .zip(inflight_by_tenant)
             .map(|(mut t, inflight_at_end)| {
                 leftover += t.queue.len() as u64 + inflight_at_end;
+                let latency = Percentiles::of_ns(&mut t.latencies);
+                pooled.append(&mut t.latencies);
                 TenantReport {
                     name: t.spec.name,
                     model: t.spec.model,
                     priority: t.spec.priority,
                     stats: t.stats,
-                    latency: Percentiles::of_ns(&mut t.latencies),
+                    latency,
                     queued_at_end: t.queue.len() as u64,
                     inflight_at_end,
                 }
             })
             .collect();
+        let latency = Percentiles::of_ns(&mut pooled);
         let devices = self.cluster.devices();
         let shed_total: u64 = tenants.iter().map(|t| t.stats.shed).sum();
         let result = self.cluster.into_result(end_time);
