@@ -148,6 +148,31 @@ stage_serve() {
         cargo test -p flep-serve --offline -q
 }
 
+# The thread-count replay shared by the sweep stages below:
+#   replay_rows LABEL ROWS BIN REPEATS_T1 REPEATS_T8 ARTIFACT [VAR=VALUE...]
+# runs flep-bench's BIN sweep at FLEP_THREADS=1 (FLEP_REPEATS=REPEATS_T1,
+# writing its perf artifact to ARTIFACT unless that is empty) and at
+# FLEP_THREADS=8 (FLEP_REPEATS=REPEATS_T8), both with FLEP_JSON=- and the
+# given VAR=VALUE settings, keeps each run's JSON rows in
+# target/ROWS_rows_t1.json and target/ROWS_rows_t8.json, and fails
+# unless the two are byte-identical.
+replay_rows() {
+    label=$1 rows=$2 bin=$3 repeats_t1=$4 repeats_t8=$5 artifact=$6
+    shift 6
+    env "$@" FLEP_REPEATS="$repeats_t1" ${artifact:+"FLEP_BENCH_JSON=$artifact"} \
+        FLEP_JSON=- FLEP_THREADS=1 \
+        cargo run --release -p flep-bench --bin "$bin" --offline -q \
+        | grep '^{' > "$ROOT/target/${rows}_rows_t1.json"
+    env "$@" FLEP_REPEATS="$repeats_t8" FLEP_JSON=- FLEP_THREADS=8 \
+        cargo run --release -p flep-bench --bin "$bin" --offline -q \
+        | grep '^{' > "$ROOT/target/${rows}_rows_t8.json"
+    if ! cmp -s "$ROOT/target/${rows}_rows_t1.json" "$ROOT/target/${rows}_rows_t8.json"; then
+        echo "$label: sweep rows differ between FLEP_THREADS=1 and 8" >&2
+        exit 1
+    fi
+    echo "$label: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+}
+
 # Cluster smoke (DESIGN.md §11): the pinned-seed failover suites — device
 # failure domains, kill-migrate-restart recovery, ledger reconciliation —
 # plus the cluster failover sweep recorded as BENCH_cluster.json. The
@@ -158,19 +183,8 @@ stage_cluster_smoke() {
     echo "==> cluster smoke: failover suites + sweep -> BENCH_cluster.json"
     cargo test -p flep-runtime --test cluster --offline -q
     cargo test -p flep-serve --test failover --offline -q
-    FLEP_SEED=42 FLEP_REPEATS=3 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_cluster.json" FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin cluster_failover --offline -q \
-        | grep '^{' > "$ROOT/target/cluster_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_JSON=- FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin cluster_failover --offline -q \
-        | grep '^{' > "$ROOT/target/cluster_rows_t8.json"
-    if ! cmp -s "$ROOT/target/cluster_rows_t1.json" "$ROOT/target/cluster_rows_t8.json"; then
-        echo "cluster smoke: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "cluster smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    replay_rows "cluster smoke" cluster cluster_failover 3 1 \
+        "$ROOT/BENCH_cluster.json" FLEP_SEED=42
 }
 
 # Cluster scale-out (DESIGN.md §13): the epoch driver's headline.
@@ -186,19 +200,8 @@ stage_cluster_scale() {
     FLEP_SEED=42 FLEP_REPEATS=3 FLEP_THREADS=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_cluster_scale.json" \
         cargo run --release -p flep-bench --bin cluster_scale --offline -q
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_SCALE_DEVICES=8,64 FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin cluster_scale --offline -q \
-        | grep '^{' > "$ROOT/target/scale_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_SCALE_DEVICES=8,64 FLEP_JSON=- \
-        FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin cluster_scale --offline -q \
-        | grep '^{' > "$ROOT/target/scale_rows_t8.json"
-    if ! cmp -s "$ROOT/target/scale_rows_t1.json" "$ROOT/target/scale_rows_t8.json"; then
-        echo "cluster scale: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "cluster scale: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    replay_rows "cluster scale" scale cluster_scale 1 1 "" \
+        FLEP_SEED=42 FLEP_SCALE_DEVICES=8,64
 }
 
 # Chaos smoke (DESIGN.md §14): the health-aware control plane under
@@ -214,19 +217,8 @@ stage_chaos_smoke() {
     cargo test -p flep-runtime --test breaker --offline -q
     cargo test -p flep-serve --test brownout --offline -q
     echo "==> chaos sweep -> BENCH_chaos.json"
-    FLEP_SEED=42 FLEP_REPEATS=3 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_chaos.json" FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin chaos_sweep --offline -q \
-        | grep '^{' > "$ROOT/target/chaos_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_JSON=- FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin chaos_sweep --offline -q \
-        | grep '^{' > "$ROOT/target/chaos_rows_t8.json"
-    if ! cmp -s "$ROOT/target/chaos_rows_t1.json" "$ROOT/target/chaos_rows_t8.json"; then
-        echo "chaos smoke: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "chaos smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    replay_rows "chaos smoke" chaos chaos_sweep 3 1 \
+        "$ROOT/BENCH_chaos.json" FLEP_SEED=42
 }
 
 # Benchmark smoke: builds flepbench (a package of its own, with path

@@ -28,7 +28,6 @@ mod cluster;
 mod driver;
 mod health;
 mod job;
-mod poll;
 mod world;
 
 pub use cluster::{

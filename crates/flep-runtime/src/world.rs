@@ -12,7 +12,6 @@ use flep_perfmodel::OverheadProfiler;
 use flep_sim_core::{Scheduler, SimTime, Span, World};
 
 use crate::job::{JobRecord, JobSpec, RepeatMode, Settled};
-use crate::poll::PollWheel;
 
 /// Watchdog configuration: how long a preempt request may go unanswered
 /// before the runtime escalates, and how launch retries back off.
@@ -269,7 +268,7 @@ enum JobState {
 #[derive(Debug)]
 struct Job {
     /// The job's index: assigned in submission order, never reused. The
-    /// world's own key (table order, poll wheel, device tags, events).
+    /// world's own key (table order, device tags, events).
     idx: usize,
     /// The index the job's submitter knows it by, carried by everything
     /// that leaves the world about it: records, errors, recoveries,
@@ -386,6 +385,17 @@ impl Job {
         }
     }
 
+    /// Unlinks the job's grid and folds the `done` tasks it completed
+    /// (the device's completed-task counter, the exactly-once resume
+    /// point) into the job's progress and its record. Every grid's
+    /// progress enters its job here: a terminal note, or a decommission
+    /// reading a retired grid.
+    fn fold_grid(&mut self, done: u64) {
+        self.grid = None;
+        self.tasks_done += done;
+        self.record.tasks_completed += done;
+    }
+
     /// The job's record as it leaves the world, named from its spec.
     fn into_record(self) -> JobRecord {
         JobRecord {
@@ -482,18 +492,11 @@ pub struct SystemWorld {
     /// Whether a watchdog tick is currently scheduled (the ladder must be
     /// re-armed when a job is submitted after the last one finished).
     watchdog_armed: bool,
-    /// Jobs currently holding a live grid — the coalesced poll wheel a
-    /// watchdog tick fans out over (DESIGN.md §12). Registered on grid
-    /// launch, deregistered on retire/evict; ascending-index iteration
-    /// replays exactly the order of a full job-table scan.
-    poll_wheel: PollWheel,
     /// Reusable event-collection harness for [`Self::dispatch`] /
-    /// [`Self::submit`] — taken at entry, restored after routing, so the
-    /// per-event hot path performs no Vec allocations.
+    /// [`Self::submit`], also reused by [`Self::route_harness`] for the
+    /// notes it handles synchronously — taken at entry, restored after
+    /// routing, so the per-event hot path performs no Vec allocations.
     scratch: CollectorHarness,
-    /// Reusable harness for synchronous same-instant notification
-    /// processing inside [`Self::route_harness`].
-    scratch_sync: CollectorHarness,
     /// Reusable note staging buffer for [`Self::route_harness`].
     scratch_notes: Vec<(SimTime, HostNotification)>,
 }
@@ -566,9 +569,7 @@ impl SystemWorld {
             pending: Vec::new(),
             settled: Vec::new(),
             watchdog_armed: false,
-            poll_wheel: PollWheel::default(),
             scratch: CollectorHarness::new(),
-            scratch_sync: CollectorHarness::new(),
             scratch_notes: Vec::new(),
         }
     }
@@ -695,9 +696,9 @@ impl SystemWorld {
 
     /// Device-level failure: resets the device (evicting every resident
     /// CTA with **no** host notifications — a lost device cannot
-    /// interrupt the host), folds each live grid's completed-task counter
-    /// into its job, and retires every unfinished job, returning their
-    /// resume snapshots in ascending job order for the cluster's
+    /// interrupt the host), folds each linked grid's completed-task
+    /// counter into its job, and retires every unfinished job, returning
+    /// their resume snapshots in ascending job order for the cluster's
     /// migration path. Jobs that already settled are untouched; the
     /// caller should drain them first.
     ///
@@ -706,39 +707,22 @@ impl SystemWorld {
     /// retries, watchdog ticks) are dropped by the existing staleness
     /// guards when they fire.
     pub fn decommission(&mut self, now: SimTime) -> Vec<EvictedJob> {
-        // First reconcile grids that retired *before* the reset but whose
-        // terminal notification is still in flight (it will be dropped by
-        // the stale-note guard once the job's grid link is cleared here):
-        // their progress lives only in device state, and missing it would
-        // re-run completed tasks after migration.
-        for k in 0..self.jobs.len() {
-            let Some(grid) = self.jobs[k].grid else {
-                continue;
-            };
-            if let Some(GridPhase::Completed | GridPhase::Preempted) = self.device.grid_phase(grid)
-            {
-                let done = self.device.grid_tasks_done(grid).unwrap_or(0);
-                let job = &mut self.jobs[k];
-                job.grid = None;
-                job.tasks_done += done;
-                job.record.tasks_completed += done;
-                job.signalled_at = None;
-                job.escalation = 0;
-            }
-        }
-        for reset in self.device.reset(now) {
-            let Some(k) = self.find(reset.tag as usize) else {
-                continue;
-            };
-            let job = &mut self.jobs[k];
-            // Only fold the eviction snapshot of the job's *live* grid; a
-            // stale retired grid of the same job was already accounted.
-            if job.grid != Some(reset.grid) {
-                continue;
-            }
-            job.grid = None;
-            job.tasks_done += reset.tasks_done;
-            job.record.tasks_completed += reset.tasks_done;
+        // After the reset every grid a job still links is retired with its
+        // claims rolled back — the ones the reset evicted, and the ones
+        // that retired before it but whose terminal note is still in
+        // flight (the stale-note guard drops it once the link is gone) —
+        // so one counter read covers both. Once folded, nothing reads the
+        // grid again, so it is released as a terminal note would release
+        // it: a device that rejoins after a transient loss holds none.
+        self.device.reset(now);
+        for job in &mut self.jobs {
+            let Some(grid) = job.grid else { continue };
+            let done = self
+                .device
+                .grid_tasks_done(grid)
+                .expect("invariant: a grid stays held while its job links it");
+            self.device.release(grid);
+            job.fold_grid(done);
             // An unresolved preemption drain dies with the device; it
             // reached no escalation outcome, so it is not counted.
             job.signalled_at = None;
@@ -760,7 +744,6 @@ impl SystemWorld {
                 record,
             });
         }
-        self.poll_wheel.clear();
         self.gpu_job = None;
         self.draining = false;
         self.shared_victims.clear();
@@ -829,11 +812,6 @@ impl SystemWorld {
         });
     }
 
-    /// Retires a job that will never complete.
-    fn fail_job(&mut self, now: SimTime, idx: usize) {
-        self.retire(now, idx, false);
-    }
-
     // -- Launch helpers ---------------------------------------------------
 
     /// Launches job `idx`'s (next) grid. Returns `false` when no grid went
@@ -876,7 +854,7 @@ impl SystemWorld {
                         // fail the job instead of poisoning the experiment.
                         self.errors
                             .push(RuntimeError::SwapUnsatisfiable { job: owner });
-                        self.fail_job(now, idx);
+                        self.retire(now, idx, false);
                         return false;
                     }
                 }
@@ -884,7 +862,6 @@ impl SystemWorld {
         }
         match self.device.launch(now, desc, harness) {
             Ok(grid) => {
-                self.poll_wheel.register(idx);
                 let job = &mut self.jobs[k];
                 job.grid = Some(grid);
                 job.granted_at = Some(now);
@@ -903,7 +880,7 @@ impl SystemWorld {
                         job: owner,
                         attempts: attempt - 1,
                     });
-                    self.fail_job(now, idx);
+                    self.retire(now, idx, false);
                     return false;
                 }
                 // Exponential backoff, doubling per consecutive rejection.
@@ -923,7 +900,7 @@ impl SystemWorld {
             Err(error) => {
                 self.errors
                     .push(RuntimeError::LaunchFailed { job: owner, error });
-                self.fail_job(now, idx);
+                self.retire(now, idx, false);
                 false
             }
         }
@@ -1146,22 +1123,15 @@ impl SystemWorld {
     /// [`Self::submit`] re-arms it again.
     fn watchdog_scan(&mut self, now: SimTime, harness: &mut CollectorHarness) {
         let Some(wd) = self.watchdog else { return };
-        // Fan out over the poll wheel: exactly the jobs holding a live
-        // grid, in ascending index order — the same jobs, in the same
-        // order, a full job-table scan would act on (it would skip
-        // grid-less jobs). The successor scan tolerates mid-tick
-        // register/deregister; states do not change and no job leaves the
-        // table during this loop (device probes buffer their
-        // notifications).
-        let mut cur = None;
-        while let Some(idx) = self.poll_wheel.next_after(cur) {
-            cur = Some(idx);
-            let k = self.slot(idx);
-            let owner = self.jobs[k].owner;
+        // Visit every job holding a grid, in table (ascending index)
+        // order. No job enters or leaves the table and no grid link
+        // changes during this loop: the device calls below buffer their
+        // notifications in `harness`, which is routed after the tick.
+        for k in 0..self.jobs.len() {
             let Some(grid) = self.jobs[k].grid else {
-                debug_assert!(false, "poll wheel holds only jobs with live grids");
                 continue;
             };
+            let (idx, owner) = (self.jobs[k].idx, self.jobs[k].owner);
             // A lost DispatchStarted only affects the record; patch it from
             // the device's own timestamp.
             if self.jobs[k].record.first_dispatched.is_none() {
@@ -1277,9 +1247,6 @@ impl SystemWorld {
                 }
             }
             HostNotification::Completed { tasks_done, .. } => {
-                // The grid is retiring below; a looping FFS relaunch
-                // re-registers through `launch_job`.
-                self.poll_wheel.deregister(idx);
                 let job = &mut self.jobs[k];
                 let finished_state = job.state;
                 // A kernel signalled for preemption may complete before any
@@ -1292,10 +1259,8 @@ impl SystemWorld {
                     self.escalations[usize::from(job.escalation.min(2))] += 1;
                     job.escalation = 0;
                 }
-                job.tasks_done += tasks_done;
-                job.record.tasks_completed += tasks_done;
+                job.fold_grid(tasks_done);
                 debug_assert_eq!(job.tasks_done, job.spec.profile.total_tasks);
-                job.grid = None;
                 job.completions += 1;
                 job.tr = SimTime::ZERO;
                 if job.record.completed.is_none() {
@@ -1369,12 +1334,9 @@ impl SystemWorld {
                 remaining_tasks,
                 ..
             } => {
-                self.poll_wheel.deregister(idx);
                 let job = &mut self.jobs[k];
-                job.tasks_done += tasks_done;
-                job.record.tasks_completed += tasks_done;
+                job.fold_grid(tasks_done);
                 debug_assert_eq!(job.remaining_tasks(), remaining_tasks);
-                job.grid = None;
                 job.record.preemptions += 1;
                 if let Some(at) = job.signalled_at.take() {
                     let drain = now.saturating_sub(at);
@@ -1480,23 +1442,23 @@ impl SystemWorld {
         let mut notes = std::mem::take(&mut self.scratch_notes);
         debug_assert!(notes.is_empty());
         notes.append(&mut harness.notes);
-        let mut h2 = std::mem::take(&mut self.scratch_sync);
+        // `harness` is empty again: it collects what each note handler
+        // produces.
         for (at, note) in notes.drain(..) {
             if at > now {
                 // Fault-delayed: deliver when it lands instead of now.
                 self.pending.push((at, SystemEvent::Note(note)));
                 continue;
             }
-            self.on_notification(at, note, &mut h2);
-            for (t, ev) in h2.gpu_events.drain(..) {
+            self.on_notification(at, note, harness);
+            for (t, ev) in harness.gpu_events.drain(..) {
                 self.pending.push((t, SystemEvent::Gpu(ev)));
             }
             debug_assert!(
-                h2.notes.is_empty(),
+                harness.notes.is_empty(),
                 "notifications must not recurse synchronously"
             );
         }
-        self.scratch_sync = h2;
         self.scratch_notes = notes;
     }
 }

@@ -135,13 +135,14 @@ fn transient_launch_rejections_back_off_and_succeed() {
 }
 
 #[test]
-fn poll_wheel_has_no_ghost_polls() {
-    // Fault-free with the watchdog armed: every grid registers on launch
-    // and deregisters on retirement, often within one poll interval. A
-    // tick visiting a job after its grid retired (a ghost poll) would
-    // see device phase `Completed` against live runtime state and
-    // synthesize a `LostNotification` recovery — so a clean run must
-    // end with an empty recovery log and an untouched escalation ladder.
+fn watchdog_scan_has_no_ghost_polls() {
+    // Fault-free with the watchdog armed: grids launch and retire, often
+    // within one poll interval, and a tick visits only the jobs that hold
+    // a grid. A tick visiting a job after its grid retired and its note
+    // was handled (a ghost poll) would see device phase `Completed`
+    // against live runtime state and synthesize a `LostNotification`
+    // recovery — so a clean run must end with an empty recovery log and
+    // an untouched escalation ladder.
     let r = CoRun::new(GpuConfig::k40(), Policy::hpf())
         .job(JobSpec::new(
             profile(BenchmarkId::Spmv, InputClass::Small),
@@ -155,9 +156,9 @@ fn poll_wheel_has_no_ghost_polls() {
 
     // Single job, no preemption, every host notification dropped: the
     // watchdog's reconciliation poll is the only way the completion can
-    // land, and it must land exactly once. A wheel that failed to
-    // deregister the job when the synthesized note retired it would
-    // re-reconcile the same grid on every subsequent tick.
+    // land, and it must land exactly once. A scan that kept visiting the
+    // job after the synthesized note unlinked its grid would re-reconcile
+    // the same grid on every subsequent tick.
     let r = CoRun::new(GpuConfig::k40(), Policy::hpf())
         .job(JobSpec::new(
             profile(BenchmarkId::Va, InputClass::Small),

@@ -211,21 +211,9 @@ pub struct GpuDevice {
     /// CTAs keep executing. Set/cleared by the cluster's device-fault
     /// layer; never consults the RNG, so it cannot perturb fault draws.
     doorbells_lost: bool,
-}
-
-/// One grid's progress snapshot returned by [`GpuDevice::reset`], the
-/// host-side record the cluster uses to migrate work to a survivor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResetGrid {
-    /// The grid that was evicted (its id is dead after the reset).
-    pub grid: GridId,
-    /// Host correlation tag.
-    pub tag: u64,
-    /// Tasks (or CTAs, for original-shape grids) completed before the
-    /// reset — the exactly-once resume point.
-    pub tasks_done: u64,
-    /// Tasks left unprocessed; zero means the grid had actually finished.
-    pub remaining_tasks: u64,
+    /// Per-SM thread vectors of released grids, handed to later launches
+    /// so a relaunch or a serving batch does not allocate one.
+    spare_threads: Vec<Vec<u32>>,
 }
 
 /// State of one CUDA stream on the device.
@@ -282,6 +270,7 @@ impl GpuDevice {
             streams: Vec::new(),
             fault: None,
             doorbells_lost: false,
+            spare_threads: Vec::new(),
         }
     }
 
@@ -343,10 +332,7 @@ impl GpuDevice {
     /// Tasks completed so far by a grid.
     #[must_use]
     pub fn grid_tasks_done(&self, grid: GridId) -> Option<u64> {
-        self.grids.get(grid.0).map(|g| match g.shape {
-            GridShape::Original { .. } => g.completed_ctas,
-            GridShape::Persistent { .. } => g.completed_tasks,
-        })
+        self.grids.get(grid.0).map(|g| g.progress().0)
     }
 
     /// Total threads the grid currently holds on SMs with `%smid < n_sms`.
@@ -378,12 +364,10 @@ impl GpuDevice {
     /// events or notifications still in flight are dropped by the slab's
     /// generation check. No-op for live or unknown grids.
     pub fn release(&mut self, grid: GridId) {
-        if self
-            .grids
-            .get(grid.0)
-            .is_some_and(|g| matches!(g.phase, GridPhase::Completed | GridPhase::Preempted))
-        {
-            self.grids.remove(grid.0);
+        if self.grids.get(grid.0).is_some_and(Grid::is_retired) {
+            if let Some(g) = self.grids.remove(grid.0) {
+                self.spare_threads.push(g.threads_on_sm);
+            }
         }
     }
 
@@ -438,6 +422,13 @@ impl GpuDevice {
             }
         };
 
+        let threads_on_sm = match self.spare_threads.pop() {
+            Some(mut v) => {
+                v.fill(0);
+                v
+            }
+            None => vec![0; self.cfg.num_sms as usize],
+        };
         let grid = Grid {
             id: GridId(0), // patched below, once the slab assigns the key
             name: desc.name,
@@ -461,7 +452,7 @@ impl GpuDevice {
             dispatch_started: None,
             planned_ctas,
             stream_lane,
-            threads_on_sm: vec![0; self.cfg.num_sms as usize],
+            threads_on_sm,
             full_own_load: f64::from(occ * desc.resources.threads_per_cta)
                 / f64::from(self.cfg.threads_per_sm),
             stuck,
@@ -485,6 +476,14 @@ impl GpuDevice {
         Ok(id)
     }
 
+    /// Grid `gid` if the device holds it and it has not retired: the gate
+    /// every host call and device event on a grid passes first, so late
+    /// calls and in-flight events of a killed, reset or released grid
+    /// are dropped.
+    fn live_grid(&mut self, gid: GridId) -> Option<&mut Grid> {
+        self.grids.get_mut(gid.0).filter(|g| !g.is_retired())
+    }
+
     /// The lane index for a user stream id, interning a new lane on first
     /// use.
     fn lane_index(&mut self, stream: u32) -> u32 {
@@ -506,12 +505,9 @@ impl GpuDevice {
     /// with completion; the paper's runtime tolerates this too).
     pub fn signal(&mut self, now: SimTime, grid: GridId, signal: PreemptSignal) {
         let mut latency = self.cfg.flag_visibility_latency;
-        let Some(g) = self.grids.get_mut(grid.0) else {
+        let Some(g) = self.live_grid(grid) else {
             return;
         };
-        if matches!(g.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
         let tag = g.tag;
         if self.doorbells_lost {
             // Device hang: the write never crosses the bus. Checked before
@@ -607,12 +603,9 @@ impl GpuDevice {
     ///
     /// No-op for retired, original-shape, or unknown grids.
     pub fn force_drain(&mut self, now: SimTime, grid: GridId) {
-        let Some(g) = self.grids.get_mut(grid.0) else {
+        let Some(g) = self.live_grid(grid) else {
             return;
         };
-        if matches!(g.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
         let GridShape::Persistent { .. } = g.shape else {
             return;
         };
@@ -645,56 +638,11 @@ impl GpuDevice {
         grid: GridId,
         harness: &mut H,
     ) {
-        let Some(g) = self.grids.get_mut(grid.0) else {
+        let Some(g) = self.live_grid(grid) else {
             return;
-        };
-        if matches!(g.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
-        let usage = g.resources;
-        let tag = g.tag;
-        g.pending_ctas = 0;
-        g.active_ctas = 0;
-        // Claimed-but-unfinished batches are lost; roll the claim counter
-        // back so the completed-task counter is the single source of truth
-        // for the resume point.
-        g.next_task = g.completed_tasks;
-        for sm_idx in 0..self.sms.len() {
-            self.grids
-                .get_mut(grid.0)
-                .expect("grid checked above; eviction cannot remove grids")
-                .threads_on_sm[sm_idx] = 0;
-            for evicted in self.sms[sm_idx].evict_grid(&usage, grid) {
-                self.placement.on_remove(sm_idx as u32);
-                self.record_busy(grid, evicted.since, now);
-            }
-        }
-        self.trace.record(now, "kill", tag);
-        let g = self
-            .grids
-            .get_mut(grid.0)
-            .expect("grid checked above; eviction cannot remove grids");
-        let (done, total) = match g.shape {
-            GridShape::Original { ctas } => (g.completed_ctas, ctas),
-            GridShape::Persistent { total_tasks, .. } => (g.completed_tasks, total_tasks),
-        };
-        let note = if done == total {
-            g.phase = GridPhase::Completed;
-            HostNotification::Completed {
-                grid,
-                tag,
-                tasks_done: done,
-            }
-        } else {
-            g.phase = GridPhase::Preempted;
-            HostNotification::Preempted {
-                grid,
-                tag,
-                tasks_done: done,
-                remaining_tasks: total - done,
-            }
         };
         let lane = g.stream_lane;
+        let note = self.evict(now, grid, "kill");
         self.signalled.retain(|&x| x != grid);
         self.fifo.retain(|&x| x != grid);
         // A grid killed while parked behind its stream's live grid must
@@ -737,59 +685,20 @@ impl GpuDevice {
     /// final state of a dead device.
     ///
     /// Unlike [`GpuDevice::kill_grid`] this emits **no** host
-    /// notifications: a lost device cannot interrupt the host. The host
-    /// learns each grid's resume point from the returned snapshots
-    /// (slab-slot order, so deterministic). Work claimed but not completed
-    /// is rolled back exactly as in a kill, preserving exactly-once task
+    /// notifications: a lost device cannot interrupt the host. Every grid
+    /// stays held, so the host reads each one's resume point from
+    /// [`GpuDevice::grid_tasks_done`]. Work claimed but not completed is
+    /// rolled back exactly as in a kill, preserving exactly-once task
     /// execution across a migration.
-    pub fn reset(&mut self, now: SimTime) -> Vec<ResetGrid> {
+    pub fn reset(&mut self, now: SimTime) {
         let live: Vec<GridId> = self
             .grids
             .iter()
-            .filter(|(_, g)| !matches!(g.phase, GridPhase::Completed | GridPhase::Preempted))
+            .filter(|(_, g)| !g.is_retired())
             .map(|(k, _)| GridId(k))
             .collect();
-        let mut out = Vec::with_capacity(live.len());
         for gid in live {
-            let g = self
-                .grids
-                .get_mut(gid.0)
-                .expect("invariant: ids collected above are live; nothing removes them here");
-            let usage = g.resources;
-            let tag = g.tag;
-            g.pending_ctas = 0;
-            g.active_ctas = 0;
-            g.next_task = g.completed_tasks;
-            for sm_idx in 0..self.sms.len() {
-                self.grids
-                    .get_mut(gid.0)
-                    .expect("invariant: eviction cannot remove grids")
-                    .threads_on_sm[sm_idx] = 0;
-                for evicted in self.sms[sm_idx].evict_grid(&usage, gid) {
-                    self.placement.on_remove(sm_idx as u32);
-                    self.record_busy(gid, evicted.since, now);
-                }
-            }
-            let g = self
-                .grids
-                .get_mut(gid.0)
-                .expect("invariant: eviction cannot remove grids");
-            let (done, total) = match g.shape {
-                GridShape::Original { ctas } => (g.completed_ctas, ctas),
-                GridShape::Persistent { total_tasks, .. } => (g.completed_tasks, total_tasks),
-            };
-            g.phase = if done == total {
-                GridPhase::Completed
-            } else {
-                GridPhase::Preempted
-            };
-            self.trace.record(now, "device_reset_evict", tag);
-            out.push(ResetGrid {
-                grid: gid,
-                tag,
-                tasks_done: done,
-                remaining_tasks: total - done,
-            });
+            self.evict(now, gid, "device_reset_evict");
         }
         self.fifo.clear();
         self.signalled.clear();
@@ -798,7 +707,38 @@ impl GpuDevice {
             lane.parked.clear();
         }
         self.doorbells_lost = false;
-        out
+    }
+
+    /// Evicts every CTA of live grid `gid`, rolls its claims back to the
+    /// completed-task counter, retires it and traces `label`: the one way
+    /// a grid leaves the device with CTAs still on it, shared by
+    /// [`GpuDevice::kill_grid`] and [`GpuDevice::reset`]. Claimed but
+    /// unfinished batches are lost, so the completed-task counter is the
+    /// single source of truth for the resume point. Returns the retire
+    /// note; the caller decides whether the host hears it.
+    fn evict(&mut self, now: SimTime, gid: GridId, label: &str) -> HostNotification {
+        let g = self
+            .grids
+            .get_mut(gid.0)
+            .expect("invariant: only a live grid is evicted");
+        let usage = g.resources;
+        g.pending_ctas = 0;
+        g.active_ctas = 0;
+        g.next_task = g.completed_tasks;
+        g.threads_on_sm.fill(0);
+        for sm_idx in 0..self.sms.len() {
+            for evicted in self.sms[sm_idx].evict_grid(&usage, gid) {
+                self.placement.on_remove(sm_idx as u32);
+                self.record_busy(gid, evicted.since, now);
+            }
+        }
+        let g = self
+            .grids
+            .get_mut(gid.0)
+            .expect("invariant: eviction cannot remove grids");
+        let note = g.retire();
+        self.trace.record(now, label, note.tag());
+        note
     }
 
     /// The contention slowdown factor applied to work of a kernel starting
@@ -909,12 +849,9 @@ impl GpuDevice {
     ) {
         // A grid killed (and perhaps already released) while its launch
         // was in flight simply never arrives.
-        let Some(grid) = self.grids.get_mut(id.0) else {
+        let Some(grid) = self.live_grid(id) else {
             return;
         };
-        if matches!(grid.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
         debug_assert_eq!(grid.phase, GridPhase::InFlight);
         // Same-stream ordering: a grid whose stream still has a live
         // predecessor parks until that predecessor retires.
@@ -1169,12 +1106,9 @@ impl GpuDevice {
     ) {
         // Same stale-event gate as `on_batch_done`: a killed grid's
         // in-flight completions must be dropped, not processed.
-        let Some(grid) = self.grids.get_mut(gid.0) else {
+        let Some(grid) = self.live_grid(gid) else {
             return;
         };
-        if matches!(grid.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
         let first_task = grid.first_task;
         if let Some(f) = grid.task_fn.as_mut() {
             f(first_task + cta);
@@ -1189,14 +1123,7 @@ impl GpuDevice {
             self.refill_slot(now, gid, cta, sm, harness);
             return;
         }
-        grid.active_ctas -= 1;
-        let usage = grid.resources;
-        grid.threads_on_sm[sm as usize] -= usage.threads_per_cta;
-        let removed = self.sms[sm as usize].remove(&usage, gid, cta);
-        self.placement.on_remove(sm);
-        self.record_busy(gid, removed.since, now);
-        self.maybe_retire(now, gid, harness);
-        self.dispatch(now, harness);
+        self.exit_cta(now, gid, cta, sm, harness);
     }
 
     /// Dispatches the next CTA of FIFO-head grid `gid` into the slot its
@@ -1259,12 +1186,9 @@ impl GpuDevice {
         // work that was forcibly discarded and must be ignored. Without
         // faults every grid outlives all of its scheduled events, so this
         // gate never fires.
-        let Some(grid) = self.grids.get_mut(gid.0) else {
+        let Some(grid) = self.live_grid(gid) else {
             return;
         };
-        if matches!(grid.phase, GridPhase::Completed | GridPhase::Preempted) {
-            return;
-        }
         grid.completed_tasks += n_tasks;
         let offset = grid.first_task;
         if let Some(f) = grid.task_fn.as_mut() {
@@ -1287,16 +1211,8 @@ impl GpuDevice {
             }
             return;
         }
-        let out_of_work = grid.unclaimed_tasks() == 0;
-        if must_exit || out_of_work {
-            grid.active_ctas -= 1;
-            let usage = grid.resources;
-            grid.threads_on_sm[sm as usize] -= usage.threads_per_cta;
-            let removed = self.sms[sm as usize].remove(&usage, gid, cta);
-            self.placement.on_remove(sm);
-            self.record_busy(gid, removed.since, now);
-            self.maybe_retire(now, gid, harness);
-            self.dispatch(now, harness);
+        if must_exit || grid.unclaimed_tasks() == 0 {
+            self.exit_cta(now, gid, cta, sm, harness);
         } else {
             self.start_batch(now, gid, cta, sm, harness);
         }
@@ -1316,76 +1232,58 @@ impl GpuDevice {
         self.busy_spans.push(Span { start, end, owner });
     }
 
+    /// CTA `cta` of `gid` leaves `sm` for good (its task ran, its grid has
+    /// no unclaimed task left, or the flag told it to exit): free its
+    /// slot, retire the grid if it was the last CTA, and let queued grids
+    /// use the room.
+    fn exit_cta<H: GpuHarness + ?Sized>(
+        &mut self,
+        now: SimTime,
+        gid: GridId,
+        cta: u64,
+        sm: u32,
+        harness: &mut H,
+    ) {
+        let grid = self
+            .grids
+            .get_mut(gid.0)
+            .expect("invariant: a CTA exits only while its grid is held");
+        grid.active_ctas -= 1;
+        let usage = grid.resources;
+        grid.threads_on_sm[sm as usize] -= usage.threads_per_cta;
+        let removed = self.sms[sm as usize].remove(&usage, gid, cta);
+        self.placement.on_remove(sm);
+        self.record_busy(gid, removed.since, now);
+        self.maybe_retire(now, gid, harness);
+        self.dispatch(now, harness);
+    }
+
     /// Retires a grid whose CTAs have all left the device, emitting the
-    /// appropriate notification.
+    /// appropriate notification. An original grid with work left is not
+    /// retired here: only a kill preempts one.
     fn maybe_retire<H: GpuHarness + ?Sized>(&mut self, now: SimTime, gid: GridId, harness: &mut H) {
         let grid = self
             .grids
             .get_mut(gid.0)
             .expect("invariant: retire is only attempted from paths holding a live grid id");
-        if grid.active_ctas > 0 || grid.pending_ctas > 0 {
+        if grid.active_ctas > 0 || grid.pending_ctas > 0 || grid.is_retired() {
             return;
         }
-        if matches!(grid.phase, GridPhase::Completed | GridPhase::Preempted) {
+        let (done, total) = grid.progress();
+        if done < total && matches!(grid.shape, GridShape::Original { .. }) {
             return;
         }
-        match grid.shape {
-            GridShape::Original { ctas } => {
-                if grid.completed_ctas == ctas {
-                    grid.phase = GridPhase::Completed;
-                    let (tag, done) = (grid.tag, grid.completed_ctas);
-                    self.trace.record(now, "complete", tag);
-                    self.emit_note(
-                        now,
-                        HostNotification::Completed {
-                            grid: gid,
-                            tag,
-                            tasks_done: done,
-                        },
-                        harness,
-                    );
-                    self.advance_stream(now, gid, harness);
-                }
-            }
-            GridShape::Persistent { total_tasks, .. } => {
-                // All claimed batches have finished once no CTA is active,
-                // so completed == next_task here.
-                debug_assert_eq!(grid.completed_tasks, grid.next_task);
-                if grid.completed_tasks == total_tasks {
-                    grid.phase = GridPhase::Completed;
-                    let (tag, done) = (grid.tag, grid.completed_tasks);
-                    self.trace.record(now, "complete", tag);
-                    self.emit_note(
-                        now,
-                        HostNotification::Completed {
-                            grid: gid,
-                            tag,
-                            tasks_done: done,
-                        },
-                        harness,
-                    );
-                } else {
-                    grid.phase = GridPhase::Preempted;
-                    let (tag, done) = (grid.tag, grid.completed_tasks);
-                    let remaining = total_tasks - done;
-                    self.trace.record(now, "preempt", tag);
-                    self.emit_note(
-                        now,
-                        HostNotification::Preempted {
-                            grid: gid,
-                            tag,
-                            tasks_done: done,
-                            remaining_tasks: remaining,
-                        },
-                        harness,
-                    );
-                }
-                self.advance_stream(now, gid, harness);
-                // A retired grid has no resident CTAs left, so it no longer
-                // influences contention queries; drop it from the list.
-                self.signalled.retain(|&g| g != gid);
-            }
-        }
+        let note = grid.retire();
+        let label = match note {
+            HostNotification::Completed { .. } => "complete",
+            _ => "preempt",
+        };
+        self.trace.record(now, label, note.tag());
+        self.emit_note(now, note, harness);
+        self.advance_stream(now, gid, harness);
+        // A retired grid has no resident CTAs left, so it no longer
+        // influences contention queries; drop it from the list.
+        self.signalled.retain(|&g| g != gid);
     }
 }
 

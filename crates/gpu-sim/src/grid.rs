@@ -5,6 +5,7 @@ use std::fmt;
 use flep_sim_core::{SimRng, SimTime};
 
 use crate::config::ResourceUsage;
+use crate::device::HostNotification;
 
 /// Identifier of a grid (one kernel launch) on a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -375,9 +376,55 @@ impl Grid {
         }
     }
 
+    /// Whether the grid has retired (`Completed` or `Preempted`).
+    pub(crate) fn is_retired(&self) -> bool {
+        matches!(self.phase, GridPhase::Completed | GridPhase::Preempted)
+    }
+
     /// Remaining unclaimed tasks (persistent shape).
     pub(crate) fn unclaimed_tasks(&self) -> u64 {
         self.shape.total_tasks() - self.next_task
+    }
+
+    /// `(done, total)`: CTAs fully executed out of the grid's CTAs for an
+    /// original grid, completed tasks out of its tasks for a persistent
+    /// one. `done` is the exactly-once resume point.
+    pub(crate) fn progress(&self) -> (u64, u64) {
+        match self.shape {
+            GridShape::Original { ctas } => (self.completed_ctas, ctas),
+            GridShape::Persistent { total_tasks, .. } => (self.completed_tasks, total_tasks),
+        }
+    }
+
+    /// Retires the grid once no CTA of it is left on the device:
+    /// `Completed` when every task is done, `Preempted` otherwise. Returns
+    /// the matching host notification.
+    pub(crate) fn retire(&mut self) -> HostNotification {
+        // No claim outlives its CTA: every claimed batch either completed
+        // or was rolled back by an eviction.
+        debug_assert_eq!(
+            self.next_task, self.completed_tasks,
+            "retiring {} with claimed tasks unaccounted",
+            self.id
+        );
+        let (done, total) = self.progress();
+        let (grid, tag) = (self.id, self.tag);
+        if done == total {
+            self.phase = GridPhase::Completed;
+            HostNotification::Completed {
+                grid,
+                tag,
+                tasks_done: done,
+            }
+        } else {
+            self.phase = GridPhase::Preempted;
+            HostNotification::Preempted {
+                grid,
+                tag,
+                tasks_done: done,
+                remaining_tasks: total - done,
+            }
+        }
     }
 
     /// The signal a CTA's poll actually *acts on* at `now`: what

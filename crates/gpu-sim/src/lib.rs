@@ -64,7 +64,7 @@ mod swap;
 mod topology;
 
 pub use config::{GpuConfig, ResourceUsage};
-pub use device::{GpuDevice, GpuEvent, GpuHarness, HostNotification, LaunchError, ResetGrid};
+pub use device::{GpuDevice, GpuEvent, GpuHarness, HostNotification, LaunchError};
 pub use fault::{
     DeviceFaultConfig, DeviceFaultKind, DeviceFaultPlan, FaultConfig, FaultEvent, FaultKind,
     FaultPlan, DEVICE_FAULT_STREAM, FAULT_STREAM,

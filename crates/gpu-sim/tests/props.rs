@@ -3,13 +3,14 @@
 //! preemption timing. Runs on the in-tree `flep-check` harness.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use flep_gpu_sim::{
-    GpuConfig, GridShape, LaunchDesc, PreemptSignal, ResourceUsage, Scenario, TaskCost,
+    CollectorHarness, GpuConfig, GpuDevice, GpuEvent, GridId, GridPhase, GridShape,
+    HostNotification, LaunchDesc, PreemptSignal, ResourceUsage, Scenario, TaskCost,
 };
 use flep_sim_core::check::{check, CheckConfig};
-use flep_sim_core::{assume, require, require_eq, SimRng, SimTime};
+use flep_sim_core::{assume, require, require_eq, Scheduler, SimRng, SimTime, Simulation, World};
 
 fn clean_cfg() -> GpuConfig {
     GpuConfig {
@@ -133,6 +134,163 @@ const MIX_SHAPES: [(u32, u32, u32); 6] = [
     (96, 40, 0),
 ];
 
+/// Events of [`MixWorld`]: launches, kills and a device reset scheduled
+/// by the property, and the device's own events.
+enum MixEv {
+    Launch(usize),
+    Kill(usize),
+    Reset,
+    Gpu(GpuEvent),
+}
+
+/// A bare device driven launch by launch, checking after every event that
+/// each SM's resident CTAs account for exactly its used threads, and
+/// after a reset that the device is empty with every grid retired.
+struct MixWorld {
+    device: GpuDevice,
+    descs: Vec<Option<LaunchDesc>>,
+    /// Grid id and threads per CTA of each launched grid, by launch index.
+    launched: Vec<Option<(GridId, u32)>>,
+    /// Tags of the grids whose `Completed` note arrived.
+    completed: Vec<u64>,
+    /// The last terminal note of each grid, by tag (= launch index).
+    terminal: Vec<Option<HostNotification>>,
+    /// The first broken device invariant.
+    violation: Option<String>,
+}
+
+impl MixWorld {
+    fn new(descs: Vec<Option<LaunchDesc>>) -> Self {
+        let n = descs.len();
+        MixWorld {
+            device: GpuDevice::new(GpuConfig::k40()),
+            descs,
+            launched: vec![None; n],
+            completed: Vec::new(),
+            terminal: vec![None; n],
+            violation: None,
+        }
+    }
+
+    fn violate(&mut self, v: String) {
+        self.violation.get_or_insert(v);
+    }
+
+    /// Every SM is empty and every launched grid is retired.
+    fn check_drained(&mut self, now: SimTime, what: &str) {
+        for sm in self.device.sms() {
+            if !sm.resident().is_empty() || sm.used_threads() != 0 {
+                let v = format!("at {now}: SM {} not empty after {what}", sm.id());
+                self.violate(v);
+                return;
+            }
+        }
+        for &(gid, _) in self.launched.iter().flatten() {
+            let phase = self.device.grid_phase(gid);
+            if !matches!(phase, Some(GridPhase::Completed | GridPhase::Preempted)) {
+                self.violate(format!("at {now}: {gid} is {phase:?} after {what}"));
+                return;
+            }
+        }
+    }
+}
+
+impl World for MixWorld {
+    type Event = MixEv;
+    fn handle(&mut self, now: SimTime, ev: MixEv, sched: &mut Scheduler<'_, MixEv>) {
+        let mut h = CollectorHarness::new();
+        match ev {
+            MixEv::Launch(i) => {
+                let desc = self.descs[i].take().expect("each grid launches once");
+                let threads = desc.resources.threads_per_cta;
+                let gid = self.device.launch(now, desc, &mut h).expect("launchable");
+                self.launched[i] = Some((gid, threads));
+            }
+            MixEv::Kill(i) => {
+                if let Some((gid, _)) = self.launched[i] {
+                    self.device.kill_grid(now, gid, &mut h);
+                }
+            }
+            MixEv::Reset => {
+                self.device.reset(now);
+                self.check_drained(now, "the reset");
+            }
+            MixEv::Gpu(g) => self.device.handle(now, g, &mut h),
+        }
+        for (at, g) in h.gpu_events {
+            sched.schedule_at(at, MixEv::Gpu(g));
+        }
+        for (_, note) in h.notes {
+            if let HostNotification::Completed { tag, .. } = note {
+                self.completed.push(tag);
+            }
+            if !matches!(note, HostNotification::DispatchStarted { .. }) {
+                self.terminal[note.tag() as usize] = Some(note);
+            }
+        }
+        if self.violation.is_some() {
+            return;
+        }
+        for sm in self.device.sms() {
+            let resident: u32 = sm
+                .resident()
+                .iter()
+                .map(|r| {
+                    self.launched
+                        .iter()
+                        .flatten()
+                        .find(|&&(g, _)| g == r.grid)
+                        .map_or(0, |&(_, t)| t)
+                })
+                .sum();
+            if resident != sm.used_threads() {
+                let v = format!(
+                    "at {now}: SM {} residents hold {resident} threads, used_threads {}",
+                    sm.id(),
+                    sm.used_threads()
+                );
+                self.violate(v);
+                return;
+            }
+        }
+    }
+}
+
+/// A descriptor for [`MixWorld`]: grid `i` of shape `shape` (index into
+/// [`MIX_SHAPES`]) whose task function counts each global task index's
+/// executions in `runs`, starting at `first_task`.
+fn mix_desc(
+    i: usize,
+    grid: GridShape,
+    shape: u64,
+    task_us: u64,
+    first_task: u64,
+    runs: &Arc<Mutex<Vec<u32>>>,
+) -> LaunchDesc {
+    let (threads, regs, smem) = MIX_SHAPES[shape as usize % MIX_SHAPES.len()];
+    let r = runs.clone();
+    LaunchDesc::new(
+        "mix",
+        grid,
+        TaskCost {
+            base: SimTime::from_us(task_us),
+            rel_noise: 0.2,
+        },
+    )
+    .with_tag(i as u64)
+    .with_seed(i as u64 + 1)
+    .with_mem_intensity(0.8)
+    .with_resources(ResourceUsage {
+        threads_per_cta: threads,
+        regs_per_thread: regs,
+        smem_per_cta: smem,
+    })
+    .with_first_task(first_task)
+    .with_task_fn(Box::new(move |t| {
+        r.lock().unwrap()[t as usize] += 1;
+    }))
+}
+
 /// Random mixes of one to four original grids — mixed per-CTA resources,
 /// 1 to 3000 CTAs each, staggered arrivals, some grids sharing one
 /// stream, noisy task times — run every CTA exactly once and complete
@@ -143,71 +301,6 @@ const MIX_SHAPES: [(u32, u32, u32); 6] = [
 /// head's last two pending CTAs where the two hand over.
 #[test]
 fn original_grid_mixes_run_each_cta_once() {
-    use std::sync::Mutex;
-
-    use flep_gpu_sim::{CollectorHarness, GpuDevice, GpuEvent, GridId, HostNotification};
-    use flep_sim_core::{Scheduler, Simulation, World};
-
-    enum MixEv {
-        Launch(usize),
-        Gpu(GpuEvent),
-    }
-    struct MixWorld {
-        device: GpuDevice,
-        descs: Vec<Option<LaunchDesc>>,
-        /// Threads per CTA of every launched grid.
-        threads: Vec<(GridId, u32)>,
-        completed: Vec<u64>,
-        /// The first event after which an SM's residents and its used
-        /// threads disagreed.
-        violation: Option<String>,
-    }
-    impl World for MixWorld {
-        type Event = MixEv;
-        fn handle(&mut self, now: SimTime, ev: MixEv, sched: &mut Scheduler<'_, MixEv>) {
-            let mut h = CollectorHarness::new();
-            match ev {
-                MixEv::Launch(i) => {
-                    let desc = self.descs[i].take().expect("each grid launches once");
-                    let threads = desc.resources.threads_per_cta;
-                    let gid = self.device.launch(now, desc, &mut h).expect("launchable");
-                    self.threads.push((gid, threads));
-                }
-                MixEv::Gpu(g) => self.device.handle(now, g, &mut h),
-            }
-            for (at, g) in h.gpu_events {
-                sched.schedule_at(at, MixEv::Gpu(g));
-            }
-            for (_, note) in h.notes {
-                if let HostNotification::Completed { tag, .. } = note {
-                    self.completed.push(tag);
-                }
-            }
-            if self.violation.is_some() {
-                return;
-            }
-            for sm in self.device.sms() {
-                let resident: u32 = sm
-                    .resident()
-                    .iter()
-                    .map(|r| {
-                        self.threads
-                            .iter()
-                            .find(|&&(g, _)| g == r.grid)
-                            .map_or(0, |&(_, t)| t)
-                    })
-                    .sum();
-                if resident != sm.used_threads() {
-                    self.violation = Some(format!(
-                        "at {now}: SM {} residents hold {resident} threads, used_threads {}",
-                        sm.id(),
-                        sm.used_threads()
-                    ));
-                }
-            }
-        }
-    }
-
     check(
         "original_grid_mixes_run_each_cta_once",
         CheckConfig::default(),
@@ -240,42 +333,15 @@ fn original_grid_mixes_run_each_cta_once() {
             let mut offset = 0;
             for (i, &(ctas, shape, _, task_us, on_stream)) in grids.iter().enumerate() {
                 assume!((1..=3_000).contains(&ctas) && task_us >= 1);
-                let (threads, regs, smem) = MIX_SHAPES[shape as usize % MIX_SHAPES.len()];
-                let r = runs.clone();
-                let mut desc = LaunchDesc::new(
-                    "mix",
-                    GridShape::Original { ctas },
-                    TaskCost {
-                        base: SimTime::from_us(task_us),
-                        rel_noise: 0.2,
-                    },
-                )
-                .with_tag(i as u64)
-                .with_seed(i as u64 + 1)
-                .with_mem_intensity(0.8)
-                .with_resources(ResourceUsage {
-                    threads_per_cta: threads,
-                    regs_per_thread: regs,
-                    smem_per_cta: smem,
-                })
-                .with_first_task(offset)
-                .with_task_fn(Box::new(move |t| {
-                    r.lock().unwrap()[t as usize] += 1;
-                }));
+                let shape_ = GridShape::Original { ctas };
+                let mut desc = mix_desc(i, shape_, shape, task_us, offset, &runs);
                 if on_stream {
                     desc = desc.with_stream(0);
                 }
                 descs.push(Some(desc));
                 offset += ctas;
             }
-            let world = MixWorld {
-                device: GpuDevice::new(GpuConfig::k40()),
-                descs,
-                threads: Vec::new(),
-                completed: Vec::new(),
-                violation: None,
-            };
-            let mut sim = Simulation::new(world);
+            let mut sim = Simulation::new(MixWorld::new(descs));
             for (i, g) in grids.iter().enumerate() {
                 sim.schedule_at(SimTime::from_us(g.2), MixEv::Launch(i));
             }
@@ -298,6 +364,120 @@ fn original_grid_mixes_run_each_cta_once() {
         },
     );
 }
+
+/// Device-level exactly-once through kill and reset: random mixes of one
+/// to four persistent and original grids, some killed at random times,
+/// and the whole device reset once at a random time. No task ever fires
+/// twice, and every grid's completed counter (`grid_tasks_done`, the
+/// resume point a host relaunches from) equals the number of its tasks
+/// that fired and the count its terminal note carried. Right after the
+/// reset, and again at the end, every SM is empty and every grid is
+/// retired, so an eviction that skips an SM, or a claim an eviction
+/// fails to roll back, cannot hide.
+#[test]
+fn grids_run_each_task_at_most_once_through_kill_and_reset() {
+    check(
+        "grids_run_each_task_at_most_once_through_kill_and_reset",
+        CheckConfig::default(),
+        |rng: &mut SimRng| {
+            let n = rng.uniform_u64(1, 4);
+            let grids = (0..n)
+                .map(|_| {
+                    let tasks = match rng.uniform_u64(0, 2) {
+                        0 => rng.uniform_u64(1, 2),
+                        1 => rng.uniform_u64(3, 300),
+                        _ => rng.uniform_u64(1, 3_000),
+                    };
+                    let arrival_us = rng.uniform_u64(0, 400);
+                    let kill_at_us = match rng.uniform_u64(0, 2) {
+                        0 => Some(arrival_us + rng.uniform_u64(0, 1_500)),
+                        _ => None,
+                    };
+                    (
+                        (
+                            tasks,
+                            rng.uniform_u64(0, 32), // amortize; 0 = original grid
+                            rng.uniform_u64(0, MIX_SHAPES.len() as u64 - 1), // shape
+                            rng.uniform_u64(1, 30), // task_us
+                        ),
+                        (arrival_us, rng.uniform_u64(0, 2) == 0, kill_at_us),
+                    )
+                })
+                .collect::<Vec<_>>();
+            (grids, rng.uniform_u64(0, 3_000)) // reset_at_us
+        },
+        |(grids, reset_at_us): &(MixGrids, u64)| {
+            assume!(!grids.is_empty() && grids.len() <= 4);
+            let total: u64 = grids.iter().map(|g| g.0 .0).sum();
+            let runs = Arc::new(Mutex::new(vec![0u32; total as usize]));
+            let mut descs = Vec::new();
+            let mut ranges = Vec::new();
+            let mut offset = 0;
+            for (i, &((tasks, amortize, shape, task_us), (_, on_stream, _))) in
+                grids.iter().enumerate()
+            {
+                assume!((1..=3_000).contains(&tasks) && amortize <= 32 && task_us >= 1);
+                let grid = match amortize {
+                    0 => GridShape::Original { ctas: tasks },
+                    l => GridShape::Persistent {
+                        total_tasks: tasks,
+                        amortize: l as u32,
+                    },
+                };
+                let mut desc = mix_desc(i, grid, shape, task_us, offset, &runs);
+                if on_stream {
+                    desc = desc.with_stream(0);
+                }
+                descs.push(Some(desc));
+                ranges.push(offset..offset + tasks);
+                offset += tasks;
+            }
+            let mut sim = Simulation::new(MixWorld::new(descs));
+            for (i, &(_, (arrival_us, _, kill_at_us))) in grids.iter().enumerate() {
+                sim.schedule_at(SimTime::from_us(arrival_us), MixEv::Launch(i));
+                if let Some(at) = kill_at_us {
+                    sim.schedule_at(SimTime::from_us(at), MixEv::Kill(i));
+                }
+            }
+            sim.schedule_at(SimTime::from_us(*reset_at_us), MixEv::Reset);
+            let end = sim.run();
+            let mut world = sim.into_world();
+            world.check_drained(end, "the run");
+            if let Some(v) = world.violation {
+                require!(false, "{v}");
+            }
+            let runs = runs.lock().unwrap();
+            if let Some(t) = runs.iter().position(|&n| n > 1) {
+                require!(false, "task {t} ran {} times", runs[t]);
+            }
+            for (i, range) in ranges.into_iter().enumerate() {
+                let (gid, _) = world.launched[i].expect("every grid launched");
+                let fired = runs[range.start as usize..range.end as usize]
+                    .iter()
+                    .filter(|&&n| n == 1)
+                    .count() as u64;
+                let done = world.device.grid_tasks_done(gid);
+                require_eq!(done, Some(fired), "grid {i}");
+                // A reset tells the host nothing; it reads the counter.
+                if let Some(note) = world.terminal[i] {
+                    let noted = match note {
+                        HostNotification::Completed { tasks_done, .. }
+                        | HostNotification::Preempted { tasks_done, .. } => tasks_done,
+                        HostNotification::DispatchStarted { .. } => unreachable!(),
+                    };
+                    require_eq!(noted, fired, "grid {i}'s terminal note");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Generated input of
+/// [`grids_run_each_task_at_most_once_through_kill_and_reset`]: per grid
+/// `((tasks, amortize or 0 for an original grid, shape, task_us),
+/// (arrival_us, on_stream, kill_at_us))`.
+type MixGrids = Vec<((u64, u64, u64, u64), (u64, bool, Option<u64>))>;
 
 /// Two kernels launched in any order both eventually complete (no deadlock
 /// in the dispatcher), and tags never mix.
