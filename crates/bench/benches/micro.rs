@@ -192,6 +192,30 @@ fn main() {
         acc
     });
 
+    // The per-completion duration chain (`base.scale(noise)
+    // .scale(contention)`, DESIGN.md §8) as a dependent chain: every call
+    // scales the previous result, so this times `scale`'s latency, not
+    // its throughput. Factors come in reciprocal pairs, plus the exact 1.0
+    // a lone kernel's contention factor is, so the span stays near 1 ms.
+    const SCALE_FACTORS: [f64; 8] = [
+        1.13,
+        1.0 / 1.13,
+        1.0,
+        0.87,
+        1.0 / 0.87,
+        1.0,
+        1.21,
+        1.0 / 1.21,
+    ];
+    h.bench("sim_core/simtime_scale_chain", || {
+        let factors = black_box(SCALE_FACTORS);
+        let mut t = SimTime::from_ms(1);
+        for i in 0..100_000 {
+            t = t.scale(factors[i % factors.len()]);
+        }
+        t
+    });
+
     // Engine dispatch throughput with a self-rescheduling world.
     struct Ticker {
         remaining: u32,

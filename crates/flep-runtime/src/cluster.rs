@@ -705,6 +705,34 @@ impl GpuCluster {
     /// exactly when it settles there, which settles its cluster job with
     /// the folded record; a settled probe closes or re-opens the breaker.
     fn absorb_shard(&mut self, now: SimTime, device: u32) {
+        // Most shard events settle nothing: skip the settled block, which
+        // would only move empty buffers and leave both probe flags false.
+        if self.shards[device as usize].sys.has_settled() {
+            self.absorb_settled(now, device);
+        }
+
+        let mut pending = std::mem::take(&mut self.pending);
+        self.shards[device as usize]
+            .sys
+            .for_each_pending(|at, ev| pending.push((at, ClusterEvent::Shard { device, ev })));
+        self.pending = pending;
+
+        // A draining device deregisters the moment its last job retires.
+        let shard = &mut self.shards[device as usize];
+        if shard.state == DeviceState::Draining && shard.sys.active_count() == 0 {
+            shard.state = DeviceState::Dead;
+            shard.gen += 1;
+            self.device_events.push(DeviceEvent {
+                at: now,
+                device,
+                kind: DeviceEventKind::Deregistered,
+            });
+        }
+    }
+
+    /// Settles the cluster jobs behind a shard's settled log, then closes
+    /// or re-opens the breaker on a settled probe.
+    fn absorb_settled(&mut self, now: SimTime, device: u32) {
         let mut settled = std::mem::take(&mut self.settled_scratch);
         self.shards[device as usize]
             .sys
@@ -726,24 +754,6 @@ impl GpuCluster {
         }
         if probe_failed {
             self.on_probe_failed(now, device);
-        }
-
-        let mut pending = std::mem::take(&mut self.pending);
-        self.shards[device as usize]
-            .sys
-            .for_each_pending(|at, ev| pending.push((at, ClusterEvent::Shard { device, ev })));
-        self.pending = pending;
-
-        // A draining device deregisters the moment its last job retires.
-        let shard = &mut self.shards[device as usize];
-        if shard.state == DeviceState::Draining && shard.sys.active_count() == 0 {
-            shard.state = DeviceState::Dead;
-            shard.gen += 1;
-            self.device_events.push(DeviceEvent {
-                at: now,
-                device,
-                kind: DeviceEventKind::Deregistered,
-            });
         }
     }
 
@@ -1380,8 +1390,9 @@ fn step_stream(
             None => stream.pop(),
         };
         let Some(entry) = entry else { break };
-        shard.sys.dispatch(entry.time, entry.payload);
-        shard.sys.for_each_pending(|at, ev| stream.push(at, ev));
+        shard
+            .sys
+            .dispatch_to(entry.time, entry.payload, &mut |at, ev| stream.push(at, ev));
         last = Some(entry.time);
         count += 1;
     }

@@ -477,12 +477,12 @@ pub struct SystemWorld {
     /// Preemption-drain outcomes by escalation level reached:
     /// `[flag, forced drain, kill]`.
     escalations: [u64; 3],
-    /// Follow-up events produced while handling the current one, drained
-    /// by the driver (or an embedding world) after every [`Self::dispatch`]
-    /// call. Buffering instead of scheduling directly decouples the
-    /// runtime from the engine's `Scheduler`, so a frontend with its own
-    /// event type can embed the runtime; drain order equals push order, so
-    /// `(time, seq)` tie-breaks — and every golden trace — are unchanged.
+    /// Follow-up events a handler pushes directly; [`Self::route`] hands
+    /// them on first. After a buffered call ([`Self::dispatch`],
+    /// [`Self::submit`]) it holds every follow-up, in push order, until
+    /// the embedding world drains it via [`Self::for_each_pending`].
+    /// Buffering decouples the runtime from the engine's `Scheduler`, so
+    /// a frontend with its own event type can embed the runtime.
     pending: Vec<(SimTime, SystemEvent)>,
     /// Jobs that completed their last invocation or failed (permanent
     /// launch rejection, exhausted retries, unsatisfiable working set),
@@ -492,13 +492,16 @@ pub struct SystemWorld {
     /// Whether a watchdog tick is currently scheduled (the ladder must be
     /// re-armed when a job is submitted after the last one finished).
     watchdog_armed: bool,
-    /// Reusable event-collection harness for [`Self::dispatch`] /
-    /// [`Self::submit`], also reused by [`Self::route_harness`] for the
-    /// notes it handles synchronously — taken at entry, restored after
-    /// routing, so the per-event hot path performs no Vec allocations.
+    /// Reusable event-collection harness for [`Self::dispatch_to`] /
+    /// [`Self::submit`], also reused by [`Self::route`] for the notes it
+    /// handles synchronously — taken at entry, restored after routing, so
+    /// the per-event hot path performs no Vec allocations.
     scratch: CollectorHarness,
-    /// Reusable note staging buffer for [`Self::route_harness`].
+    /// Reusable note staging buffer for [`Self::route`].
     scratch_notes: Vec<(SimTime, HostNotification)>,
+    /// The buffered entry points' routing target, swapped with `pending`
+    /// after each call (see [`Self::dispatch`]).
+    routed: Vec<(SimTime, SystemEvent)>,
 }
 
 /// One job evicted by [`SystemWorld::decommission`]: everything the
@@ -571,6 +574,7 @@ impl SystemWorld {
             watchdog_armed: false,
             scratch: CollectorHarness::new(),
             scratch_notes: Vec::new(),
+            routed: Vec::new(),
         }
     }
 
@@ -609,7 +613,9 @@ impl SystemWorld {
         }
         let mut harness = std::mem::take(&mut self.scratch);
         self.reschedule(now, &mut harness);
-        self.route_harness(now, &mut harness);
+        let mut out = std::mem::take(&mut self.routed);
+        self.route(now, &mut harness, &mut |at, ev| out.push((at, ev)));
+        self.routed = std::mem::replace(&mut self.pending, out);
         self.scratch = harness;
     }
 
@@ -764,6 +770,11 @@ impl SystemWorld {
         for (at, ev) in self.pending.drain(..) {
             f(at, ev);
         }
+    }
+
+    /// Whether the settled log holds a job not yet drained.
+    pub(crate) fn has_settled(&self) -> bool {
+        !self.settled.is_empty()
     }
 
     /// Appends and clears the settled log: every job that completed its
@@ -1367,11 +1378,28 @@ impl SystemWorld {
 
 impl SystemWorld {
     /// Handles one system event, buffering every follow-up in the pending
-    /// list instead of scheduling it directly. [`World::handle`] is a thin
-    /// wrapper that drains the buffer into the engine's queue; an
-    /// embedding world (the serving frontend) calls this directly and
-    /// drains into its own event type via [`Self::for_each_pending`].
+    /// list instead of scheduling it directly. An embedding world (the
+    /// serving frontend, through the cluster) calls this and drains the
+    /// buffer into its own event type via [`Self::for_each_pending`];
+    /// [`World::handle`] and the epoch driver's device streams hand the
+    /// same follow-ups, in the same order, straight to their queue.
     pub fn dispatch(&mut self, now: SimTime, event: SystemEvent) {
+        let mut out = std::mem::take(&mut self.routed);
+        self.dispatch_to(now, event, &mut |at, ev| out.push((at, ev)));
+        // `route` emptied `pending` into `out` first, so `out` holds every
+        // buffered follow-up in push order. Swapping keeps both buffers'
+        // capacity, so the hot path stays allocation-free.
+        self.routed = std::mem::replace(&mut self.pending, out);
+    }
+
+    /// Handles one system event and hands every follow-up to `sink` in
+    /// push order (see [`Self::route`]).
+    pub(crate) fn dispatch_to(
+        &mut self,
+        now: SimTime,
+        event: SystemEvent,
+        sink: &mut impl FnMut(SimTime, SystemEvent),
+    ) {
         // Reuse the persistent scratch harness: `take` leaves a fresh
         // (allocation-free) default behind, and the restore below hands
         // the drained buffers' capacity back for the next event.
@@ -1421,21 +1449,28 @@ impl SystemWorld {
                 self.on_notification(now, note, &mut harness);
             }
         }
-        self.route_harness(now, &mut harness);
+        self.route(now, &mut harness, sink);
         self.scratch = harness;
     }
 
-    /// Routes device-scheduled events and host notifications collected in
-    /// `harness` into the pending buffer, processing same-instant
-    /// notifications synchronously (exactly the old in-`handle` routing,
-    /// so the push order — and thus `(time, seq)` tie-breaking — is
-    /// bit-identical). All staging goes through persistent scratch
-    /// buffers, so the steady-state (note-free) hot path allocates
-    /// nothing.
-    fn route_harness(&mut self, now: SimTime, harness: &mut CollectorHarness) {
-        for (at, ev) in harness.gpu_events.drain(..) {
-            self.pending.push((at, SystemEvent::Gpu(ev)));
-        }
+    /// The one note-routing routine: hands every follow-up of the event
+    /// just handled to `sink`, in the order one queue must see them. First
+    /// the handler's direct pushes (`pending`), then the device events it
+    /// collected in `harness`, then each host notification in turn: a
+    /// fault-delayed one goes to `sink` as [`SystemEvent::Note`], to be
+    /// delivered when it lands; a same-instant one is handled now, and its
+    /// own direct pushes and device events follow. No handler reads the
+    /// queue, so routing each follow-up as it appears assigns the same
+    /// `(time, seq)` order as buffering them all and draining afterwards.
+    /// All staging goes through persistent scratch buffers, so the
+    /// steady-state (note-free) hot path allocates nothing.
+    fn route(
+        &mut self,
+        now: SimTime,
+        harness: &mut CollectorHarness,
+        sink: &mut impl FnMut(SimTime, SystemEvent),
+    ) {
+        self.flush(harness, sink);
         if harness.notes.is_empty() {
             return;
         }
@@ -1447,19 +1482,31 @@ impl SystemWorld {
         for (at, note) in notes.drain(..) {
             if at > now {
                 // Fault-delayed: deliver when it lands instead of now.
-                self.pending.push((at, SystemEvent::Note(note)));
+                sink(at, SystemEvent::Note(note));
                 continue;
             }
             self.on_notification(at, note, harness);
-            for (t, ev) in harness.gpu_events.drain(..) {
-                self.pending.push((t, SystemEvent::Gpu(ev)));
-            }
             debug_assert!(
                 harness.notes.is_empty(),
                 "notifications must not recurse synchronously"
             );
+            self.flush(harness, sink);
         }
         self.scratch_notes = notes;
+    }
+
+    /// Hands `pending`, then the device events in `harness`, to `sink`.
+    fn flush(
+        &mut self,
+        harness: &mut CollectorHarness,
+        sink: &mut impl FnMut(SimTime, SystemEvent),
+    ) {
+        for (at, ev) in self.pending.drain(..) {
+            sink(at, ev);
+        }
+        for (at, ev) in harness.gpu_events.drain(..) {
+            sink(at, SystemEvent::Gpu(ev));
+        }
     }
 }
 
@@ -1467,9 +1514,6 @@ impl World for SystemWorld {
     type Event = SystemEvent;
 
     fn handle(&mut self, now: SimTime, event: SystemEvent, sched: &mut Scheduler<'_, SystemEvent>) {
-        self.dispatch(now, event);
-        for (at, ev) in self.pending.drain(..) {
-            sched.schedule_at(at, ev);
-        }
+        self.dispatch_to(now, event, &mut |at, ev| sched.schedule_at(at, ev));
     }
 }

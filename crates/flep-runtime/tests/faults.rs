@@ -4,14 +4,15 @@
 //! structured error), the ladder never livelocks, and fault runs are
 //! deterministic per seed.
 
-use flep_gpu_sim::{FaultConfig, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId};
+use flep_gpu_sim::{FaultConfig, FaultKind, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId};
 use flep_runtime::{
     CoRun, CoRunResult, JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport,
     RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
 use flep_sim_core::{
-    assume, require, require_eq, RunOutcome, Scheduler, SimRng, SimTime, Simulation, World,
+    assume, require, require_eq, EventQueue, RunOutcome, Scheduler, SimRng, SimTime, Simulation,
+    World,
 };
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -535,6 +536,157 @@ fn lost_note_reconciliation_reads_the_retired_grid_before_release() {
         assert_eq!(j.tasks_completed, want, "{} task conservation", j.name);
     }
     assert_eq!(held, 0, "every reconciled grid is released");
+}
+
+/// Records every event a [`SystemWorld`] handles through its own
+/// [`World`] impl, the path [`CoRun`] runs.
+struct Recorded {
+    sys: SystemWorld,
+    seen: Vec<String>,
+}
+
+impl World for Recorded {
+    type Event = SystemEvent;
+
+    fn handle(&mut self, now: SimTime, ev: SystemEvent, sched: &mut Scheduler<'_, SystemEvent>) {
+        self.seen.push(format!("{now:?} {ev:?}"));
+        self.sys.handle(now, ev, sched);
+    }
+}
+
+/// [`CoRun`] routes each event's follow-ups straight into the engine's
+/// queue; an embedding world buffers them through `dispatch` and drains
+/// them with `for_each_pending`. Both must hand the queue the same events
+/// in the same order, so the same co-run pops the same event stream,
+/// dispatches the same number of events and ends with the same result
+/// either way.
+#[test]
+fn sink_routing_matches_buffered_routing() {
+    // Notes, launches and preemptions all go through the fault layer:
+    // delayed (and dropped) notes, transient launch rejects, lost and late
+    // doorbells, stuck victims, and the watchdog. Noiseless task costs
+    // make a grid's CTAs finish their batches at the same instants, so
+    // the order follow-ups reach the queue decides the `seq` tie-breaks.
+    let jobs: Vec<JobSpec> = [
+        (BenchmarkId::Va, 0, 1),
+        (BenchmarkId::Mm, 40, 1),
+        (BenchmarkId::Spmv, 150, 3),
+        (BenchmarkId::Nn, 260, 2),
+        (BenchmarkId::Pf, 300, 3),
+    ]
+    .into_iter()
+    .map(|(id, arrival_us, priority)| {
+        let mut kernel = profile(id, InputClass::Small);
+        kernel.task_cost.rel_noise = 0.0;
+        JobSpec::new(kernel, SimTime::from_us(arrival_us)).with_priority(priority)
+    })
+    .collect();
+    let faults = FaultConfig::quiet(0x5EED)
+        .with_launch_reject(0.3)
+        .with_signal_drop(0.2)
+        .with_signal_delay(0.3, SimTime::from_us(120))
+        .with_stuck_flag(0.3)
+        .with_note_drop(0.1)
+        .with_note_delay(0.5, SimTime::from_us(90));
+    let wd = WatchdogConfig::default();
+
+    // Built exactly as `CoRun` builds its run. Busy spans are on, so
+    // residency order is compared too.
+    let build = || {
+        let mut device = GpuDevice::new(GpuConfig::k40());
+        device.set_span_collection(true);
+        device.set_fault_plan(Some(FaultPlan::new(faults)));
+        let mut sys = SystemWorld::new(device, Policy::hpf(), jobs.clone(), None);
+        sys.set_watchdog(wd);
+        sys
+    };
+    let seed = |push: &mut dyn FnMut(SimTime, SystemEvent)| {
+        for (idx, job) in jobs.iter().enumerate() {
+            push(job.arrival, SystemEvent::Arrival(idx));
+        }
+        push(wd.poll_interval, SystemEvent::Watchdog);
+    };
+
+    // Buffered: a manual `dispatch` + `for_each_pending` loop over one
+    // queue, recording every event it pops.
+    let mut sys = build();
+    let mut queue = EventQueue::new();
+    seed(&mut |at, ev| queue.push(at, ev));
+    let mut buffered_seen = Vec::new();
+    let mut end_time = SimTime::ZERO;
+    while let Some(entry) = queue.pop() {
+        buffered_seen.push(format!("{:?} {:?}", entry.time, entry.payload));
+        end_time = entry.time;
+        sys.dispatch(entry.time, entry.payload);
+        sys.for_each_pending(|at, ev| queue.push(at, ev));
+    }
+    let dispatched = buffered_seen.len() as u64;
+    let swap_stats = sys.swap_stats();
+    let (jobs_done, busy_spans, busy_totals, report) = sys.into_records();
+    let buffered = CoRunResult {
+        jobs: jobs_done,
+        busy_spans,
+        busy_totals,
+        end_time,
+        swap_stats,
+        errors: report.errors,
+        recoveries: report.recoveries,
+        faults: report.faults,
+        escalations: report.escalations,
+    };
+    let fired = |want: fn(FaultKind) -> bool| buffered.faults.iter().any(|f| want(f.kind));
+    assert!(
+        fired(|k| matches!(k, FaultKind::NoteDelayed(_))),
+        "no note was delayed"
+    );
+    assert!(
+        fired(|k| k == FaultKind::LaunchRejected),
+        "no launch was rejected"
+    );
+    assert!(!buffered.recoveries.is_empty(), "the watchdog never acted");
+
+    // Sink: the world's own `World` impl pops the same events in the same
+    // order...
+    let mut sim = Simulation::new(Recorded {
+        sys: build(),
+        seen: Vec::new(),
+    });
+    seed(&mut |at, ev| sim.schedule_at(at, ev));
+    sim.run();
+    let sink_seen = sim.into_world().seen;
+    if let Some(i) = (0..buffered_seen.len().max(sink_seen.len()))
+        .find(|&i| buffered_seen.get(i) != sink_seen.get(i))
+    {
+        panic!(
+            "event {i}: buffered {:?}, sink {:?}",
+            buffered_seen.get(i),
+            sink_seen.get(i)
+        );
+    }
+
+    // ... and `CoRun` with a budget of exactly that many events completes
+    // with the same result, while one event fewer runs out.
+    let corun = |budget: u64| {
+        let mut c = CoRun::new(GpuConfig::k40(), Policy::hpf())
+            .with_faults(faults)
+            .with_watchdog(wd)
+            .with_span_trace()
+            .with_event_budget(budget);
+        for job in &jobs {
+            c = c.job(job.clone());
+        }
+        c.run()
+    };
+    assert_eq!(format!("{:?}", corun(dispatched)), format!("{buffered:?}"));
+    let short = corun(dispatched - 1);
+    assert!(
+        matches!(
+            short.errors.last(),
+            Some(RuntimeError::EventBudgetExhausted { dispatched: d, .. }) if *d == dispatched - 1
+        ),
+        "CoRun dispatched more events than the buffered loop: {:?}",
+        short.errors.last()
+    );
 }
 
 // -- flep-check properties -----------------------------------------------

@@ -514,10 +514,9 @@ impl ServeWorld {
             .map(|t| t.inflight.as_ref().map_or(0, |b| b.requests.len() as u64))
             .collect();
         let mut leftover = 0u64;
-        // Each tenant's samples move into the pool once its own
-        // percentiles are taken, so no sample is held twice.
-        let total: usize = self.tenants.iter().map(|t| t.latencies.len()).sum();
-        let mut pooled: Vec<u64> = Vec::with_capacity(total);
+        // Each tenant's samples are sorted once for its own percentiles;
+        // the overall ones walk those sorted runs, so no sample is copied.
+        let mut sorted: Vec<Vec<u64>> = Vec::with_capacity(self.tenants.len());
         let tenants: Vec<TenantReport> = self
             .tenants
             .into_iter()
@@ -525,7 +524,7 @@ impl ServeWorld {
             .map(|(mut t, inflight_at_end)| {
                 leftover += t.queue.len() as u64 + inflight_at_end;
                 let latency = Percentiles::of_ns(&mut t.latencies);
-                pooled.append(&mut t.latencies);
+                sorted.push(std::mem::take(&mut t.latencies));
                 TenantReport {
                     name: t.spec.name,
                     model: t.spec.model,
@@ -537,7 +536,8 @@ impl ServeWorld {
                 }
             })
             .collect();
-        let latency = Percentiles::of_ns(&mut pooled);
+        let latency = Percentiles::of_sorted_runs(&sorted);
+        drop(sorted);
         let devices = self.cluster.devices();
         let shed_total: u64 = tenants.iter().map(|t| t.stats.shed).sum();
         let result = self.cluster.into_result(end_time);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use flep_sim_core::{SimRng, SimTime};
+use flep_sim_core::{u64_to_f64, SimRng, SimTime};
 
 use crate::config::ResourceUsage;
 use crate::device::HostNotification;
@@ -92,7 +92,7 @@ impl TaskCost {
         if self.rel_noise <= 0.0 || n == 0 {
             return self.base * n;
         }
-        let n = n as f64;
+        let n = u64_to_f64(n);
         let factor = rng.normal(n, self.rel_noise * n.sqrt()).max(0.05 * n);
         self.base.scale(factor)
     }

@@ -95,14 +95,60 @@ impl Percentiles {
             return None;
         }
         samples.sort_unstable();
+        let [p50_ns, p99_ns, p999_ns] = RANKS.map(|(num, den)| percentile_ns(samples, num, den));
         Some(Percentiles {
             n: samples.len(),
-            p50_ns: percentile_ns(samples, 50, 100),
-            p99_ns: percentile_ns(samples, 99, 100),
-            p999_ns: percentile_ns(samples, 999, 1000),
+            p50_ns,
+            p99_ns,
+            p999_ns,
+        })
+    }
+
+    /// The percentiles of the union of several ascending-sorted samples,
+    /// without pooling them: a k-way merge walk over the runs stops at the
+    /// p999 rank. Equal to [`Self::of_ns`] over their concatenation, since
+    /// the walk visits the union in sorted order and tied values are
+    /// interchangeable. Returns `None` when every run is empty.
+    #[must_use]
+    pub fn of_sorted_runs(runs: &[Vec<u64>]) -> Option<Percentiles> {
+        let n: usize = runs.iter().map(Vec::len).sum();
+        if n == 0 {
+            return None;
+        }
+        debug_assert!(
+            runs.iter().all(|r| r.windows(2).all(|w| w[0] <= w[1])),
+            "unsorted run"
+        );
+        let ranks = RANKS.map(|(num, den)| nearest_rank(n, num, den));
+        let mut heads = vec![0usize; runs.len()];
+        let mut values = [0u64; 3];
+        let mut next = 0;
+        for rank in 0..=ranks[2] {
+            let (k, v) = runs
+                .iter()
+                .zip(&heads)
+                .enumerate()
+                .filter_map(|(k, (run, &h))| run.get(h).map(|&v| (k, v)))
+                .min_by_key(|&(_, v)| v)
+                .expect("every rank is below the pooled sample size");
+            heads[k] += 1;
+            while next < ranks.len() && ranks[next] == rank {
+                values[next] = v;
+                next += 1;
+            }
+        }
+        let [p50_ns, p99_ns, p999_ns] = values;
+        Some(Percentiles {
+            n,
+            p50_ns,
+            p99_ns,
+            p999_ns,
         })
     }
 }
+
+/// The reported percentiles as `num/den`: p50, p99, p999.
+const RANKS: [(u64, u64); 3] = [(50, 100), (99, 100), (999, 1000)];
 
 /// The `(p50, p99, p999)` nanosecond triple of an optional percentile
 /// summary, zeroed when no sample completed.
@@ -129,9 +175,12 @@ pub fn tail_triple_ns(latency: Option<Percentiles>) -> (u64, u64, u64) {
 pub fn percentile_ns(sorted: &[u64], num: u64, den: u64) -> u64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "unsorted sample");
-    let n = sorted.len() as u64;
-    let rank = (num * (n - 1) + den / 2) / den;
-    sorted[rank as usize]
+    sorted[nearest_rank(sorted.len(), num, den)]
+}
+
+/// The nearest rank `round(num/den * (n - 1))` of a sample of `n >= 1`.
+fn nearest_rank(n: usize, num: u64, den: u64) -> usize {
+    ((num * (n as u64 - 1) + den / 2) / den) as usize
 }
 
 #[cfg(test)]

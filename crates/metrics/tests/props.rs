@@ -1,9 +1,9 @@
 //! Property-based tests for metric invariants, on the in-tree `flep-check`
 //! harness.
 
-use flep_metrics::{antt, stp, weighted_fairness, FairnessEntry, Summary, Turnaround};
+use flep_metrics::{antt, stp, weighted_fairness, FairnessEntry, Percentiles, Summary, Turnaround};
 use flep_sim_core::check::{check, CheckConfig};
-use flep_sim_core::{require, SimRng, SimTime};
+use flep_sim_core::{require, require_eq, SimRng, SimTime};
 
 /// `(single, extra)` pairs: single in [1, 100_000), extra in [0, 100_000).
 fn gen_pairs(rng: &mut SimRng) -> Vec<(u64, u64)> {
@@ -139,6 +139,43 @@ fn summary_order_relations() {
             let doubled: Vec<f64> = samples.iter().chain(samples.iter()).copied().collect();
             let s2 = Summary::of(&doubled);
             require!(s2.ci95_half_width() <= s.ci95_half_width() + 1e-12);
+            Ok(())
+        },
+    );
+}
+
+/// The merge walk over per-tenant sorted runs reports exactly the
+/// percentiles of the pooled sample: any number of runs, empty ones,
+/// single samples, and value ranges narrow enough that ties dominate.
+#[test]
+fn sorted_runs_percentiles_match_the_pool() {
+    check(
+        "sorted_runs_percentiles_match_the_pool",
+        CheckConfig::default(),
+        |rng: &mut SimRng| {
+            let runs = rng.uniform_u64(0, 5);
+            let span = [0, 3, 1_000, u64::MAX][rng.uniform_u64(0, 3) as usize];
+            (0..runs)
+                .map(|_| {
+                    let len = match rng.uniform_u64(0, 3) {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.uniform_u64(2, 2_500),
+                    };
+                    (0..len).map(|_| rng.uniform_u64(0, span)).collect()
+                })
+                .collect::<Vec<Vec<u64>>>()
+        },
+        |runs| {
+            let mut sorted = runs.clone();
+            for run in &mut sorted {
+                run.sort_unstable();
+            }
+            let mut pooled = runs.concat();
+            require_eq!(
+                Percentiles::of_sorted_runs(&sorted),
+                Percentiles::of_ns(&mut pooled)
+            );
             Ok(())
         },
     );

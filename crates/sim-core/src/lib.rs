@@ -84,5 +84,5 @@ pub use event::{EventEntry, EventQueue};
 pub use partition::PartitionedSimulation;
 pub use rng::SimRng;
 pub use slab::GenSlab;
-pub use time::SimTime;
+pub use time::{u64_to_f64, SimTime};
 pub use trace::{Span, TraceEvent, TraceLog};

@@ -4,17 +4,49 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// `x.round() as u64` for every positive, infinite or NaN `x`, without
-/// the `f64::round` call (a libm routine on targets without SSE4.1, paid
-/// on every noise draw).
+/// 2^53: every integer below it is exactly representable as an `f64`.
+const EXACT_INT: u64 = 1 << 53;
+
+/// `n as f64`, bit for bit, through the signed conversion whenever `n`
+/// fits in an `i64`.
 ///
-/// The saturating cast truncates; below 2^52 the fraction `x - t` is
-/// exact, so comparing it with 0.5 rounds ties away from zero exactly as
-/// `round` does. From 2^52 up every `f64` is an integer, so the fraction
-/// is 0; past `u64::MAX` and at infinity the cast saturates and the
-/// increment saturates with it; NaN casts to 0.
+/// Both conversions round to nearest, so for `n < 2^63` they return the
+/// same value. The signed one is a single `cvtsi2sd` on baseline x86-64;
+/// the unsigned one is a multi-instruction sequence there, on the
+/// critical path of every conversion. Every nanosecond count and task
+/// count the simulator converts fits. Past 2^63 the value is halved with
+/// its low bit kept as a sticky bit, so rounding the half and doubling
+/// rounds exactly as the unsigned conversion does; written as `n as f64`,
+/// that arm would let the compiler fold both arms back into the unsigned
+/// sequence.
+#[inline]
+#[must_use]
+pub fn u64_to_f64(n: u64) -> f64 {
+    match i64::try_from(n) {
+        Ok(signed) => signed as f64,
+        Err(_) => ((n >> 1 | n & 1) as i64 as f64) * 2.0,
+    }
+}
+
+/// `x.round() as u64` for every `x`, rounding ties away from zero,
+/// without the `f64::round` call (a libm routine on targets without
+/// SSE4.1) and, in the common range, without the unsigned conversion
+/// (a compare-and-subtract sequence on baseline x86-64).
+///
+/// For `0 <= x < 2^53` (NaN fails the range test) the truncation fits an
+/// `i64`, so it is the single signed `cvttsd2si`; the truncated value is
+/// an exact `f64`, and below 2^52 so is the fraction `x - t`, so comparing
+/// it with 0.5 rounds ties away from zero exactly as `round` does (from
+/// 2^52 up every `f64` is an integer and the fraction is 0). Every other
+/// input takes the saturating path, the same arithmetic through `u64`:
+/// negatives and NaN cast to 0, and past `u64::MAX` and at infinity the
+/// cast saturates and the increment saturates with it.
 #[inline]
 fn round_to_ns(x: f64) -> u64 {
+    if (0.0..EXACT_INT as f64).contains(&x) {
+        let t = x as i64;
+        return (t + i64::from(x - t as f64 >= 0.5)) as u64;
+    }
     let t = x as u64;
     if x - t as f64 >= 0.5 {
         t.saturating_add(1)
@@ -89,19 +121,19 @@ impl SimTime {
     /// This time expressed in (fractional) microseconds.
     #[must_use]
     pub fn as_us(self) -> f64 {
-        self.0 as f64 / 1_000.0
+        u64_to_f64(self.0) / 1_000.0
     }
 
     /// This time expressed in (fractional) milliseconds.
     #[must_use]
     pub fn as_ms(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
+        u64_to_f64(self.0) / 1_000_000.0
     }
 
     /// This time expressed in (fractional) seconds.
     #[must_use]
     pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
+        u64_to_f64(self.0) / 1_000_000_000.0
     }
 
     /// Saturating subtraction: `self - rhs`, or zero if `rhs > self`.
@@ -121,12 +153,19 @@ impl SimTime {
 
     /// Scales this span by a floating-point factor (rounding to the nearest
     /// nanosecond; negative factors clamp to zero).
+    ///
+    /// A factor of exactly 1.0 returns the span untouched when it is below
+    /// 2^53, where the round trip through `f64` is exact; above that the
+    /// conversion rounds, so the full computation runs.
     #[must_use]
     pub fn scale(self, factor: f64) -> SimTime {
+        if factor == 1.0 && self.0 < EXACT_INT {
+            return self;
+        }
         if factor <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime(round_to_ns(self.0 as f64 * factor))
+        SimTime(round_to_ns(u64_to_f64(self.0) * factor))
     }
 
     /// Returns the larger of two times.
@@ -164,7 +203,7 @@ impl SimTime {
         if other.0 == 0 {
             0.0
         } else {
-            self.0 as f64 / other.0 as f64
+            u64_to_f64(self.0) / u64_to_f64(other.0)
         }
     }
 }

@@ -272,3 +272,95 @@ fn simtime_rounding_matches_f64_round() {
         },
     );
 }
+
+/// `scale` and the `as_us`/`as_ms`/`as_secs` bridges return exactly what
+/// the plain unsigned `u64 → f64 → u64` arithmetic returns, for every
+/// span and every factor.
+///
+/// Each case draws a batch of `(ns, factor)` pairs. Spans come from one
+/// regime: small counts, odd counts just past 2^53 (where `u64 → f64`
+/// starts to round, so a factor of 1.0 is no longer an identity), counts
+/// at and past 2^63 (outside `i64`), `u64::MAX`, and raw random bits.
+/// Factors mix 1.0, ±0, negatives, NaN, ±∞, subnormals, uniform values in
+/// [0, 4] and raw random bits.
+#[test]
+fn simtime_bridges_match_unsigned_arithmetic() {
+    /// `SimTime::scale` as plain unsigned arithmetic: clamp non-positive
+    /// factors, multiply in `f64`, round half away from zero, saturate.
+    fn unsigned_scale(ns: u64, factor: f64) -> u64 {
+        if factor <= 0.0 {
+            return 0;
+        }
+        let x = ns as f64 * factor;
+        let t = x as u64;
+        if x - t as f64 >= 0.5 {
+            t.saturating_add(1)
+        } else {
+            t
+        }
+    }
+    const FACTORS: [f64; 10] = [
+        1.0,
+        1.0,
+        0.0,
+        -0.0,
+        -1.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+    ];
+    check(
+        "simtime_bridges_match_unsigned_arithmetic",
+        CheckConfig::with_cases(CheckConfig::default().cases.max(64)),
+        |rng: &mut SimRng| {
+            let regime = rng.uniform_u64(0, 4);
+            (0..64)
+                .map(|_| {
+                    let ns = match regime {
+                        0 => rng.uniform_u64(0, 1 << 40),
+                        1 => ((1 << 53) + rng.uniform_u64(0, 1 << 20)) | 1,
+                        2 => (1 << 63) + rng.uniform_u64(0, (1 << 63) - 1),
+                        3 => u64::MAX - rng.uniform_u64(0, 2),
+                        _ => rng.u64(),
+                    };
+                    let factor = match rng.uniform_u64(0, 3) {
+                        0 => FACTORS[rng.uniform_u64(0, FACTORS.len() as u64 - 1) as usize],
+                        1 => rng.uniform_f64(0.0, 4.0),
+                        2 => f64::from_bits(rng.u64()),
+                        _ => 1.0,
+                    };
+                    (ns, factor.to_bits())
+                })
+                .collect::<Vec<(u64, u64)>>()
+        },
+        |pairs| {
+            for &(ns, bits) in pairs {
+                let factor = f64::from_bits(bits);
+                let t = SimTime::from_ns(ns);
+                require_eq!(
+                    t.scale(factor).as_ns(),
+                    unsigned_scale(ns, factor),
+                    "SimTime({ns}).scale({factor:e})"
+                );
+                require_eq!(
+                    t.as_us().to_bits(),
+                    (ns as f64 / 1e3).to_bits(),
+                    "as_us({ns})"
+                );
+                require_eq!(
+                    t.as_ms().to_bits(),
+                    (ns as f64 / 1e6).to_bits(),
+                    "as_ms({ns})"
+                );
+                require_eq!(
+                    t.as_secs().to_bits(),
+                    (ns as f64 / 1e9).to_bits(),
+                    "as_secs({ns})"
+                );
+            }
+            Ok(())
+        },
+    );
+}
