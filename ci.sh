@@ -80,10 +80,11 @@ stage_doc() {
 }
 
 # Perf smoke: a handful of samples of the sim-core targets (event-queue
-# churn, engine dispatch, the `SimTime::scale` completion chain) and of
+# churn, engine dispatch, the `SimTime::scale` completion chain), of
 # the standalone device runs (original and persistent shape; the
 # original one is the non-preemptive dispatcher's CTA refill path,
-# DESIGN.md §8), each recorded to its own JSON artifact so the hot-path
+# DESIGN.md §8) and of one overloaded serving cell (the frontend host
+# path, DESIGN.md §10), each recorded to its own JSON artifact so the hot-path
 # perf trajectory is on file for every CI run. Not a gate — timings on
 # shared runners are noisy — just a tripwire someone can diff when a
 # simulation suddenly crawls.
@@ -96,6 +97,10 @@ stage_hot_path() {
     FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_sim_standalone.json" \
         cargo bench -p flep-bench --offline -q -- gpu_sim/
+    echo "==> perf smoke: serve overload cell -> BENCH_serve_cell.json"
+    FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
+        FLEP_BENCH_JSON="$ROOT/BENCH_serve_cell.json" \
+        cargo bench -p flep-bench --offline -q -- serve/
 }
 
 # Perf smoke for the simulator world hot path: end-to-end co-runs that

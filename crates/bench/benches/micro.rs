@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the hot paths of the FLEP reproduction: the event
-//! engine, the device dispatcher, the persistent-batch engine, the
-//! transform passes, model training, and whole co-runs.
+//! engine, the device dispatcher, the persistent-batch engine, a serving
+//! cell, the transform passes, model training, and whole co-runs.
 //!
 //! Runs on a small in-tree harness (no external benchmarking crate): each
 //! target is warmed up, then timed for a fixed number of samples, and the
@@ -249,6 +249,16 @@ fn main() {
             spmv.persistent_desc(InputClass::Large, spmv.table1_amortize),
         )
     });
+
+    // One serving cell under overload: the four reference tenants at
+    // twice their reference rates for 250 ms of arrivals, through
+    // admission, the frontend's dispatch passes and the embedded cluster.
+    let mut overload = flep_serve::reference_tenants();
+    for t in &mut overload {
+        t.arrivals = t.arrivals.scaled(2.0);
+    }
+    let overload = flep_serve::ServeConfig::new(1, SimTime::from_ms(250), overload);
+    h.bench("serve/overload_cell", || flep_serve::run_serve(&overload));
 
     // The compilation engine end to end on the largest kernel.
     let src = flep_workloads::source(BenchmarkId::Cfd);

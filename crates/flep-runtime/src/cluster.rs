@@ -1137,7 +1137,10 @@ impl GpuCluster {
         self.land_parked(now);
     }
 
-    /// Routes one cluster event.
+    /// Routes one cluster event, buffering every follow-up until the
+    /// caller drains them with [`Self::for_each_pending`].
+    /// [`Self::dispatch_to`] is the same step with the follow-ups handed
+    /// straight to a sink.
     pub fn dispatch(&mut self, now: SimTime, ev: ClusterEvent) {
         match ev {
             ClusterEvent::Shard { device, ev } => {
@@ -1167,6 +1170,50 @@ impl GpuCluster {
         }
     }
 
+    /// Routes one cluster event and hands every follow-up to `sink`, in
+    /// exactly the order [`Self::dispatch`] followed by
+    /// [`Self::for_each_pending`] would: anything still buffered first,
+    /// then the event's own follow-ups.
+    ///
+    /// A shard event's follow-ups go from the shard straight to `sink`,
+    /// skipping both buffers, unless the shard's breaker is half-open.
+    /// The buffered order puts what absorbing the shard's settled jobs
+    /// pushes ahead of the shard's follow-ups, and that absorb pushes
+    /// events only when a probe settles on a half-open breaker (a probe
+    /// completion re-admits the device and lands parked jobs, a probe
+    /// failure re-arms the probe timer); the breaker cannot change while
+    /// the shard handles its event. So every other shard event takes the
+    /// direct route, and the half-open case and the cluster-level events
+    /// keep the buffered one.
+    pub fn dispatch_to(
+        &mut self,
+        now: SimTime,
+        ev: ClusterEvent,
+        sink: &mut impl FnMut(SimTime, ClusterEvent),
+    ) {
+        self.for_each_pending(&mut *sink);
+        match ev {
+            ClusterEvent::Shard { device, ev }
+                if self.shards[device as usize].health.breaker != BreakerState::HalfOpen =>
+            {
+                self.shards[device as usize]
+                    .sys
+                    .dispatch_to(now, ev, &mut |at, ev| {
+                        sink(at, ClusterEvent::Shard { device, ev });
+                    });
+                self.absorb_shard(now, device);
+                debug_assert!(
+                    self.pending.is_empty(),
+                    "only a half-open breaker's settled probe pushes events"
+                );
+            }
+            ev => {
+                self.dispatch(now, ev);
+                self.for_each_pending(sink);
+            }
+        }
+    }
+
     /// Drains the buffered follow-up events in push order (see
     /// [`SystemWorld::for_each_pending`]; the same discipline one level
     /// up).
@@ -1174,6 +1221,13 @@ impl GpuCluster {
         for (at, ev) in self.pending.drain(..) {
             f(at, ev);
         }
+    }
+
+    /// Whether the settled log or the migration log holds an entry not
+    /// yet drained: the only cluster changes a serving frontend acts on.
+    #[must_use]
+    pub fn needs_drain(&self) -> bool {
+        !self.settled.is_empty() || !self.migrated_log.is_empty()
     }
 
     /// Appends and clears the migration log (`(time, job)`).
@@ -1331,10 +1385,7 @@ impl World for GpuCluster {
         event: ClusterEvent,
         sched: &mut Scheduler<'_, ClusterEvent>,
     ) {
-        self.dispatch(now, event);
-        for (at, ev) in self.pending.drain(..) {
-            sched.schedule_at(at, ev);
-        }
+        self.dispatch_to(now, event, &mut |at, ev| sched.schedule_at(at, ev));
         debug_assert_eq!(
             self.completed + self.failed + self.jobs.len() as u64,
             self.registered as u64,
@@ -1627,12 +1678,9 @@ impl ClusterRun {
             while control.peek_time() == Some(t) {
                 let entry = control.pop().expect("peeked control event");
                 spent += 1;
-                cluster.dispatch(t, entry.payload);
-                let mut pending = std::mem::take(&mut cluster.pending);
-                for (at, ev) in pending.drain(..) {
+                cluster.dispatch_to(t, entry.payload, &mut |at, ev| {
                     route(&mut control, &mut streams, at, ev);
-                }
-                cluster.pending = pending;
+                });
             }
         };
         finish(cluster, outcome)

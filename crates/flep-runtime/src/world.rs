@@ -1378,11 +1378,14 @@ impl SystemWorld {
 
 impl SystemWorld {
     /// Handles one system event, buffering every follow-up in the pending
-    /// list instead of scheduling it directly. An embedding world (the
-    /// serving frontend, through the cluster) calls this and drains the
-    /// buffer into its own event type via [`Self::for_each_pending`];
-    /// [`World::handle`] and the epoch driver's device streams hand the
-    /// same follow-ups, in the same order, straight to their queue.
+    /// list instead of scheduling it directly. An embedding world calls
+    /// this and drains the buffer into its own event type via
+    /// [`Self::for_each_pending`]; the cluster does so only for a shard
+    /// whose breaker is half-open (see
+    /// [`GpuCluster::dispatch_to`](crate::GpuCluster::dispatch_to)).
+    /// [`World::handle`], the cluster's other shard events and the epoch
+    /// driver's device streams hand the same follow-ups, in the same
+    /// order, straight to their queue.
     pub fn dispatch(&mut self, now: SimTime, event: SystemEvent) {
         let mut out = std::mem::take(&mut self.routed);
         self.dispatch_to(now, event, &mut |at, ev| out.push((at, ev)));

@@ -4,10 +4,13 @@
 //! structured error), the ladder never livelocks, and fault runs are
 //! deterministic per seed.
 
-use flep_gpu_sim::{FaultConfig, FaultKind, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId};
+use flep_gpu_sim::{
+    DeviceFaultKind, FaultConfig, FaultKind, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId,
+};
 use flep_runtime::{
-    CoRun, CoRunResult, JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport,
-    RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
+    ClusterConfig, ClusterEvent, CoRun, CoRunResult, DeviceEventKind, GpuCluster, HealthConfig,
+    JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport, RuntimeError,
+    SystemEvent, SystemWorld, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
 use flep_sim_core::{
@@ -686,6 +689,161 @@ fn sink_routing_matches_buffered_routing() {
         ),
         "CoRun dispatched more events than the buffered loop: {:?}",
         short.errors.last()
+    );
+}
+
+/// Records every event a [`GpuCluster`] handles through its own [`World`]
+/// impl, the path the merged cluster driver runs.
+struct RecordedCluster {
+    cluster: GpuCluster,
+    seen: Vec<String>,
+}
+
+impl World for RecordedCluster {
+    type Event = ClusterEvent;
+
+    fn handle(&mut self, now: SimTime, ev: ClusterEvent, sched: &mut Scheduler<'_, ClusterEvent>) {
+        self.seen.push(format!("{now:?} {ev:?}"));
+        self.cluster.handle(now, ev, sched);
+    }
+}
+
+/// The cluster-level counterpart of [`sink_routing_matches_buffered_routing`]:
+/// [`GpuCluster`]'s `World` impl hands a shard event's follow-ups straight
+/// to the queue, except while that shard's breaker is half-open; an
+/// embedding world buffers them through `dispatch` and drains them with
+/// `for_each_pending`. Both must pop the same event stream and end with
+/// the same result, on a faulted, health-on fleet whose probes go
+/// half-open and settle.
+#[test]
+fn cluster_sink_routing_matches_buffered_routing() {
+    // Launch rejects without retries fail jobs and probes outright; hangs
+    // quarantine devices whose resident jobs stay put. A failed probe
+    // re-arms its timer after the capped backoff, 32 × 6.25 µs: the
+    // watchdog's 200 µs poll. So a probe that fails in a watchdog scan
+    // re-arms at the same instant as the watchdog's next tick, a tie
+    // only the order of the follow-ups breaks.
+    let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
+    cfg.watchdog = Some(WatchdogConfig {
+        max_launch_retries: 0,
+        ..WatchdogConfig::default()
+    });
+    cfg.grid_faults = Some(
+        FaultConfig::quiet(0x52ba_4cd5_e66b_aec1)
+            .with_launch_reject(0.4)
+            .with_signal_delay(0.3, SimTime::from_us(120))
+            .with_note_delay(0.3, SimTime::from_us(90)),
+    );
+    cfg.health = Some(HealthConfig {
+        probe_tasks: 24,
+        ..HealthConfig::default()
+            .with_threshold(0.5)
+            .with_probe_cooldown(SimTime::from_ns(6250))
+    });
+    cfg.scripted_faults = vec![
+        (SimTime::from_us(68), 1, DeviceFaultKind::Hang),
+        (SimTime::from_us(315), 0, DeviceFaultKind::Hang),
+        (SimTime::from_us(333), 0, DeviceFaultKind::Hang),
+    ];
+    let jobs: Vec<JobSpec> = [
+        (BenchmarkId::Va, 44, 1),
+        (BenchmarkId::Pf, 270, 2),
+        (BenchmarkId::Mm, 263, 0),
+        (BenchmarkId::Nn, 34, 2),
+        (BenchmarkId::Mm, 232, 2),
+        (BenchmarkId::Va, 176, 1),
+    ]
+    .into_iter()
+    .map(|(id, arrival_us, priority)| {
+        let mut kernel = profile(id, InputClass::Small);
+        kernel.task_cost.rel_noise = 0.0;
+        JobSpec::new(kernel, SimTime::from_us(arrival_us)).with_priority(priority)
+    })
+    .collect();
+
+    // Built as the merged cluster driver builds its run: arrivals first,
+    // then the cluster's own initial events.
+    let build = || {
+        let (mut cluster, initial) = GpuCluster::new(&cfg);
+        let mut seeds: Vec<(SimTime, ClusterEvent)> = (0..jobs.len())
+            .map(|idx| (jobs[idx].arrival, ClusterEvent::Arrival(idx)))
+            .collect();
+        seeds.extend(initial);
+        for spec in &jobs {
+            cluster.register(spec.clone());
+        }
+        (cluster, seeds)
+    };
+
+    // Buffered: a manual `dispatch` + `for_each_pending` loop.
+    let (mut cluster, seeds) = build();
+    let mut queue = EventQueue::new();
+    for (at, ev) in seeds {
+        queue.push(at, ev);
+    }
+    let mut buffered_seen = Vec::new();
+    let mut end_time = SimTime::ZERO;
+    while let Some(entry) = queue.pop() {
+        buffered_seen.push(format!("{:?} {:?}", entry.time, entry.payload));
+        end_time = entry.time;
+        cluster.dispatch(entry.time, entry.payload);
+        cluster.for_each_pending(|at, ev| queue.push(at, ev));
+    }
+    let buffered = cluster.into_result(end_time);
+    assert!(buffered.reconciles());
+    assert!(
+        buffered.completed > 0 && buffered.failed > 0,
+        "{buffered:?}"
+    );
+    let count = |kind: DeviceEventKind| {
+        buffered
+            .device_events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .count()
+    };
+    assert!(
+        count(DeviceEventKind::ProbeLaunched) > 0,
+        "no probe went half-open"
+    );
+    assert!(
+        count(DeviceEventKind::Readmitted) > 0,
+        "no half-open probe settled"
+    );
+    let instant = |e: &str| e.split(' ').next().map(str::to_owned);
+    assert!(
+        buffered_seen
+            .windows(2)
+            .any(|w| w[0].contains("BreakerProbe")
+                && w[1].contains("Watchdog")
+                && instant(&w[0]) == instant(&w[1])),
+        "no re-armed probe tied a watchdog tick"
+    );
+
+    // Sink: the cluster's own `World` impl pops the same events in the
+    // same order and ends with the same result.
+    let (cluster, seeds) = build();
+    let mut sim = Simulation::new(RecordedCluster {
+        cluster,
+        seen: Vec::new(),
+    });
+    for (at, ev) in seeds {
+        sim.schedule_at(at, ev);
+    }
+    let sink_end = sim.run();
+    let RecordedCluster { cluster, seen } = sim.into_world();
+    if let Some(i) =
+        (0..buffered_seen.len().max(seen.len())).find(|&i| buffered_seen.get(i) != seen.get(i))
+    {
+        panic!(
+            "event {i}: buffered {:?}, sink {:?}",
+            buffered_seen.get(i),
+            seen.get(i)
+        );
+    }
+    assert_eq!(
+        format!("{:?}", cluster.into_result(sink_end)),
+        format!("{buffered:?}")
     );
 }
 

@@ -4,8 +4,12 @@
 //! [`ServeWorld`] embeds a [`GpuCluster`] rather than wrapping the
 //! [`CoRun`](flep_runtime::CoRun) driver: the frontend owns the event loop
 //! (its event type covers both arrival events and cluster-internal
-//! events), forwards cluster events via [`GpuCluster::dispatch`], and
-//! re-schedules the cluster's buffered follow-ups each step. Batches enter
+//! events) and forwards cluster events via [`GpuCluster::dispatch_to`],
+//! which hands their follow-ups straight to the frontend's queue. The
+//! frontend itself works only when something changed: it settles and
+//! dispatches after an event that settled or migrated a batch, or that
+//! queued a request for a tenant with no batch in flight, and expires
+//! queued requests lazily. Batches enter
 //! through [`GpuCluster::submit`], which places each on the least-loaded
 //! healthy device; within a device a high-priority batch preempts a
 //! running low-priority batch through the ordinary HPF path — flag first,
@@ -242,9 +246,13 @@ pub struct ServeWorld {
     fleet: u32,
     /// Graceful-degradation policy, if any.
     brownout: Option<BrownoutConfig>,
+    /// The instant of the last event handled. Queues expire lazily: a
+    /// tenant's queue is brought up to this instant where something reads
+    /// it (admission, the end-of-run ledger), which is exactly what an
+    /// expiry pass after every event would have left there.
+    last_now: SimTime,
     /// Scratch buffers (kept allocated across events).
     migrated_scratch: Vec<(SimTime, usize)>,
-    expired_scratch: Vec<Request>,
     /// Settled batches drained from the cluster; their job records are
     /// dropped, as the report is built from the request ledger instead.
     settled_scratch: Vec<Settled>,
@@ -315,19 +323,21 @@ impl ServeWorld {
             seed: cfg.seed,
             fleet: cfg.devices.max(1),
             brownout: cfg.brownout.clone().filter(|b| !b.is_empty()),
+            last_now: SimTime::ZERO,
             migrated_scratch: Vec::new(),
-            expired_scratch: Vec::new(),
             settled_scratch: Vec::new(),
         };
         (world, initial)
     }
 
+    /// Handles one arrival. Returns whether it made its tenant eligible
+    /// for dispatch: admitted while the tenant had no batch in flight.
     fn on_arrival(
         &mut self,
         now: SimTime,
         idx: usize,
         sched: &mut flep_sim_core::Scheduler<'_, ServeEvent>,
-    ) {
+    ) -> bool {
         // Brownout gate: under degraded capacity, the lowest-priority /
         // loosest-SLO classes are shed before admission control even
         // looks at them. The capacity fraction reads the cluster's live
@@ -346,10 +356,13 @@ impl ServeWorld {
             if next < self.horizon {
                 sched.schedule_at(next, ServeEvent::Arrival { tenant: idx });
             }
-            return;
+            return false;
         }
+        // Admission sees the queue as the last event left it.
+        t.stats.expired += t.queue.expire(self.last_now) as u64;
         let deadline = now + t.spec.effective_slo();
-        match t.admission.decide(now, deadline, t.queue.len()) {
+        let decision = t.admission.decide(now, deadline, t.queue.len());
+        match decision {
             Ok(()) => {
                 let seq = t.next_seq;
                 t.next_seq += 1;
@@ -372,6 +385,7 @@ impl ServeWorld {
         if next < self.horizon {
             sched.schedule_at(next, ServeEvent::Arrival { tenant: idx });
         }
+        decision.is_ok() && t.inflight.is_none()
     }
 
     /// The tenant whose in-flight batch is cluster job `job`, if any.
@@ -430,13 +444,9 @@ impl ServeWorld {
         loop {
             // Shed requests that already missed while queued, so head
             // deadlines (the EDF keys below) are live.
-            let mut expired = std::mem::take(&mut self.expired_scratch);
             for t in &mut self.tenants {
-                expired.clear();
-                t.stats.expired += t.queue.expire_into(now, &mut expired) as u64;
+                t.stats.expired += t.queue.expire(now) as u64;
             }
-            expired.clear();
-            self.expired_scratch = expired;
 
             // Global EDF across tenants: the eligible tenant (≤1 batch in
             // flight each) with the earliest head deadline goes first;
@@ -504,7 +514,17 @@ impl ServeWorld {
     /// `events` dispatches: what [`run_serve`] returns, for a caller that
     /// stepped the [`Simulation`] itself.
     #[must_use]
-    pub fn into_report(self, end_time: SimTime, outcome: ServeOutcome, events: u64) -> ServeReport {
+    pub fn into_report(
+        mut self,
+        end_time: SimTime,
+        outcome: ServeOutcome,
+        events: u64,
+    ) -> ServeReport {
+        // Bring every queue up to the last event, as an expiry pass there
+        // would have, before the leftovers are counted.
+        for t in &mut self.tenants {
+            t.stats.expired += t.queue.expire(self.last_now) as u64;
+        }
         // A budget abort strands in-flight batches; their requests are
         // neither completed nor failed, so count them explicitly to keep
         // the ledger exact.
@@ -583,21 +603,34 @@ impl World for ServeWorld {
         event: ServeEvent,
         sched: &mut flep_sim_core::Scheduler<'_, ServeEvent>,
     ) {
-        match event {
+        let eligible = match event {
             ServeEvent::Arrival { tenant } => self.on_arrival(now, tenant, sched),
-            ServeEvent::Sys(e) => self.cluster.dispatch(now, e),
-        }
-        // Settle completions/failures, then dispatch; a synchronously
-        // failing submission produces a new failure entry, so iterate to
-        // fixpoint (terminates: every round consumes queued requests).
-        loop {
-            self.reap();
-            if !self.try_dispatch(now) {
-                break;
+            ServeEvent::Sys(e) => {
+                self.cluster.dispatch_to(now, e, &mut |at, e| {
+                    sched.schedule_at(at, ServeEvent::Sys(e))
+                });
+                false
             }
+        };
+        // After a pass every tenant has a batch in flight or an empty
+        // queue. Only a settled batch or an arrival that makes its tenant
+        // eligible can change that, so any other event would find nothing
+        // to dispatch and is skipped; the expiry such a pass would do is
+        // done lazily (see `last_now`). A pass settles completions and
+        // failures, then dispatches; a synchronously failing submission
+        // produces a new failure entry, so it iterates to fixpoint
+        // (terminates: every round consumes queued requests).
+        if eligible || self.cluster.needs_drain() {
+            loop {
+                self.reap();
+                if !self.try_dispatch(now) {
+                    break;
+                }
+            }
+            self.cluster
+                .for_each_pending(|at, e| sched.schedule_at(at, ServeEvent::Sys(e)));
         }
-        self.cluster
-            .for_each_pending(|at, e| sched.schedule_at(at, ServeEvent::Sys(e)));
+        self.last_now = now;
     }
 }
 
@@ -898,6 +931,81 @@ mod tests {
         assert_eq!(r.outcome, ServeOutcome::Drained);
         assert!(r.reconciles(), "faulty ledger must still balance: {r:?}");
         assert!(r.faults_fired > 0, "fault plan never fired");
+    }
+
+    /// One gpt2 tenant (900 us per request) with room for two queued
+    /// requests and a 100 us SLO, fed by hand-scheduled arrivals: the
+    /// horizon sits before the arrival process's first draw, so it
+    /// schedules nothing of its own. Steps the world until `stop_at` (or
+    /// until it drains) and builds the report there.
+    fn lazy_expiry_run(arrivals_us: &[u64], stop_at: Option<SimTime>) -> ServeReport {
+        let mut spec = TenantSpec::new(
+            "gpt2",
+            ModelId::Gpt2,
+            0,
+            ArrivalProcess::Poisson { rate_per_s: 1.0 },
+        );
+        spec.queue_cap = 2;
+        spec.slo = Some(SimTime::from_us(100));
+        let cfg = ServeConfig::new(5, SimTime::from_ns(1), vec![spec]);
+        let (world, initial) = ServeWorld::new(&cfg);
+        let mut sim = Simulation::new(world);
+        for (at, ev) in initial {
+            sim.schedule_at(at, ev);
+        }
+        for &us in arrivals_us {
+            sim.schedule_at(SimTime::from_us(us), ServeEvent::Arrival { tenant: 0 });
+        }
+        let mut outcome = ServeOutcome::Drained;
+        loop {
+            if stop_at.is_some_and(|t| sim.now() >= t) {
+                outcome = ServeOutcome::BudgetExhausted;
+                break;
+            }
+            if sim.step() != flep_sim_core::StepOutcome::Dispatched {
+                break;
+            }
+        }
+        let (now, events) = (sim.now(), sim.dispatched());
+        sim.into_world().into_report(now, outcome, events)
+    }
+
+    /// Expiry runs lazily, yet admission still sees each queue as an
+    /// expiry pass after every event would have left it: requests that
+    /// missed their deadline before the previous event no longer hold
+    /// queue slots, while those that missed it only since still do.
+    #[test]
+    fn lazy_expiry_keeps_admission_exact() {
+        // 0: dispatched at once, a ~900 us batch. 10 and 20: queued
+        // (deadlines 110 and 120 us), the queue is full. 105: full, both
+        // live, dropped. 150: both expired, but only after the previous
+        // event (105), so the queue still counted them: dropped. 250: the
+        // previous event (150) is past both deadlines: admitted, and
+        // expires itself (deadline 350) before the batch settles.
+        let arrivals = [0, 10, 20, 105, 150, 250];
+        let r = lazy_expiry_run(&arrivals, None);
+        assert_eq!(r.outcome, ServeOutcome::Drained);
+        let t = &r.tenants[0];
+        let s = &t.stats;
+        assert_eq!(s.offered, 6);
+        assert_eq!(s.admitted, 4, "{s:?}");
+        assert_eq!(s.dropped_queue_full, 2, "{s:?}");
+        assert_eq!(s.expired, 3, "{s:?}");
+        assert_eq!((s.completed, s.slo_miss, s.goodput), (1, 1, 0), "{s:?}");
+        assert_eq!(s.batches, 1);
+        assert_eq!(r.leftover, 0);
+        assert!(r.reconciles(), "{r:?}");
+
+        // Cut off mid-batch, after the 250 us request's deadline but with
+        // no dispatch pass since: the report still counts it expired, not
+        // queued.
+        let r = lazy_expiry_run(&arrivals, Some(SimTime::from_us(400)));
+        assert_eq!(r.outcome, ServeOutcome::BudgetExhausted);
+        let t = &r.tenants[0];
+        assert_eq!(t.stats.expired, 3, "{:?}", t.stats);
+        assert_eq!((t.queued_at_end, t.inflight_at_end), (0, 1));
+        assert_eq!(r.leftover, 1);
+        assert!(r.reconciles(), "{r:?}");
     }
 
     #[test]

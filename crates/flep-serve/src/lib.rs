@@ -15,12 +15,16 @@
 //!    dropped at the door (§2's insight that a late answer is a wrong
 //!    answer, applied before spending GPU time).
 //! 3. **Queueing** ([`EdfQueue`]) — earliest-deadline-first order with a
-//!    deterministic `(deadline, seq)` tie-break, built on the sim-core
-//!    indexed event heap so the ordering contract is exactly the one the
-//!    engine already proves.
+//!    FIFO tie-break. A tenant's deadline is its arrival plus a constant
+//!    SLO, so its deadlines arrive in order and EDF is FIFO: the queue is
+//!    a ring buffer whose push asserts that deadlines never decrease.
+//!    Requests that miss their deadline while queued expire lazily, when
+//!    admission or a dispatch pass next reads the queue.
 //! 4. **Batching + dispatch** ([`ServeWorld`]) — queued requests are
 //!    formed into persistent-grid batches (one task = one request) and
-//!    submitted into the FLEP runtime, where tenant priority maps onto
+//!    submitted into the FLEP runtime, in a pass that runs only after an
+//!    event that settled a batch or made an idle tenant's queue
+//!    non-empty. Tenant priority maps onto
 //!    the HPF preemption policy and the watchdog escalation ladder
 //!    (flag → forced drain → kill): a tight-SLO arrival preempts a
 //!    running low-priority batch instead of waiting behind it.

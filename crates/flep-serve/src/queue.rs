@@ -1,13 +1,16 @@
 //! The per-tenant request queue: earliest-deadline-first with admission
 //! control.
 //!
-//! Built on the sim-core indexed 4-ary heap ([`flep_sim_core::EventQueue`])
-//! with the request **deadline** as the key, so the pop order inherits the
-//! engine's proven `(time, seq)` contract verbatim: earliest deadline
-//! first, FIFO among equal deadlines. No second ordering implementation to
-//! drift from the first.
+//! A tenant's deadline is its arrival instant plus a constant SLO, and
+//! arrivals come in time order, so each tenant's deadlines are pushed in
+//! nondecreasing order. Under that contract earliest-deadline-first with
+//! a FIFO tie-break *is* arrival order: the queue is a plain ring buffer,
+//! and [`EdfQueue::push`] asserts the contract so that a caller breaking
+//! it fails loudly instead of being served out of order.
 
-use flep_sim_core::{EventQueue, SimTime};
+use std::collections::VecDeque;
+
+use flep_sim_core::SimTime;
 
 /// Why a request was rejected at the door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +64,14 @@ impl AdmissionControl {
     }
 }
 
-/// An earliest-deadline-first queue with deterministic `(deadline, seq)`
-/// ordering: among equal deadlines, insertion order wins.
+/// An earliest-deadline-first queue for monotone deadlines: every push
+/// carries a deadline no earlier than the last one pushed, so the queue
+/// pops in `(deadline, insertion)` order by popping its front.
 #[derive(Debug, Clone)]
 pub struct EdfQueue<T> {
-    inner: EventQueue<T>,
+    items: VecDeque<(SimTime, T)>,
+    /// The latest deadline pushed: the floor of the next push.
+    last: SimTime,
 }
 
 impl<T> Default for EdfQueue<T> {
@@ -79,54 +85,65 @@ impl<T> EdfQueue<T> {
     #[must_use]
     pub fn new() -> Self {
         EdfQueue {
-            inner: EventQueue::new(),
+            items: VecDeque::new(),
+            last: SimTime::ZERO,
         }
     }
 
     /// Number of queued items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.items.len()
     }
 
     /// True when nothing is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.items.is_empty()
     }
 
     /// Enqueues `item` with `deadline` as its EDF key.
+    ///
+    /// # Panics
+    ///
+    /// If `deadline` is earlier than a deadline pushed before: the queue
+    /// would otherwise serve it out of deadline order.
     pub fn push(&mut self, deadline: SimTime, item: T) {
-        self.inner.push(deadline, item);
+        assert!(
+            deadline >= self.last,
+            "EdfQueue deadlines must be nondecreasing: {deadline} pushed after {}",
+            self.last
+        );
+        self.last = deadline;
+        self.items.push_back((deadline, item));
     }
 
     /// The earliest queued deadline, if any.
     #[must_use]
     pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.inner.peek_time()
+        self.items.front().map(|&(d, _)| d)
     }
 
     /// Pops the earliest-deadline item (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.inner.pop().map(|e| (e.time, e.payload))
+        self.items.pop_front()
     }
 
-    /// Pops every item whose deadline is at or before `now` — already
-    /// missed, so dispatching it would waste GPU time — into `out`.
-    /// Returns how many expired.
-    pub fn expire_into(&mut self, now: SimTime, out: &mut Vec<T>) -> usize {
-        let mut n = 0;
-        while self.peek_deadline().is_some_and(|d| d <= now) {
-            let (_, item) = self.pop().expect("invariant: peeked head exists");
-            out.push(item);
-            n += 1;
+    /// Drops every item whose deadline is at or before `now` — already
+    /// missed, so dispatching it would waste GPU time. Returns how many
+    /// expired.
+    pub fn expire(&mut self, now: SimTime) -> usize {
+        let before = self.items.len();
+        while self.items.front().is_some_and(|&(d, _)| d <= now) {
+            self.items.pop_front();
         }
-        n
+        before - self.items.len()
     }
 
-    /// Removes everything.
+    /// Removes everything. The deadline floor stays: a cleared queue
+    /// still accepts only deadlines no earlier than the last one pushed.
     pub fn clear(&mut self) {
-        self.inner.clear();
+        self.items.clear();
     }
 }
 
@@ -141,13 +158,21 @@ mod tests {
     #[test]
     fn pops_in_deadline_order_fifo_on_ties() {
         let mut q = EdfQueue::new();
-        q.push(us(30), "late");
         q.push(us(10), "a");
         q.push(us(10), "b");
         q.push(us(20), "mid");
+        q.push(us(30), "late");
         assert_eq!(q.peek_deadline(), Some(us(10)));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         assert_eq!(order, ["a", "b", "mid", "late"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlines must be nondecreasing")]
+    fn decreasing_push_panics() {
+        let mut q = EdfQueue::new();
+        q.push(us(20), "late");
+        q.push(us(10), "early");
     }
 
     #[test]
@@ -156,13 +181,12 @@ mod tests {
         for d in [5u64, 10, 15, 20] {
             q.push(us(d), d);
         }
-        let mut gone = Vec::new();
         // Deadline == now counts as missed.
-        assert_eq!(q.expire_into(us(10), &mut gone), 2);
-        assert_eq!(gone, [5, 10]);
+        assert_eq!(q.expire(us(10)), 2);
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_deadline(), Some(us(15)));
-        assert_eq!(q.expire_into(us(10), &mut gone), 0);
+        assert_eq!(q.pop(), Some((us(15), 15)));
+        assert_eq!(q.expire(us(10)), 0);
     }
 
     #[test]
