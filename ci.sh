@@ -83,8 +83,10 @@ stage_doc() {
 # churn, engine dispatch, the `SimTime::scale` completion chain), of
 # the standalone device runs (original and persistent shape; the
 # original one is the non-preemptive dispatcher's CTA refill path,
-# DESIGN.md §8) and of one overloaded serving cell (the frontend host
-# path, DESIGN.md §10), each recorded to its own JSON artifact so the hot-path
+# DESIGN.md §8), of one overloaded serving cell (the frontend host
+# path, DESIGN.md §10) and of one fleet chaos cell (the cluster's
+# routing and control path, DESIGN.md §10/§11), each recorded to its own
+# JSON artifact so the hot-path
 # perf trajectory is on file for every CI run. Not a gate — timings on
 # shared runners are noisy — just a tripwire someone can diff when a
 # simulation suddenly crawls.
@@ -101,6 +103,10 @@ stage_hot_path() {
     FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_serve_cell.json" \
         cargo bench -p flep-bench --offline -q -- serve/
+    echo "==> perf smoke: cluster chaos cell -> BENCH_cluster_cell.json"
+    FLEP_BENCH_SAMPLES=5 FLEP_BENCH_WARMUP=1 \
+        FLEP_BENCH_JSON="$ROOT/BENCH_cluster_cell.json" \
+        cargo bench -p flep-bench --offline -q -- cluster/
 }
 
 # Perf smoke for the simulator world hot path: end-to-end co-runs that

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot paths of the FLEP reproduction: the event
 //! engine, the device dispatcher, the persistent-batch engine, a serving
-//! cell, the transform passes, model training, and whole co-runs.
+//! cell, a fleet chaos cell, the transform passes, model training, and
+//! whole co-runs.
 //!
 //! Runs on a small in-tree harness (no external benchmarking crate): each
 //! target is warmed up, then timed for a fixed number of samples, and the
@@ -21,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use flep_bench::gate::{write_artifact, ArtifactRow};
 use flep_core::prelude::*;
+use flep_runtime::{ClusterConfig, ClusterRun, HealthConfig, PlacementConfig, StepMode};
 use flep_sim_core::knob::{env_knob, parse_uint};
 use flep_sim_core::{EventQueue, Scheduler, Simulation, World};
 
@@ -259,6 +261,50 @@ fn main() {
     }
     let overload = flep_serve::ServeConfig::new(1, SimTime::from_ms(250), overload);
     h.bench("serve/overload_cell", || flep_serve::run_serve(&overload));
+
+    // One fleet cell under correlated chaos, the cluster's host path:
+    // 16 devices on a 2x2x4 topology, zone outages and rack power cycles
+    // at 1600 events/s, health scoring, anti-affinity and spread
+    // placement, and 64 Small jobs arriving every 100 µs with three
+    // priorities and four tenants, stepped by the merged driver.
+    let chaos_seed = flep_sim_core::runner::cell_seed(1, 0, 0);
+    let topo = flep_gpu_sim::FailureTopology::new(2, 2, 4);
+    let mut chaos = ClusterConfig::new(topo.devices(), GpuConfig::k40(), Policy::hpf());
+    chaos.topology = Some(topo);
+    chaos.health = Some(HealthConfig::default());
+    chaos.placement = PlacementConfig {
+        anti_affinity: true,
+        spread: true,
+    };
+    chaos.max_migrations = 16;
+    chaos.correlated_faults = Some(
+        flep_gpu_sim::CorrelatedFaultConfig::quiet(chaos_seed)
+            .with_zone_outages(1600.0 / 3.0, SimTime::from_ms(1))
+            .with_rack_cycles(
+                2.0 * 1600.0 / 3.0,
+                SimTime::from_us(500),
+                SimTime::from_us(100),
+            ),
+    );
+    let chaos_jobs: Vec<JobSpec> = (0..64)
+        .map(|i| {
+            let id = BenchmarkId::ALL[i % BenchmarkId::ALL.len()];
+            JobSpec::new(
+                KernelProfile::of(&Benchmark::get(id), InputClass::Small),
+                SimTime::from_us(100 * i as u64),
+            )
+            .with_priority(1 + (i as u32 % 3))
+            .with_tenant(i as u32 % 4)
+            .with_seed(flep_sim_core::runner::cell_seed(chaos_seed, i, 1))
+        })
+        .collect();
+    h.bench("cluster/chaos_cell", || {
+        let mut run = ClusterRun::new(chaos.clone()).with_step_mode(StepMode::Merged);
+        for job in &chaos_jobs {
+            run = run.job(job.clone());
+        }
+        run.run()
+    });
 
     // The compilation engine end to end on the largest kernel.
     let src = flep_workloads::source(BenchmarkId::Cfd);

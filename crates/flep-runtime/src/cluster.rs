@@ -39,13 +39,19 @@
 //!   components onto the least-loaded index, keeping the same
 //!   deterministic tie-breaking.
 //!
+//! # Routing
+//!
+//! [`GpuCluster::dispatch`] and [`GpuCluster::submit`] hand every
+//! follow-up event to the caller's sink before they return; the cluster
+//! holds no event between calls (DESIGN.md §10).
+//!
 //! # Determinism
 //!
 //! With one device and no device faults, a cluster run is byte-identical
 //! to driving the underlying [`SystemWorld`] directly: the cluster wraps
-//! each shard event one-to-one and preserves buffer drain order, so the
-//! engine assigns identical `(time, seq)` keys. Device faults draw from
-//! per-device streams seeded independently of every workload stream, so
+//! each shard follow-up one-to-one, in push order, so the engine assigns
+//! identical `(time, seq)` keys. Device faults draw from per-device
+//! streams seeded independently of every workload stream, so
 //! enabling them never reshuffles grid-level fault draws, and all cluster
 //! decisions (placement, migration targets) are pure functions of
 //! deterministic state — `FLEP_THREADS` cannot change any byte of output.
@@ -343,7 +349,12 @@ pub struct GpuCluster {
     /// quarantine invariant checks. Only recorded when health is on, so
     /// serving-scale runs without a breaker pay nothing.
     placements: Vec<(SimTime, usize, u32)>,
+    /// The outbox: follow-ups of the cluster's handlers and of the shards
+    /// it submits to. Every entry point empties it into the caller's sink.
     pending: Vec<(SimTime, ClusterEvent)>,
+    /// `(device, count)` while the first `count` outbox entries are a
+    /// half-open shard's held follow-ups ([`Self::absorb_held`]).
+    held: Option<(u32, usize)>,
     /// Scratch for the shard entries [`Self::absorb_shard`] settles.
     settled_scratch: Vec<Settled>,
     /// Scratch for placement-constraint tallies (one slot per device).
@@ -479,6 +490,7 @@ impl GpuCluster {
             migrated_log: Vec::new(),
             placements: Vec::new(),
             pending: Vec::new(),
+            held: None,
             settled_scratch: Vec::new(),
             tenant_scratch: Vec::new(),
         };
@@ -575,11 +587,19 @@ impl GpuCluster {
     }
 
     /// Submits a job dynamically at `now` (the serving frontend's hook):
-    /// registers and immediately places it on the least-loaded eligible
-    /// device. Returns the cluster job index.
-    pub fn submit(&mut self, now: SimTime, spec: JobSpec) -> usize {
+    /// registers it and places it on the least-loaded eligible device, or
+    /// parks it until a device is eligible. Hands every follow-up to
+    /// `sink` before it returns. Returns the cluster job index.
+    pub fn submit(
+        &mut self,
+        now: SimTime,
+        spec: JobSpec,
+        sink: &mut impl FnMut(SimTime, ClusterEvent),
+    ) -> usize {
+        debug_assert!(self.pending.is_empty(), "no follow-up outlives a call");
         let idx = self.register(spec);
         self.place(now, idx);
+        self.pending.drain(..).for_each(|(at, ev)| sink(at, ev));
         idx
     }
 
@@ -687,7 +707,15 @@ impl GpuCluster {
         let spec = job.spec.clone().resuming_from(job.done);
         let from = job.last_device;
         job.last_device = Some(device);
-        self.shards[device as usize].sys.submit(now, spec, idx);
+        // This shard's held follow-ups go out ahead of the new job's.
+        if let Some((_, count)) = self.held.take_if(|(held, _)| *held == device) {
+            self.pending.rotate_left(count);
+        }
+        self.shards[device as usize]
+            .sys
+            .submit(now, spec, idx, &mut |at, ev| {
+                self.pending.push((at, ClusterEvent::Shard { device, ev }));
+            });
         self.jobs[k].state = CJobState::Placed { device };
         if let Some(from) = from {
             self.recoveries.push(RecoveryEvent {
@@ -697,25 +725,21 @@ impl GpuCluster {
             });
             self.migrated_log.push((now, idx));
         }
-        self.absorb_shard(now, device);
+        let pushed = self.pending.len();
+        self.absorb_shard(now, device); // A closed breaker: pushes nothing.
+        debug_assert_eq!(self.pending.len(), pushed);
     }
 
-    /// Pulls a shard's settled jobs and buffered follow-up events into
-    /// the cluster after any interaction with it. A job leaves its shard
-    /// exactly when it settles there, which settles its cluster job with
-    /// the folded record; a settled probe closes or re-opens the breaker.
+    /// Pulls a shard's settled jobs into the cluster after any
+    /// interaction with it. A job leaves its shard exactly when it
+    /// settles there, which settles its cluster job with the folded
+    /// record; a settled probe closes or re-opens the breaker.
     fn absorb_shard(&mut self, now: SimTime, device: u32) {
         // Most shard events settle nothing: skip the settled block, which
         // would only move empty buffers and leave both probe flags false.
         if self.shards[device as usize].sys.has_settled() {
             self.absorb_settled(now, device);
         }
-
-        let mut pending = std::mem::take(&mut self.pending);
-        self.shards[device as usize]
-            .sys
-            .for_each_pending(|at, ev| pending.push((at, ClusterEvent::Shard { device, ev })));
-        self.pending = pending;
 
         // A draining device deregisters the moment its last job retires.
         let shard = &mut self.shards[device as usize];
@@ -990,8 +1014,11 @@ impl GpuCluster {
                     device,
                     kind: DeviceEventKind::ProbeLaunched,
                 });
-                self.shards[d].sys.submit(now, probe_spec(now, &hc), PROBE);
-                self.absorb_shard(now, device);
+                let spec = probe_spec(now, &hc);
+                self.shards[d].sys.submit(now, spec, PROBE, &mut |at, ev| {
+                    self.pending.push((at, ClusterEvent::Shard { device, ev }));
+                });
+                self.absorb_held(now, device);
             }
             // Hung / resetting / draining: not probe-worthy yet.
             _ => {
@@ -1137,15 +1164,42 @@ impl GpuCluster {
         self.land_parked(now);
     }
 
-    /// Routes one cluster event, buffering every follow-up until the
-    /// caller drains them with [`Self::for_each_pending`].
-    /// [`Self::dispatch_to`] is the same step with the follow-ups handed
-    /// straight to a sink.
-    pub fn dispatch(&mut self, now: SimTime, ev: ClusterEvent) {
+    /// Routes one cluster event and hands every follow-up to `sink`, in
+    /// push order, before it returns. A shard event's follow-ups go
+    /// straight to `sink` unless the shard's breaker is half-open: only
+    /// then can absorbing the shard push events (a settled probe lands
+    /// parked jobs or re-arms its timer), and those go first
+    /// (DESIGN.md §10).
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        ev: ClusterEvent,
+        sink: &mut impl FnMut(SimTime, ClusterEvent),
+    ) {
+        debug_assert!(self.pending.is_empty(), "no follow-up outlives a call");
         match ev {
-            ClusterEvent::Shard { device, ev } => {
-                self.shards[device as usize].sys.dispatch(now, ev);
+            ClusterEvent::Shard { device, ev }
+                if self.shards[device as usize].health.breaker != BreakerState::HalfOpen =>
+            {
+                self.shards[device as usize]
+                    .sys
+                    .dispatch(now, ev, &mut |at, ev| {
+                        sink(at, ClusterEvent::Shard { device, ev });
+                    });
                 self.absorb_shard(now, device);
+                debug_assert!(
+                    self.pending.is_empty(),
+                    "only a half-open breaker's settled probe pushes events"
+                );
+                return;
+            }
+            ClusterEvent::Shard { device, ev } => {
+                self.shards[device as usize]
+                    .sys
+                    .dispatch(now, ev, &mut |at, ev| {
+                        self.pending.push((at, ClusterEvent::Shard { device, ev }));
+                    });
+                self.absorb_held(now, device);
             }
             ClusterEvent::Arrival(idx) => {
                 if self
@@ -1168,58 +1222,19 @@ impl GpuCluster {
                 self.on_breaker_probe(now, device);
             }
         }
+        self.pending.drain(..).for_each(|(at, ev)| sink(at, ev));
     }
 
-    /// Routes one cluster event and hands every follow-up to `sink`, in
-    /// exactly the order [`Self::dispatch`] followed by
-    /// [`Self::for_each_pending`] would: anything still buffered first,
-    /// then the event's own follow-ups.
-    ///
-    /// A shard event's follow-ups go from the shard straight to `sink`,
-    /// skipping both buffers, unless the shard's breaker is half-open.
-    /// The buffered order puts what absorbing the shard's settled jobs
-    /// pushes ahead of the shard's follow-ups, and that absorb pushes
-    /// events only when a probe settles on a half-open breaker (a probe
-    /// completion re-admits the device and lands parked jobs, a probe
-    /// failure re-arms the probe timer); the breaker cannot change while
-    /// the shard handles its event. So every other shard event takes the
-    /// direct route, and the half-open case and the cluster-level events
-    /// keep the buffered one.
-    pub fn dispatch_to(
-        &mut self,
-        now: SimTime,
-        ev: ClusterEvent,
-        sink: &mut impl FnMut(SimTime, ClusterEvent),
-    ) {
-        self.for_each_pending(&mut *sink);
-        match ev {
-            ClusterEvent::Shard { device, ev }
-                if self.shards[device as usize].health.breaker != BreakerState::HalfOpen =>
-            {
-                self.shards[device as usize]
-                    .sys
-                    .dispatch_to(now, ev, &mut |at, ev| {
-                        sink(at, ClusterEvent::Shard { device, ev });
-                    });
-                self.absorb_shard(now, device);
-                debug_assert!(
-                    self.pending.is_empty(),
-                    "only a half-open breaker's settled probe pushes events"
-                );
-            }
-            ev => {
-                self.dispatch(now, ev);
-                self.for_each_pending(sink);
-            }
-        }
-    }
-
-    /// Drains the buffered follow-up events in push order (see
-    /// [`SystemWorld::for_each_pending`]; the same discipline one level
-    /// up).
-    pub fn for_each_pending(&mut self, mut f: impl FnMut(SimTime, ClusterEvent)) {
-        for (at, ev) in self.pending.drain(..) {
-            f(at, ev);
+    /// Absorbs shard `device` after a step whose follow-ups make up the
+    /// whole outbox, then moves them behind whatever absorbing pushed.
+    /// Landing a job on this shard meanwhile releases them ahead of the
+    /// job's own ([`Self::place`]).
+    fn absorb_held(&mut self, now: SimTime, device: u32) {
+        debug_assert!(self.held.is_none(), "holds do not nest");
+        self.held = Some((device, self.pending.len()));
+        self.absorb_shard(now, device);
+        if let Some((_, count)) = self.held.take() {
+            self.pending.rotate_left(count);
         }
     }
 
@@ -1385,7 +1400,7 @@ impl World for GpuCluster {
         event: ClusterEvent,
         sched: &mut Scheduler<'_, ClusterEvent>,
     ) {
-        self.dispatch_to(now, event, &mut |at, ev| sched.schedule_at(at, ev));
+        self.dispatch(now, event, &mut |at, ev| sched.schedule_at(at, ev));
         debug_assert_eq!(
             self.completed + self.failed + self.jobs.len() as u64,
             self.registered as u64,
@@ -1443,7 +1458,7 @@ fn step_stream(
         let Some(entry) = entry else { break };
         shard
             .sys
-            .dispatch_to(entry.time, entry.payload, &mut |at, ev| stream.push(at, ev));
+            .dispatch(entry.time, entry.payload, &mut |at, ev| stream.push(at, ev));
         last = Some(entry.time);
         count += 1;
     }
@@ -1678,7 +1693,7 @@ impl ClusterRun {
             while control.peek_time() == Some(t) {
                 let entry = control.pop().expect("peeked control event");
                 spent += 1;
-                cluster.dispatch_to(t, entry.payload, &mut |at, ev| {
+                cluster.dispatch(t, entry.payload, &mut |at, ev| {
                     route(&mut control, &mut streams, at, ev);
                 });
             }

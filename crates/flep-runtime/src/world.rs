@@ -1,6 +1,10 @@
 //! The FLEP runtime engine (§5): kernel interception, execution logging,
 //! and the preemption/scheduling decision loop, co-simulated with the GPU
 //! device.
+//!
+//! [`SystemWorld::dispatch`] (an event) and the cluster's `submit` (a
+//! job) hand every follow-up event to the caller's sink before they
+//! return; the world holds no event between calls.
 
 use std::fmt;
 
@@ -477,12 +481,9 @@ pub struct SystemWorld {
     /// Preemption-drain outcomes by escalation level reached:
     /// `[flag, forced drain, kill]`.
     escalations: [u64; 3],
-    /// Follow-up events a handler pushes directly; [`Self::route`] hands
-    /// them on first. After a buffered call ([`Self::dispatch`],
-    /// [`Self::submit`]) it holds every follow-up, in push order, until
-    /// the embedding world drains it via [`Self::for_each_pending`].
-    /// Buffering decouples the runtime from the engine's `Scheduler`, so
-    /// a frontend with its own event type can embed the runtime.
+    /// Follow-up events a handler pushes directly: the handlers' private
+    /// staging buffer, which [`Self::route`] hands to the caller's sink
+    /// first. Empty between calls.
     pending: Vec<(SimTime, SystemEvent)>,
     /// Jobs that completed their last invocation or failed (permanent
     /// launch rejection, exhausted retries, unsatisfiable working set),
@@ -492,16 +493,13 @@ pub struct SystemWorld {
     /// Whether a watchdog tick is currently scheduled (the ladder must be
     /// re-armed when a job is submitted after the last one finished).
     watchdog_armed: bool,
-    /// Reusable event-collection harness for [`Self::dispatch_to`] /
+    /// Reusable event-collection harness for [`Self::dispatch`] /
     /// [`Self::submit`], also reused by [`Self::route`] for the notes it
     /// handles synchronously — taken at entry, restored after routing, so
     /// the per-event hot path performs no Vec allocations.
     scratch: CollectorHarness,
     /// Reusable note staging buffer for [`Self::route`].
     scratch_notes: Vec<(SimTime, HostNotification)>,
-    /// The buffered entry points' routing target, swapped with `pending`
-    /// after each call (see [`Self::dispatch`]).
-    routed: Vec<(SimTime, SystemEvent)>,
 }
 
 /// One job evicted by [`SystemWorld::decommission`]: everything the
@@ -574,29 +572,34 @@ impl SystemWorld {
             watchdog_armed: false,
             scratch: CollectorHarness::new(),
             scratch_notes: Vec::new(),
-            routed: Vec::new(),
         }
     }
 
     /// Enables the preemption watchdog. The driver must also schedule the
     /// first [`SystemEvent::Watchdog`] tick; every tick re-arms itself
-    /// until all jobs are done, and a later [`Self::submit`] re-arms it.
+    /// until all jobs are done, and a later submission (through the
+    /// cluster) re-arms it.
     pub fn set_watchdog(&mut self, cfg: WatchdogConfig) {
         self.watchdog = Some(cfg);
         self.watchdog_armed = true;
     }
 
-    /// Submits a job dynamically at virtual time `now`: the serving
-    /// frontend's dispatch hook. The job enters the waiting queue
-    /// immediately (no [`SystemEvent::Arrival`] needed), a scheduling
-    /// decision runs — so a higher-priority submission preempts the
-    /// running grid through the normal HPF path — and the watchdog is
-    /// re-armed if its ladder had wound down. Everything that leaves the
-    /// world about the job names it by `owner`.
-    ///
-    /// Follow-up events land in the pending buffer; the embedding world
-    /// must drain them via [`Self::for_each_pending`].
-    pub fn submit(&mut self, now: SimTime, spec: JobSpec, owner: usize) {
+    /// Submits a job dynamically at virtual time `now`: the cluster's
+    /// placement hook. The job enters the waiting queue immediately (no
+    /// [`SystemEvent::Arrival`] needed), a scheduling decision runs — so a
+    /// higher-priority submission preempts the running grid through the
+    /// normal HPF path — and the watchdog is re-armed if its ladder had
+    /// wound down. Everything that leaves the world about the job names
+    /// it by `owner`. Every follow-up goes to `sink`, in push order,
+    /// before the call returns.
+    pub(crate) fn submit(
+        &mut self,
+        now: SimTime,
+        spec: JobSpec,
+        owner: usize,
+        sink: &mut impl FnMut(SimTime, SystemEvent),
+    ) {
+        debug_assert!(self.pending.is_empty(), "no follow-up outlives a call");
         let idx = self.registered;
         self.registered += 1;
         let mut job = Job::from_spec(idx, owner, spec, self.device.config());
@@ -613,9 +616,7 @@ impl SystemWorld {
         }
         let mut harness = std::mem::take(&mut self.scratch);
         self.reschedule(now, &mut harness);
-        let mut out = std::mem::take(&mut self.routed);
-        self.route(now, &mut harness, &mut |at, ev| out.push((at, ev)));
-        self.routed = std::mem::replace(&mut self.pending, out);
+        self.route(now, &mut harness, sink);
         self.scratch = harness;
     }
 
@@ -758,18 +759,6 @@ impl SystemWorld {
 
     fn past_horizon(&self, now: SimTime) -> bool {
         self.horizon.is_some_and(|h| now >= h)
-    }
-
-    /// Drains the buffered follow-up events in push order. The driver (or
-    /// embedding world) forwards each to its own event queue; push order
-    /// equals the old direct-scheduling order, so `(time, seq)`
-    /// tie-breaking is preserved exactly.
-    pub fn for_each_pending(&mut self, mut f: impl FnMut(SimTime, SystemEvent)) {
-        // `drain` keeps the buffer's allocation, so steady state is
-        // allocation-free on the hot path.
-        for (at, ev) in self.pending.drain(..) {
-            f(at, ev);
-        }
     }
 
     /// Whether the settled log holds a job not yet drained.
@@ -1377,32 +1366,18 @@ impl SystemWorld {
 }
 
 impl SystemWorld {
-    /// Handles one system event, buffering every follow-up in the pending
-    /// list instead of scheduling it directly. An embedding world calls
-    /// this and drains the buffer into its own event type via
-    /// [`Self::for_each_pending`]; the cluster does so only for a shard
-    /// whose breaker is half-open (see
-    /// [`GpuCluster::dispatch_to`](crate::GpuCluster::dispatch_to)).
-    /// [`World::handle`], the cluster's other shard events and the epoch
-    /// driver's device streams hand the same follow-ups, in the same
-    /// order, straight to their queue.
-    pub fn dispatch(&mut self, now: SimTime, event: SystemEvent) {
-        let mut out = std::mem::take(&mut self.routed);
-        self.dispatch_to(now, event, &mut |at, ev| out.push((at, ev)));
-        // `route` emptied `pending` into `out` first, so `out` holds every
-        // buffered follow-up in push order. Swapping keeps both buffers'
-        // capacity, so the hot path stays allocation-free.
-        self.routed = std::mem::replace(&mut self.pending, out);
-    }
-
-    /// Handles one system event and hands every follow-up to `sink` in
-    /// push order (see [`Self::route`]).
-    pub(crate) fn dispatch_to(
+    /// Handles one system event and hands every follow-up to `sink`, in
+    /// push order, before it returns. The caller forwards each to its
+    /// queue: [`World::handle`] schedules it, the cluster wraps it as a
+    /// shard event, and the epoch driver pushes it onto the device's own
+    /// stream.
+    pub fn dispatch(
         &mut self,
         now: SimTime,
         event: SystemEvent,
         sink: &mut impl FnMut(SimTime, SystemEvent),
     ) {
+        debug_assert!(self.pending.is_empty(), "no follow-up outlives a call");
         // Reuse the persistent scratch harness: `take` leaves a fresh
         // (allocation-free) default behind, and the restore below hands
         // the drained buffers' capacity back for the next event.
@@ -1517,6 +1492,6 @@ impl World for SystemWorld {
     type Event = SystemEvent;
 
     fn handle(&mut self, now: SimTime, event: SystemEvent, sched: &mut Scheduler<'_, SystemEvent>) {
-        self.dispatch_to(now, event, &mut |at, ev| sched.schedule_at(at, ev));
+        self.dispatch(now, event, &mut |at, ev| sched.schedule_at(at, ev));
     }
 }

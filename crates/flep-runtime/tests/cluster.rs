@@ -349,6 +349,7 @@ fn drain_removes_device_from_rotation() {
     let idx = cluster.submit(
         SimTime::ZERO,
         JobSpec::new(profile(BenchmarkId::Spmv, InputClass::Small), SimTime::ZERO),
+        &mut |_, _| {},
     );
     assert_eq!(idx, 0);
     assert_eq!(cluster.device_state(1), DeviceState::Healthy);
@@ -362,15 +363,16 @@ fn drain_busy_device_deregisters_after_completion() {
     let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
     cfg.watchdog = Some(WatchdogConfig::default());
     let (mut cluster, initial) = GpuCluster::new(&cfg);
+    // The queue holds the initial events first, then `submit`'s follow-ups.
+    let mut queue: Vec<(SimTime, flep_runtime::ClusterEvent)> = initial;
     cluster.submit(
         SimTime::ZERO,
         JobSpec::new(profile(BenchmarkId::Spmv, InputClass::Small), SimTime::ZERO),
+        &mut |at, ev| queue.push((at, ev)),
     );
     cluster.drain_device(SimTime::ZERO, 0);
     assert_eq!(cluster.device_state(0), DeviceState::Draining);
     // Run the event loop by hand until quiescent.
-    let mut queue: Vec<(SimTime, flep_runtime::ClusterEvent)> = initial;
-    cluster.for_each_pending(|at, ev| queue.push((at, ev)));
     let mut guard = 0;
     while !queue.is_empty() {
         guard += 1;
@@ -380,8 +382,7 @@ fn drain_busy_device_deregisters_after_completion() {
             .min_by_key(|&i| (queue[i].0, i))
             .expect("non-empty");
         let (at, ev) = queue.remove(i);
-        cluster.dispatch(at, ev);
-        cluster.for_each_pending(|at, ev| queue.push((at, ev)));
+        cluster.dispatch(at, ev, &mut |at, ev| queue.push((at, ev)));
     }
     assert_eq!(cluster.device_state(0), DeviceState::Dead);
     assert!(cluster

@@ -5,17 +5,17 @@
 //! deterministic per seed.
 
 use flep_gpu_sim::{
-    DeviceFaultKind, FaultConfig, FaultKind, FaultPlan, GpuConfig, GpuDevice, GpuEvent, GridId,
+    DeviceFaultConfig, DeviceFaultKind, FaultConfig, FaultKind, FaultPlan, GpuConfig, GpuDevice,
+    GpuEvent, GridId,
 };
 use flep_runtime::{
-    ClusterConfig, ClusterEvent, CoRun, CoRunResult, DeviceEventKind, GpuCluster, HealthConfig,
-    JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport, RuntimeError,
-    SystemEvent, SystemWorld, WatchdogConfig,
+    ClusterConfig, ClusterEvent, ClusterResult, CoRun, CoRunResult, DeviceEventKind, GpuCluster,
+    HealthConfig, JobRecord, JobSpec, KernelProfile, Policy, RecoveryAction, RunReport,
+    RuntimeError, SystemEvent, SystemWorld, WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
 use flep_sim_core::{
-    assume, require, require_eq, EventQueue, RunOutcome, Scheduler, SimRng, SimTime, Simulation,
-    World,
+    assume, require, require_eq, RunOutcome, Scheduler, SimRng, SimTime, Simulation, World,
 };
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -393,9 +393,8 @@ impl World for SlotProbe {
             }
             _ => {}
         }
-        self.sys.dispatch(now, ev);
         let launched = &mut self.launched;
-        self.sys.for_each_pending(|at, e| {
+        self.sys.dispatch(now, ev, &mut |at, e| {
             if let SystemEvent::Gpu(GpuEvent::LaunchArrived(grid)) = e {
                 launched.push(grid);
             }
@@ -541,6 +540,45 @@ fn lost_note_reconciliation_reads_the_retired_grid_before_release() {
     assert_eq!(held, 0, "every reconciled grid is released");
 }
 
+// -- Routing goldens --------------------------------------------------------
+
+/// FNV-1a 64 over `lines`, each followed by `\n`. Its constants pin it,
+/// unlike `DefaultHasher`, so a golden of it holds on every toolchain.
+fn fnv1a64<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in lines {
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What a routing golden pins: how many events a run popped, the digest
+/// of their `"{time:?} {event:?}"` lines, and the digest of the run
+/// result's `Debug` render.
+fn routing_golden(seen: &[String], result: &str) -> String {
+    format!(
+        "events {}\nstream fnv1a64 {:016x}\nresult fnv1a64 {:016x}\n",
+        seen.len(),
+        fnv1a64(seen.iter().map(String::as_str)),
+        fnv1a64([result]),
+    )
+}
+
+/// Noiseless Small-input jobs, one per `(benchmark, arrival µs,
+/// priority)`.
+fn noiseless_jobs(jobs: &[(BenchmarkId, u64, u32)]) -> Vec<JobSpec> {
+    jobs.iter()
+        .map(|&(id, arrival_us, priority)| {
+            let mut kernel = profile(id, InputClass::Small);
+            kernel.task_cost.rel_noise = 0.0;
+            JobSpec::new(kernel, SimTime::from_us(arrival_us)).with_priority(priority)
+        })
+        .collect()
+}
+
 /// Records every event a [`SystemWorld`] handles through its own
 /// [`World`] impl, the path [`CoRun`] runs.
 struct Recorded {
@@ -557,33 +595,20 @@ impl World for Recorded {
     }
 }
 
-/// [`CoRun`] routes each event's follow-ups straight into the engine's
-/// queue; an embedding world buffers them through `dispatch` and drains
-/// them with `for_each_pending`. Both must hand the queue the same events
-/// in the same order, so the same co-run pops the same event stream,
-/// dispatches the same number of events and ends with the same result
-/// either way.
-#[test]
-fn sink_routing_matches_buffered_routing() {
-    // Notes, launches and preemptions all go through the fault layer:
-    // delayed (and dropped) notes, transient launch rejects, lost and late
-    // doorbells, stuck victims, and the watchdog. Noiseless task costs
-    // make a grid's CTAs finish their batches at the same instants, so
-    // the order follow-ups reach the queue decides the `seq` tie-breaks.
-    let jobs: Vec<JobSpec> = [
+/// The faulted co-run the runtime's routing golden pins. Notes, launches
+/// and preemptions all go through the fault layer: delayed (and dropped)
+/// notes, transient launch rejects, lost and late doorbells, stuck
+/// victims, and the watchdog. Noiseless task costs make a grid's CTAs
+/// finish their batches at the same instants, so the order follow-ups
+/// reach the queue decides the `seq` tie-breaks.
+fn routing_corun() -> (Vec<JobSpec>, FaultConfig, WatchdogConfig) {
+    let jobs = noiseless_jobs(&[
         (BenchmarkId::Va, 0, 1),
         (BenchmarkId::Mm, 40, 1),
         (BenchmarkId::Spmv, 150, 3),
         (BenchmarkId::Nn, 260, 2),
         (BenchmarkId::Pf, 300, 3),
-    ]
-    .into_iter()
-    .map(|(id, arrival_us, priority)| {
-        let mut kernel = profile(id, InputClass::Small);
-        kernel.task_cost.rel_noise = 0.0;
-        JobSpec::new(kernel, SimTime::from_us(arrival_us)).with_priority(priority)
-    })
-    .collect();
+    ]);
     let faults = FaultConfig::quiet(0x5EED)
         .with_launch_reject(0.3)
         .with_signal_drop(0.2)
@@ -591,53 +616,58 @@ fn sink_routing_matches_buffered_routing() {
         .with_stuck_flag(0.3)
         .with_note_drop(0.1)
         .with_note_delay(0.5, SimTime::from_us(90));
-    let wd = WatchdogConfig::default();
+    (jobs, faults, WatchdogConfig::default())
+}
 
-    // Built exactly as `CoRun` builds its run. Busy spans are on, so
-    // residency order is compared too.
-    let build = || {
-        let mut device = GpuDevice::new(GpuConfig::k40());
-        device.set_span_collection(true);
-        device.set_fault_plan(Some(FaultPlan::new(faults)));
-        let mut sys = SystemWorld::new(device, Policy::hpf(), jobs.clone(), None);
-        sys.set_watchdog(wd);
-        sys
-    };
-    let seed = |push: &mut dyn FnMut(SimTime, SystemEvent)| {
-        for (idx, job) in jobs.iter().enumerate() {
-            push(job.arrival, SystemEvent::Arrival(idx));
-        }
-        push(wd.poll_interval, SystemEvent::Watchdog);
-    };
-
-    // Buffered: a manual `dispatch` + `for_each_pending` loop over one
-    // queue, recording every event it pops.
-    let mut sys = build();
-    let mut queue = EventQueue::new();
-    seed(&mut |at, ev| queue.push(at, ev));
-    let mut buffered_seen = Vec::new();
-    let mut end_time = SimTime::ZERO;
-    while let Some(entry) = queue.pop() {
-        buffered_seen.push(format!("{:?} {:?}", entry.time, entry.payload));
-        end_time = entry.time;
-        sys.dispatch(entry.time, entry.payload);
-        sys.for_each_pending(|at, ev| queue.push(at, ev));
+/// Runs [`routing_corun`] through the world's own [`World`] impl, built
+/// and seeded exactly as [`CoRun`] builds its run: every popped event.
+fn run_routing_corun() -> Vec<String> {
+    let (jobs, faults, wd) = routing_corun();
+    let mut device = GpuDevice::new(GpuConfig::k40());
+    device.set_span_collection(true);
+    device.set_fault_plan(Some(FaultPlan::new(faults)));
+    let mut sys = SystemWorld::new(device, Policy::hpf(), jobs.clone(), None);
+    sys.set_watchdog(wd);
+    let mut sim = Simulation::new(Recorded {
+        sys,
+        seen: Vec::new(),
+    });
+    for (idx, job) in jobs.iter().enumerate() {
+        sim.schedule_at(job.arrival, SystemEvent::Arrival(idx));
     }
-    let dispatched = buffered_seen.len() as u64;
-    let swap_stats = sys.swap_stats();
-    let (jobs_done, busy_spans, busy_totals, report) = sys.into_records();
-    let buffered = CoRunResult {
-        jobs: jobs_done,
-        busy_spans,
-        busy_totals,
-        end_time,
-        swap_stats,
-        errors: report.errors,
-        recoveries: report.recoveries,
-        faults: report.faults,
-        escalations: report.escalations,
-    };
-    let fired = |want: fn(FaultKind) -> bool| buffered.faults.iter().any(|f| want(f.kind));
+    sim.schedule_at(wd.poll_interval, SystemEvent::Watchdog);
+    sim.run();
+    sim.into_world().seen
+}
+
+/// [`routing_corun`] as a [`CoRun`] with an event budget, busy spans on
+/// so residency order is pinned too.
+fn routing_corun_result(budget: u64) -> CoRunResult {
+    let (jobs, faults, wd) = routing_corun();
+    let mut c = CoRun::new(GpuConfig::k40(), Policy::hpf())
+        .with_faults(faults)
+        .with_watchdog(wd)
+        .with_span_trace()
+        .with_event_budget(budget);
+    for job in jobs {
+        c = c.job(job);
+    }
+    c.run()
+}
+
+/// The order a [`SystemWorld`] hands its follow-ups to the queue decides
+/// every same-instant tie. The faulted co-run pops exactly the pinned
+/// event stream, and [`CoRun`] with a budget of exactly that many events
+/// ends with the pinned result, while one event fewer runs out. The
+/// golden was generated by the buffered routing path (`dispatch`, then a
+/// drain of the pending buffer), which this stream matched event for
+/// event.
+#[test]
+fn sink_routing_matches_pinned_golden() {
+    let seen = run_routing_corun();
+    let dispatched = seen.len() as u64;
+    let result = routing_corun_result(dispatched);
+    let fired = |want: fn(FaultKind) -> bool| result.faults.iter().any(|f| want(f.kind));
     assert!(
         fired(|k| matches!(k, FaultKind::NoteDelayed(_))),
         "no note was delayed"
@@ -646,48 +676,19 @@ fn sink_routing_matches_buffered_routing() {
         fired(|k| k == FaultKind::LaunchRejected),
         "no launch was rejected"
     );
-    assert!(!buffered.recoveries.is_empty(), "the watchdog never acted");
-
-    // Sink: the world's own `World` impl pops the same events in the same
-    // order...
-    let mut sim = Simulation::new(Recorded {
-        sys: build(),
-        seen: Vec::new(),
-    });
-    seed(&mut |at, ev| sim.schedule_at(at, ev));
-    sim.run();
-    let sink_seen = sim.into_world().seen;
-    if let Some(i) = (0..buffered_seen.len().max(sink_seen.len()))
-        .find(|&i| buffered_seen.get(i) != sink_seen.get(i))
-    {
-        panic!(
-            "event {i}: buffered {:?}, sink {:?}",
-            buffered_seen.get(i),
-            sink_seen.get(i)
-        );
-    }
-
-    // ... and `CoRun` with a budget of exactly that many events completes
-    // with the same result, while one event fewer runs out.
-    let corun = |budget: u64| {
-        let mut c = CoRun::new(GpuConfig::k40(), Policy::hpf())
-            .with_faults(faults)
-            .with_watchdog(wd)
-            .with_span_trace()
-            .with_event_budget(budget);
-        for job in &jobs {
-            c = c.job(job.clone());
-        }
-        c.run()
-    };
-    assert_eq!(format!("{:?}", corun(dispatched)), format!("{buffered:?}"));
-    let short = corun(dispatched - 1);
+    assert!(!result.recoveries.is_empty(), "the watchdog never acted");
+    assert_eq!(
+        routing_golden(&seen, &format!("{result:?}")),
+        include_str!("golden/routing_corun.txt"),
+        "co-run routing drifted from the pinned golden"
+    );
+    let short = routing_corun_result(dispatched - 1);
     assert!(
         matches!(
             short.errors.last(),
             Some(RuntimeError::EventBudgetExhausted { dispatched: d, .. }) if *d == dispatched - 1
         ),
-        "CoRun dispatched more events than the buffered loop: {:?}",
+        "CoRun dispatched more events than the pinned stream: {:?}",
         short.errors.last()
     );
 }
@@ -708,21 +709,39 @@ impl World for RecordedCluster {
     }
 }
 
-/// The cluster-level counterpart of [`sink_routing_matches_buffered_routing`]:
-/// [`GpuCluster`]'s `World` impl hands a shard event's follow-ups straight
-/// to the queue, except while that shard's breaker is half-open; an
-/// embedding world buffers them through `dispatch` and drains them with
-/// `for_each_pending`. Both must pop the same event stream and end with
-/// the same result, on a faulted, health-on fleet whose probes go
-/// half-open and settle.
-#[test]
-fn cluster_sink_routing_matches_buffered_routing() {
-    // Launch rejects without retries fail jobs and probes outright; hangs
-    // quarantine devices whose resident jobs stay put. A failed probe
-    // re-arms its timer after the capped backoff, 32 × 6.25 µs: the
-    // watchdog's 200 µs poll. So a probe that fails in a watchdog scan
-    // re-arms at the same instant as the watchdog's next tick, a tie
-    // only the order of the follow-ups breaks.
+/// Runs `jobs` on a cluster built from `cfg` through the cluster's own
+/// [`World`] impl, seeded as the merged cluster driver seeds its run
+/// (arrivals first, then the cluster's own initial events): every popped
+/// event and the result.
+fn record_cluster(cfg: &ClusterConfig, jobs: &[JobSpec]) -> (Vec<String>, ClusterResult) {
+    let (mut cluster, initial) = GpuCluster::new(cfg);
+    for spec in jobs {
+        cluster.register(spec.clone());
+    }
+    let mut sim = Simulation::new(RecordedCluster {
+        cluster,
+        seen: Vec::new(),
+    });
+    for (idx, job) in jobs.iter().enumerate() {
+        sim.schedule_at(job.arrival, ClusterEvent::Arrival(idx));
+    }
+    for (at, ev) in initial {
+        sim.schedule_at(at, ev);
+    }
+    let end_time = sim.run();
+    let RecordedCluster { cluster, seen } = sim.into_world();
+    (seen, cluster.into_result(end_time))
+}
+
+/// Runs the faulted, health-on fleet the cluster's routing golden pins.
+///
+/// Launch rejects without retries fail jobs and probes outright; hangs
+/// quarantine devices whose resident jobs stay put. A failed probe
+/// re-arms its timer after the capped backoff, 32 × 6.25 µs: the
+/// watchdog's 200 µs poll. So a probe that fails in a watchdog scan
+/// re-arms at the same instant as the watchdog's next tick, a tie only
+/// the order of the follow-ups breaks.
+fn run_routing_cluster() -> (Vec<String>, ClusterResult) {
     let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
     cfg.watchdog = Some(WatchdogConfig {
         max_launch_retries: 0,
@@ -745,58 +764,69 @@ fn cluster_sink_routing_matches_buffered_routing() {
         (SimTime::from_us(315), 0, DeviceFaultKind::Hang),
         (SimTime::from_us(333), 0, DeviceFaultKind::Hang),
     ];
-    let jobs: Vec<JobSpec> = [
+    let jobs = noiseless_jobs(&[
         (BenchmarkId::Va, 44, 1),
         (BenchmarkId::Pf, 270, 2),
         (BenchmarkId::Mm, 263, 0),
         (BenchmarkId::Nn, 34, 2),
         (BenchmarkId::Mm, 232, 2),
         (BenchmarkId::Va, 176, 1),
-    ]
-    .into_iter()
-    .map(|(id, arrival_us, priority)| {
-        let mut kernel = profile(id, InputClass::Small);
-        kernel.task_cost.rel_noise = 0.0;
-        JobSpec::new(kernel, SimTime::from_us(arrival_us)).with_priority(priority)
-    })
-    .collect();
+    ]);
+    record_cluster(&cfg, &jobs)
+}
 
-    // Built as the merged cluster driver builds its run: arrivals first,
-    // then the cluster's own initial events.
-    let build = || {
-        let (mut cluster, initial) = GpuCluster::new(&cfg);
-        let mut seeds: Vec<(SimTime, ClusterEvent)> = (0..jobs.len())
-            .map(|idx| (jobs[idx].arrival, ClusterEvent::Arrival(idx)))
-            .collect();
-        seeds.extend(initial);
-        for spec in &jobs {
-            cluster.register(spec.clone());
-        }
-        (cluster, seeds)
-    };
-
-    // Buffered: a manual `dispatch` + `for_each_pending` loop.
-    let (mut cluster, seeds) = build();
-    let mut queue = EventQueue::new();
-    for (at, ev) in seeds {
-        queue.push(at, ev);
-    }
-    let mut buffered_seen = Vec::new();
-    let mut end_time = SimTime::ZERO;
-    while let Some(entry) = queue.pop() {
-        buffered_seen.push(format!("{:?} {:?}", entry.time, entry.payload));
-        end_time = entry.time;
-        cluster.dispatch(entry.time, entry.payload);
-        cluster.for_each_pending(|at, ev| queue.push(at, ev));
-    }
-    let buffered = cluster.into_result(end_time);
-    assert!(buffered.reconciles());
-    assert!(
-        buffered.completed > 0 && buffered.failed > 0,
-        "{buffered:?}"
+/// Runs the fleet the landing golden pins: seeded hangs and losses on
+/// two devices quarantine both in turn, so jobs park, and each probe
+/// that re-admits a device lands them, often on that same device.
+fn run_landing_cluster() -> (Vec<String>, ClusterResult) {
+    let mut cfg = ClusterConfig::new(2, GpuConfig::k40(), Policy::hpf());
+    cfg.watchdog = Some(WatchdogConfig {
+        max_launch_retries: 1,
+        ..WatchdogConfig::default()
+    });
+    cfg.grid_faults = Some(
+        FaultConfig::quiet(2136)
+            .with_launch_reject(0.5)
+            .with_signal_delay(0.3, SimTime::from_us(120))
+            .with_note_delay(0.3, SimTime::from_us(90)),
     );
+    cfg.device_faults = Some(
+        DeviceFaultConfig::quiet(2136)
+            .with_hangs(900.0, SimTime::from_us(50))
+            .with_losses(200.0, SimTime::from_us(100)),
+    );
+    cfg.health = Some(HealthConfig {
+        probe_tasks: 24,
+        ..HealthConfig::default()
+            .with_threshold(0.5)
+            .with_probe_cooldown(SimTime::from_us(20))
+    });
+    let jobs = noiseless_jobs(&[
+        (BenchmarkId::Nn, 300, 3),
+        (BenchmarkId::Spmv, 750, 0),
+        (BenchmarkId::Pf, 600, 1),
+        (BenchmarkId::Cfd, 250, 0),
+        (BenchmarkId::Nn, 1050, 3),
+    ]);
+    record_cluster(&cfg, &jobs)
+}
+
+/// The cluster-level counterpart of [`sink_routing_matches_pinned_golden`]:
+/// a fleet whose probes go half-open and settle pops exactly the pinned
+/// event stream and ends with the pinned result. Absorbing a half-open
+/// shard's settled probe pushes events ahead of that shard's own
+/// follow-ups; the staged `BreakerProbe`/`Watchdog` tie makes that order
+/// visible, so the golden fails if the cluster routes them the other way
+/// round. The golden was generated by the buffered routing path
+/// (`dispatch`, then a drain of the pending buffer), which this stream
+/// matched event for event.
+#[test]
+fn cluster_sink_routing_matches_pinned_golden() {
+    let (seen, result) = run_routing_cluster();
+    assert!(result.reconciles());
+    assert!(result.completed > 0 && result.failed > 0, "{result:?}");
     let count = |kind: DeviceEventKind| {
-        buffered
+        result
             .device_events
             .iter()
             .filter(|e| e.kind == kind)
@@ -812,39 +842,61 @@ fn cluster_sink_routing_matches_buffered_routing() {
     );
     let instant = |e: &str| e.split(' ').next().map(str::to_owned);
     assert!(
-        buffered_seen
-            .windows(2)
-            .any(|w| w[0].contains("BreakerProbe")
-                && w[1].contains("Watchdog")
-                && instant(&w[0]) == instant(&w[1])),
+        seen.windows(2).any(|w| w[0].contains("BreakerProbe")
+            && w[1].contains("Watchdog")
+            && instant(&w[0]) == instant(&w[1])),
         "no re-armed probe tied a watchdog tick"
     );
-
-    // Sink: the cluster's own `World` impl pops the same events in the
-    // same order and ends with the same result.
-    let (cluster, seeds) = build();
-    let mut sim = Simulation::new(RecordedCluster {
-        cluster,
-        seen: Vec::new(),
-    });
-    for (at, ev) in seeds {
-        sim.schedule_at(at, ev);
-    }
-    let sink_end = sim.run();
-    let RecordedCluster { cluster, seen } = sim.into_world();
-    if let Some(i) =
-        (0..buffered_seen.len().max(seen.len())).find(|&i| buffered_seen.get(i) != seen.get(i))
-    {
-        panic!(
-            "event {i}: buffered {:?}, sink {:?}",
-            buffered_seen.get(i),
-            seen.get(i)
-        );
-    }
     assert_eq!(
-        format!("{:?}", cluster.into_result(sink_end)),
-        format!("{buffered:?}")
+        routing_golden(&seen, &format!("{result:?}")),
+        include_str!("golden/routing_cluster.txt"),
+        "cluster routing drifted from the pinned golden"
     );
+}
+
+/// While a shard's breaker is half-open, its follow-ups wait behind what
+/// absorbing its settled probe pushes, but a parked job landing on that
+/// same shard meanwhile sends them out first, ahead of its own. A
+/// re-admitted device is often the least loaded, so the landing fleet
+/// pops exactly the pinned stream only if the cluster keeps that order;
+/// moving the shard's follow-ups behind every landing instead changes
+/// the stream and the result. The golden was generated by the
+/// buffered routing path (`dispatch`, then a drain of the pending
+/// buffer), which this stream matched event for event.
+#[test]
+fn cluster_landing_on_a_held_shard_matches_pinned_golden() {
+    let (seen, result) = run_landing_cluster();
+    assert!(result.reconciles());
+    assert!(
+        result
+            .device_events
+            .iter()
+            .any(|e| e.kind == DeviceEventKind::Readmitted),
+        "no half-open probe settled"
+    );
+    assert_eq!(
+        routing_golden(&seen, &format!("{result:?}")),
+        include_str!("golden/routing_landing.txt"),
+        "landing-order routing drifted from the pinned golden"
+    );
+}
+
+/// Writes fresh routing goldens; kept `#[ignore]`d so it only runs on
+/// demand (`cargo test -p flep-runtime --test faults -- --ignored regen`).
+#[test]
+#[ignore = "regenerates the pinned routing goldens"]
+fn regen_routing_goldens() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let seen = run_routing_corun();
+    let result = routing_corun_result(seen.len() as u64);
+    let corun = routing_golden(&seen, &format!("{result:?}"));
+    std::fs::write(format!("{dir}/routing_corun.txt"), corun).expect("write golden");
+    let (seen, result) = run_routing_cluster();
+    let cluster = routing_golden(&seen, &format!("{result:?}"));
+    std::fs::write(format!("{dir}/routing_cluster.txt"), cluster).expect("write golden");
+    let (seen, result) = run_landing_cluster();
+    let landing = routing_golden(&seen, &format!("{result:?}"));
+    std::fs::write(format!("{dir}/routing_landing.txt"), landing).expect("write golden");
 }
 
 // -- flep-check properties -----------------------------------------------

@@ -4,23 +4,23 @@
 //! [`ServeWorld`] embeds a [`GpuCluster`] rather than wrapping the
 //! [`CoRun`](flep_runtime::CoRun) driver: the frontend owns the event loop
 //! (its event type covers both arrival events and cluster-internal
-//! events) and forwards cluster events via [`GpuCluster::dispatch_to`],
-//! which hands their follow-ups straight to the frontend's queue. The
-//! frontend itself works only when something changed: it settles and
+//! events). [`GpuCluster::dispatch`] (a cluster event) and
+//! [`GpuCluster::submit`] (a batch) both get a sink that schedules each
+//! follow-up as `ServeEvent::Sys`.
+//! The frontend itself works only when something changed: it settles and
 //! dispatches after an event that settled or migrated a batch, or that
 //! queued a request for a tenant with no batch in flight, and expires
-//! queued requests lazily. Batches enter
-//! through [`GpuCluster::submit`], which places each on the least-loaded
-//! healthy device; within a device a high-priority batch preempts a
-//! running low-priority batch through the ordinary HPF path — flag first,
-//! then the watchdog's forced-drain and kill escalations when the victim
-//! ignores it. Device failures (hang / transient loss / death) evict
-//! resident batches and migrate them to survivors, so goodput degrades
-//! with lost capacity instead of losing requests.
+//! queued requests lazily. [`GpuCluster::submit`] places each batch on
+//! the least-loaded eligible device, or parks it until one is eligible;
+//! within a device a high-priority batch preempts a running low-priority
+//! batch through the ordinary HPF path — flag first, then the watchdog's
+//! forced-drain and kill escalations when the victim ignores it. Device
+//! failures (hang / transient loss / death) evict resident batches and
+//! migrate them to survivors, so goodput degrades with lost capacity
+//! instead of losing requests.
 //!
 //! With one device and no device faults the cluster is a transparent
-//! wrapper: event streams — and therefore golden traces — are
-//! byte-identical to the previous direct-embedding frontend.
+//! wrapper: the event stream is the device runtime's own.
 
 use std::fmt::Write;
 
@@ -436,10 +436,11 @@ impl ServeWorld {
         }
     }
 
-    /// Forms and submits batches until no tenant is eligible. Returns
-    /// whether anything was submitted (a submission can fail synchronously
-    /// inside the runtime, so the caller reaps and retries to fixpoint).
-    fn try_dispatch(&mut self, now: SimTime) -> bool {
+    /// Forms and submits batches until no tenant is eligible, handing
+    /// each submission's follow-ups to `sink`. Returns whether anything
+    /// was submitted (a submission can fail synchronously inside the
+    /// runtime, so the caller reaps and retries to fixpoint).
+    fn try_dispatch(&mut self, now: SimTime, sink: &mut impl FnMut(SimTime, ClusterEvent)) -> bool {
         let mut submitted = false;
         loop {
             // Shed requests that already missed while queued, so head
@@ -459,13 +460,18 @@ impl ServeWorld {
                 .filter_map(|(i, t)| t.queue.peek_deadline().map(|d| (d, i)))
                 .min();
             let Some((_, idx)) = pick else { break };
-            self.submit_batch(now, idx);
+            self.submit_batch(now, idx, sink);
             submitted = true;
         }
         submitted
     }
 
-    fn submit_batch(&mut self, now: SimTime, idx: usize) {
+    fn submit_batch(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        sink: &mut impl FnMut(SimTime, ClusterEvent),
+    ) {
         let t = &mut self.tenants[idx];
         let model = InferenceModel::get(t.spec.model);
         let size = (t.queue.len() as u64).min(t.spec.max_batch) as usize;
@@ -500,7 +506,7 @@ impl ServeWorld {
             .with_priority(t.spec.priority)
             .with_seed(noise_seed)
             .with_tenant(idx as u32);
-        let job = self.cluster.submit(now, spec);
+        let job = self.cluster.submit(now, spec, sink);
         self.tenants[idx].inflight = Some(BatchMeta { job, requests });
     }
 
@@ -606,7 +612,7 @@ impl World for ServeWorld {
         let eligible = match event {
             ServeEvent::Arrival { tenant } => self.on_arrival(now, tenant, sched),
             ServeEvent::Sys(e) => {
-                self.cluster.dispatch_to(now, e, &mut |at, e| {
+                self.cluster.dispatch(now, e, &mut |at, e| {
                     sched.schedule_at(at, ServeEvent::Sys(e))
                 });
                 false
@@ -621,14 +627,13 @@ impl World for ServeWorld {
         // produces a new failure entry, so it iterates to fixpoint
         // (terminates: every round consumes queued requests).
         if eligible || self.cluster.needs_drain() {
+            let sink = &mut |at, e| sched.schedule_at(at, ServeEvent::Sys(e));
             loop {
                 self.reap();
-                if !self.try_dispatch(now) {
+                if !self.try_dispatch(now, sink) {
                     break;
                 }
             }
-            self.cluster
-                .for_each_pending(|at, e| sched.schedule_at(at, ServeEvent::Sys(e)));
         }
         self.last_now = now;
     }
